@@ -16,7 +16,6 @@ Core layers:
 from .tensor import (
     DenseTensor,
     SuperDiagonal,
-    Unfolding,
     contract,
     identity_tensor,
     outer_power,
@@ -28,7 +27,6 @@ from .descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_
 from .tso import (
     SpectrumVector,
     TsoParams,
-    extract_representation,
     maxexp_f,
     maxexp_scalar,
     sigme,
@@ -67,7 +65,6 @@ from .pipeline import (
     hop_unit,
     matched_class_similarity_rate,
     numerical_jacobian,
-    relation_mlp,
     synth_episode,
 )
 from .errors import (

@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--heads", type=int, default=1)
     p_demo.add_argument("--dump", action="store_true", help="write all intermediates")
     p_demo.add_argument("--out", help="dump path (with --dump)")
-    p_demo.add_argument("--format", choices=("json", "csv"), default="json")
     p_demo.set_defaults(handler=_cmd_demo_episode)
     return parser
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pool import parallel_map
 from .attention import DEFAULT_SIGMA, RBF, AttentionBundle, multi_head, rbf_similarity
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
 from .errors import DomainError, InvalidArgumentError
@@ -215,7 +214,7 @@ def forward_episode(
     Pools supports and query RoI crops with ``hop_unit``, modulates the
     query map over the support HOP vectors, then runs the shot head and the
     spatial head per box and combines their tokens into relation outputs.
-    Deterministic for fixed inputs and identical across worker-pool sizes.
+    Deterministic for fixed inputs.
     """
     if weights.dim != episode.dim:
         raise InvalidArgumentError("head weights do not match the episode width")
@@ -228,9 +227,7 @@ def forward_episode(
     )
 
     crops = [episode.query_map[:, a:b] for a, b in episode.boxes]
-    roi_hop = np.column_stack(
-        parallel_map(lambda crop: hop_unit(crop, cfg, params), crops)
-    )
+    roi_hop = np.column_stack([hop_unit(crop, cfg, params) for crop in crops])
     roi_mean2d = np.column_stack([_stack_mean(c) for c in crops])
 
     zshot = zshot_head(
@@ -245,8 +242,8 @@ def forward_episode(
         list(support_mean2d.T), list(support_hop.T)
     )
 
-    def relate(index_and_crop):
-        b, crop = index_and_crop
+    relations = []
+    for b, crop in enumerate(crops):
         width = crop.shape[1]
         support_features = np.tile(pooled_support_mean[:, None], (1, width))
         query_features = np.tile(roi_mean2d[:, b][:, None], (1, width))
@@ -260,11 +257,9 @@ def forward_episode(
             heads=heads,
             sigma=sigma,
         )
-        return compute_relations(support_tokens, query_tokens, weights)
-
-    relations = tuple(parallel_map(relate, list(enumerate(crops))))
+        relations.append(compute_relations(support_tokens, query_tokens, weights))
     return EpisodeResult(
-        relations=relations,
+        relations=tuple(relations),
         zshot_output=zshot,
         modulated_map=modulated,
         support_hop=support_hop,
@@ -353,23 +348,6 @@ def matched_class_similarity_rate(
                 total += 1
                 correct += sims[i] > sims[j]
     return correct / total if total else 0.0
-
-
-def relation_mlp(fo_ho: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Fixed seeded two-layer map (linear, ReLU, linear) for FO+HO relations.
-
-    Exists for shape checking only: it maps a length-2d relation vector to
-    length d with deterministic untrained weights of hidden width d.
-    """
-    fo_ho = np.asarray(fo_ho, dtype=np.float64).reshape(-1)
-    if fo_ho.size % 2 != 0:
-        raise InvalidArgumentError("FO+HO relation vector must have even length")
-    d = fo_ho.size // 2
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-    first = rng.uniform(-bound, bound, size=(d, 2 * d))
-    second = rng.uniform(-bound, bound, size=(d, d))
-    return second @ np.maximum(first @ fo_ho, 0.0)
 
 
 def numerical_jacobian(op, x, step: float = 1e-6) -> np.ndarray:

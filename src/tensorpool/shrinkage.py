@@ -22,7 +22,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, InvalidArgumentError
-from .tso import SpectrumVector, maxexp_f, maxexp_scalar
+from .tso import SpectrumVector, maxexp_f
 
 _CLAMP = 1e-9  # spectra are clamped into [0, 1 - _CLAMP] before complements
 _STRICT_FLOOR = 1e-13  # below this, deviation decrease is not required strict
@@ -161,27 +161,6 @@ class OptimalityReport:
     def flagged(self) -> bool:
         return not self.converged
 
-    def to_text_lines(self) -> list[str]:
-        status = "ok" if self.converged else "FLAGGED: optimizer budget exhausted"
-        return [
-            f"shrinkage optimality d={self.dim} eta={self.eta}: "
-            f"residual={self.residual:.3e} stationarity={self.stationarity:.3e} "
-            f"time={self.wall_time_ms:.1f}ms [{status}]"
-        ]
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.dim},{self.eta},{self.residual:.12e},"
-            f"{self.stationarity:.12e},{self.wall_time_ms:.3f}"
-        )
-
-
-REPORT_CSV_HEADER = "d,eta,residual,stationarity,wall_time_ms"
-
-
-def reports_to_csv(reports) -> str:
-    return "\n".join([REPORT_CSV_HEADER, *(r.to_csv_row() for r in reports)]) + "\n"
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -308,26 +287,6 @@ class IdentityTargetReport:
     monotone: bool
     limit_deviation: float
 
-    def to_text_lines(self) -> list[str]:
-        lines = [
-            f"identity target d={self.dim} trials={self.trials}: "
-            f"limit deviation={self.limit_deviation:.3e} "
-            f"monotone={'yes' if self.monotone else 'NO'} "
-            f"orthogonality={self.orthogonality_residual:.3e}"
-        ]
-        lines += [
-            f"  eta=2^{int(np.log2(e)):<2d} max |out - I| = {dev:.6e}"
-            for e, dev in zip(self.etas, self.max_deviation_per_eta)
-        ]
-        return lines
-
-    def to_csv(self) -> str:
-        rows = [
-            f"{self.dim},{e},{dev:.12e},{self.orthogonality_residual:.12e}"
-            for e, dev in zip(self.etas, self.max_deviation_per_eta)
-        ]
-        return "\n".join(["d,eta,deviation,orthogonality", *rows]) + "\n"
-
 
 def verify_identity_target(
     dim: int, trials: int, seed: int = 0, max_exponent_log2: int = 20
@@ -371,8 +330,3 @@ def verify_identity_target(
         monotone=monotone,
         limit_deviation=float(worst[-1]),
     )
-
-
-def spectrum_after_shrinkage(spectrum: SpectrumVector, eta: int) -> np.ndarray:
-    """Element-wise shrinkage of a normalized spectrum (reference helper)."""
-    return np.array([maxexp_scalar(v, eta) for v in spectrum.values])

@@ -14,13 +14,14 @@ carrying the byte offset of the first offending byte.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FileFormatError, InvalidArgumentError
-from .tensor import DenseTensor
+from .tensor import CAPACITY, MAX_ORDER, DenseTensor
 
 TNSR_MAGIC = b"TNSR"
 TNSC_MAGIC = b"TNSC"
@@ -50,12 +51,15 @@ def read_tensor(path) -> DenseTensor:
     version = _U32.unpack_from(raw, 4)[0]
     if version != VERSION:
         raise FileFormatError(f"unsupported TNSR version {version}", 4)
+    # bound the header fields before any size arithmetic depends on them
     order = _U32.unpack_from(raw, 8)[0]
-    if order < 1:
-        raise FileFormatError(f"invalid order {order}", 8)
+    if order < 1 or order > MAX_ORDER:
+        raise FileFormatError(f"invalid order {order}, supported 1 to {MAX_ORDER}", 8)
     dim = _U32.unpack_from(raw, 12)[0]
-    if dim < 1:
-        raise FileFormatError(f"invalid dim {dim}", 12)
+    if dim < 1 or dim > CAPACITY[order]:
+        raise FileFormatError(
+            f"invalid dim {dim}, the order-{order} limit is {CAPACITY[order]}", 12
+        )
     count = dim**order
     expected = 16 + 8 * count
     if len(raw) < expected:
@@ -109,7 +113,10 @@ def read_container(path) -> dict[str, np.ndarray]:
         off += 4
         if off + name_len > len(raw):
             raise FileFormatError("truncated section name", off)
-        name = raw[off : off + name_len].decode("utf-8")
+        try:
+            name = raw[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError("section name is not valid UTF-8", off)
         off += name_len
         if off + 4 > len(raw):
             raise FileFormatError("truncated section rank", off)
@@ -123,7 +130,7 @@ def read_container(path) -> dict[str, np.ndarray]:
                 raise FileFormatError("truncated section shape", off)
             shape.append(_U32.unpack_from(raw, off)[0])
             off += 4
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: a numpy product can wrap
         nbytes = 8 * count
         if off + nbytes > len(raw):
             raise FileFormatError(

@@ -118,31 +118,6 @@ class SuperDiagonal:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class Unfolding:
-    """Matrix view of a tensor grouping the first ``lead`` modes as rows.
-
-    ``matrix`` has shape ``(d**lead, d**(r - lead))`` and shares no mutable
-    state with callers; ``refold`` reverses the reshape bit-exactly.
-    """
-
-    order: int
-    dim: int
-    lead: int
-    matrix: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.dim**self.lead
-
-    @property
-    def cols(self) -> int:
-        return self.dim ** (self.order - self.lead)
-
-    def refold(self) -> DenseTensor:
-        return DenseTensor(self.order, self.dim, self.matrix.reshape(-1))
-
-
 def outer_power(x, r: int) -> DenseTensor:
     """Build the order-``r`` tensor with entries ``x[i1] * ... * x[ir]``.
 
@@ -215,15 +190,19 @@ def super_diagonal(t: DenseTensor) -> SuperDiagonal:
     return SuperDiagonal(t.dim, t.array[idx])
 
 
-def unfold(t: DenseTensor, lead: int) -> Unfolding:
-    """Lossless reshape grouping the first ``lead`` modes as matrix rows."""
+def unfold(t: DenseTensor, lead: int) -> np.ndarray:
+    """Lossless reshape grouping the first ``lead`` modes as matrix rows.
+
+    The result has shape ``(d**lead, d**(r - lead))`` and is a read-only
+    view; ``reshape(-1)`` recovers the coefficients bit-exactly.
+    """
     if lead < 1 or lead >= t.order:
         raise InvalidArgumentError(
             f"lead mode count {lead} must satisfy 1 <= lead < order ({t.order})"
         )
     rows = t.dim**lead
     cols = t.dim ** (t.order - lead)
-    return Unfolding(t.order, t.dim, lead, t.data.reshape(rows, cols))
+    return t.data.reshape(rows, cols)
 
 
 def symmetrize(t: DenseTensor) -> DenseTensor:

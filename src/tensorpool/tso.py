@@ -18,17 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descriptors import EPSILON
 from .errors import DomainError, InvalidArgumentError
-from .tensor import (
-    DenseTensor,
-    asymmetry,
-    check_capacity,
-    identity_tensor,
-    super_diagonal,
-    symmetrize,
-)
-
-EPSILON = 1e-6
+from .tensor import DenseTensor, asymmetry, check_capacity, identity_tensor, symmetrize
 
 _SYM_REPAIR = 1e-10  # asymmetry above this is repaired by symmetrizing
 _SYM_REJECT = 1e-6  # asymmetry above this is an error
@@ -90,7 +82,6 @@ class TsoParams:
     eta3: int = 7
     eta4: int = 7
     eta_prime: float = 200.0
-    epsilon: float = EPSILON
     round_odd_eta: bool = True
 
     def __post_init__(self):
@@ -98,7 +89,7 @@ class TsoParams:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise InvalidArgumentError(f"{name} must be an integer >= 1")
-        if self.eta_prime < 1:
+        if not self.eta_prime >= 1:  # also rejects NaN
             raise InvalidArgumentError("eta_prime must be >= 1")
 
     def requested_eta(self, order: int) -> int:
@@ -136,7 +127,6 @@ class TsoParams:
                 f"eta3={self.eta3}",
                 f"eta4={self.eta4}",
                 f"eta_prime={self.eta_prime:g}",
-                f"epsilon={self.epsilon:g}",
                 f"round_odd_eta={'true' if self.round_odd_eta else 'false'}",
             ]
         )
@@ -151,16 +141,19 @@ class TsoParams:
             if "=" not in line:
                 raise InvalidArgumentError(f"bad config line {line_no}: {line!r}")
             key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            kv[key.strip()] = (line_no, value.strip())
         kwargs = {}
-        for key in ("eta2", "eta3", "eta4"):
+        for key, parse in (("eta2", int), ("eta3", int), ("eta4", int), ("eta_prime", float)):
             if key in kv:
-                kwargs[key] = int(kv.pop(key))
-        for key in ("eta_prime", "epsilon"):
-            if key in kv:
-                kwargs[key] = float(kv.pop(key))
+                line_no, value = kv.pop(key)
+                try:
+                    kwargs[key] = parse(value)
+                except ValueError:
+                    raise InvalidArgumentError(
+                        f"bad config line {line_no}: {key} expects a number, got {value!r}"
+                    )
         if "round_odd_eta" in kv:
-            kwargs["round_odd_eta"] = kv.pop("round_odd_eta").lower() in ("true", "1", "yes")
+            kwargs["round_odd_eta"] = kv.pop("round_odd_eta")[1].lower() in ("true", "1", "yes")
         if kv:
             raise InvalidArgumentError(f"unknown config keys: {sorted(kv)}")
         return cls(**kwargs)
@@ -356,11 +349,12 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
 
 
 def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
-    """Reference shrinkage path: one contraction at a time.
+    """Reference shrinkage path, written independently of the fast paths.
 
     Even orders run ``eta - 1`` sequential contractions of the complement
-    with itself.  Odd orders execute the same ternary chain as the fast
-    path step by step; no other exponents are defined for them.
+    with itself.  Order 3, the only odd order within capacity, runs the
+    ternary chain as explicit einsum index strings; no other exponents are
+    defined for it.
     """
     if t.order % 2 == 0:
         _check_even(t, eta)
@@ -372,14 +366,15 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
             g = g @ a
         np.subtract(p, g, out=g)
         return DenseTensor._from_owned(t.order, t.dim, g)
+    if t.order != 3:
+        raise InvalidArgumentError(f"naive odd path supports order 3 only, got {t.order}")
     steps = _check_odd(t, eta)
-    r, d = t.order, t.dim
-    lead, trail = r // 2, (r + 1) // 2
-    eye = identity_tensor(d, r).array
+    eye = identity_tensor(t.dim, 3).array
     m = eye - t.array
     for _ in range(steps):
-        m = np.tensordot(np.tensordot(m, m, axes=lead), m, axes=trail)
-    return DenseTensor._from_owned(r, d, eye - m)
+        four = np.einsum("ijk,klm->ijlm", m, m)
+        m = np.einsum("ijlm,lmn->ijn", four, m)
+    return DenseTensor(3, t.dim, eye - m)
 
 
 def tso(t: DenseTensor, eta: int) -> DenseTensor:
@@ -403,14 +398,3 @@ def tso(t: DenseTensor, eta: int) -> DenseTensor:
     if t.order % 2 == 0:
         return tso_fast_even(t, eta)
     return tso_fast_odd(t, eta)
-
-
-def extract_representation(t: DenseTensor, params: TsoParams) -> np.ndarray:
-    """Shrink, take the super-diagonal, and squash element-wise.
-
-    Returns a length-``d`` vector with every coefficient in (-1, 1); inputs
-    whose half unfolding is PSD land in [0, 1).
-    """
-    eta = params.eta_for_order(t.order)
-    shrunk = tso(t, eta)
-    return sigme(super_diagonal(shrunk).values, params.eta_prime)

@@ -44,6 +44,16 @@ class TestRunSuite:
         err = capsys.readouterr().err
         assert "byte offset" in err
 
+    def test_huge_order_header_exits_one_without_traceback(self, capsys, tmp_path):
+        bad = tmp_path / "huge.tnsr"
+        header = b"TNSR" + (1).to_bytes(4, "little") + (2**20).to_bytes(4, "little")
+        bad.write_bytes(header + (2).to_bytes(4, "little"))
+        code = main(["run-suite", "all", "--input", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "byte offset 8" in err
+        assert "Traceback" not in err
+
     def test_valid_tensor_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "ok.tnsr"
         write_tensor(path, DenseTensor(2, 3, np.arange(9.0)))

@@ -90,7 +90,7 @@ class TestHotd:
     def test_even_order_unfolding_is_psd(self):
         rng = np.random.default_rng(7)
         fm = FeatureMatrix(rng.normal(size=(4, 6)), weights=rng.uniform(0, 1, 6))
-        eig = np.linalg.eigvalsh(unfold(hotd(fm, 4), 2).matrix)
+        eig = np.linalg.eigvalsh(unfold(hotd(fm, 4), 2))
         assert eig[0] >= -1e-12
 
     def test_capacity(self):
@@ -165,14 +165,14 @@ class TestNormalizeDescriptor:
         rng = np.random.default_rng(17)
         fm = FeatureMatrix(rng.normal(size=(5, 7)))
         out = normalize_descriptor(hotd(fm, 4), fm, 4)
-        trace = np.trace(unfold(out, 2).matrix)
+        trace = np.trace(unfold(out, 2))
         assert 1.0 - 1e-5 < trace <= 1.0
 
     def test_norm_sum_equals_unfolding_trace_for_even_orders(self):
         rng = np.random.default_rng(19)
         fm = FeatureMatrix(rng.normal(size=(4, 5)), weights=rng.uniform(0, 1, 5))
         for r in (2, 4):
-            trace = np.trace(unfold(hotd(fm, r), r // 2).matrix)
+            trace = np.trace(unfold(hotd(fm, r), r // 2))
             assert descriptor_norm_sum(fm, r) == pytest.approx(trace, rel=1e-12)
 
 

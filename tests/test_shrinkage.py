@@ -14,7 +14,6 @@ from tensorpool.shrinkage import (
     objective,
     objective_gradient,
     random_trace_normalized_psd,
-    reports_to_csv,
     stationarity_residual,
     verify_identity_target,
     verify_shrinkage_optimality,
@@ -180,15 +179,6 @@ class TestOptimalityVerification:
         f_numeric = objective(prob, report.numerical_minimizer)
         assert f_closed <= f_numeric + 1e-8
 
-    def test_csv_emission(self):
-        prob = make_problem([0.5, 0.5], 2)
-        report = verify_shrinkage_optimality(prob, seed=2)
-        text = reports_to_csv([report])
-        lines = text.strip().splitlines()
-        assert lines[0] == "d,eta,residual,stationarity,wall_time_ms"
-        assert lines[1].startswith("2,2,")
-        assert report.to_text_lines()[0].startswith("shrinkage optimality")
-
 
 class TestIdentityTarget:
     def test_limit_and_monotonicity(self):
@@ -200,7 +190,6 @@ class TestIdentityTarget:
         assert len(report.etas) == 20 and report.etas[-1] == 2**20
         deviations = report.max_deviation_per_eta
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
-        assert report.to_text_lines()[0].startswith("identity target")
 
     def test_rank_deficient_limit_is_projector(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,7 @@
 """Serialization: TNSR tensors, TNSC containers, CSV feature matrices."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ from tensorpool.tensor import DenseTensor
 @pytest.fixture
 def tensor_path(tmp_path):
     return tmp_path / "t.tnsr"
+
+
+def tnsr_header(order, dim):
+    return b"TNSR" + struct.pack("<III", 1, order, dim)
+
+
+def tnsc_one_section_header(name_bytes, shape):
+    """Container header and one section header, without the payload."""
+    blob = b"TNSC" + struct.pack("<III", 1, 1, len(name_bytes)) + name_bytes
+    return blob + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
 
 
 class TestTensorFormat:
@@ -68,6 +80,25 @@ class TestTensorFormat:
             read_tensor(tensor_path)
         assert err.value.byte_offset == len(raw)
 
+    def test_order_above_maximum_rejected_at_offset_eight(self, tensor_path):
+        # an order-5, d-3 file with a complete payload
+        tensor_path.write_bytes(tnsr_header(5, 3) + bytes(8 * 3**5))
+        with pytest.raises(FileFormatError) as err:
+            read_tensor(tensor_path)
+        assert err.value.byte_offset == 8
+
+    def test_huge_order_rejected_before_size_arithmetic(self, tensor_path):
+        tensor_path.write_bytes(tnsr_header(2**20, 2))
+        with pytest.raises(FileFormatError) as err:
+            read_tensor(tensor_path)
+        assert err.value.byte_offset == 8
+
+    def test_dim_above_capacity_rejected_at_offset_twelve(self, tensor_path):
+        tensor_path.write_bytes(tnsr_header(3, 25) + bytes(8 * 25**3))
+        with pytest.raises(FileFormatError) as err:
+            read_tensor(tensor_path)
+        assert err.value.byte_offset == 12
+
     def test_short_file(self, tensor_path):
         tensor_path.write_bytes(b"TN")
         with pytest.raises(FileFormatError) as err:
@@ -105,6 +136,23 @@ class TestContainerFormat:
         path.write_bytes(raw[:-4])
         with pytest.raises(FileFormatError):
             read_container(path)
+
+
+    def test_non_utf8_section_name(self, tmp_path):
+        path = tmp_path / "c.tnsc"
+        path.write_bytes(tnsc_one_section_header(b"\xff\xfe", [1]) + bytes(8))
+        with pytest.raises(FileFormatError) as err:
+            read_container(path)
+        assert err.value.byte_offset == 16
+
+    def test_extent_product_beyond_int64_is_truncation(self, tmp_path):
+        # eight extents of 2**31 multiply to 0 in wrapping int64 arithmetic
+        path = tmp_path / "c.tnsc"
+        path.write_bytes(tnsc_one_section_header(b"a", [2**31] * 8))
+        with pytest.raises(FileFormatError) as err:
+            read_container(path)
+        assert "truncated" in str(err.value)
+        assert err.value.byte_offset == 12 + 4 + 1 + 4 + 8 * 4
 
 
 class TestFeatureLoading:

@@ -8,7 +8,6 @@ import pytest
 from tensorpool.errors import CapacityError, InvalidArgumentError
 from tensorpool.tensor import (
     DenseTensor,
-    Unfolding,
     asymmetry,
     contract,
     identity_tensor,
@@ -66,7 +65,7 @@ class TestIdentityTensor:
         # independent oracle: the flat rank of index (i, i, i, i) split into
         # row (i, i) and column (i, i) of the d**2 x d**2 unfolding
         d = 2
-        mat = unfold(identity_tensor(d, 4), 2).matrix
+        mat = unfold(identity_tensor(d, 4), 2)
         expected = np.zeros((d * d, d * d))
         for i in range(d):
             row = i * d + i
@@ -123,7 +122,7 @@ class TestContract:
             a = DenseTensor(r, d, np.einsum(spec, *([phi_a] * r)))
             b = DenseTensor(r, d, np.einsum(spec, *([phi_b] * r)))
             direct = contract(a, b, r // 2)
-            via_matrix = unfold(a, r // 2).matrix @ unfold(b, r // 2).matrix
+            via_matrix = unfold(a, r // 2) @ unfold(b, r // 2)
             scale = max(1.0, np.max(np.abs(via_matrix)))
             np.testing.assert_allclose(
                 direct.array.reshape(via_matrix.shape) / scale,
@@ -162,20 +161,20 @@ class TestSuperDiagonal:
 class TestUnfold:
     def test_all_ones(self):
         u = unfold(outer_power([1.0, 1.0], 2), 1)
-        np.testing.assert_array_equal(u.matrix, np.ones((2, 2)))
+        np.testing.assert_array_equal(u, np.ones((2, 2)))
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(17)
         t = DenseTensor(4, 3, rng.normal(size=81))
         for lead in (1, 2, 3):
-            back = unfold(t, lead).refold()
+            back = DenseTensor(t.order, t.dim, unfold(t, lead).reshape(-1))
             assert np.array_equal(back.data, t.data)
 
     def test_descriptor_unfolding_is_psd(self):
         rng = np.random.default_rng(19)
         phi = rng.normal(size=(3, 5))
         t = DenseTensor(4, 3, np.einsum("in,jn,kn,ln->ijkl", phi, phi, phi, phi) / 5)
-        eigenvalues = np.linalg.eigvalsh(unfold(t, 2).matrix)
+        eigenvalues = np.linalg.eigvalsh(unfold(t, 2))
         assert eigenvalues[0] >= -1e-12
 
     def test_lead_out_of_range(self):
@@ -186,8 +185,8 @@ class TestUnfold:
 
     def test_shape_metadata(self):
         u = unfold(identity_tensor(2, 4), 1)
-        assert isinstance(u, Unfolding)
-        assert (u.rows, u.cols) == (2, 8)
+        assert isinstance(u, np.ndarray)
+        assert u.shape == (2, 8)
 
 
 class TestDenseTensorInvariants:

@@ -12,7 +12,6 @@ from tensorpool.tso import (
     SpectrumVector,
     TsoParams,
     even_contraction_count,
-    extract_representation,
     is_power_of_3,
     maxexp_f,
     maxexp_scalar,
@@ -46,6 +45,12 @@ def einsum_odd_chain(arr, eta):
         four = np.einsum("ijk,klm->ijlm", m, m)
         m = np.einsum("ijlm,lmn->ijn", four, m)
     return eye - m
+
+
+def represent(t, params):
+    """Per-group representation as ``hop_unit`` forms it: shrink, super-diagonal, SigmE."""
+    shrunk = tso(t, params.eta_for_order(t.order))
+    return sigme(super_diagonal(shrunk).values, params.eta_prime)
 
 
 class TestMaxExpScalar:
@@ -139,10 +144,10 @@ class TestTsoEven:
         # naive unfolding-space matrix powers, computed by numpy
         t = normalized_descriptor(4, 4, seed=3)
         eta = 8
-        tilde_i = unfold(identity_tensor(4, 4), 2).matrix
-        a = tilde_i - unfold(t, 2).matrix
+        tilde_i = unfold(identity_tensor(4, 4), 2)
+        a = tilde_i - unfold(t, 2)
         expected = tilde_i - np.linalg.matrix_power(a, eta)
-        out = unfold(tso(t, eta), 2).matrix
+        out = unfold(tso(t, eta), 2)
         np.testing.assert_allclose(out, expected, atol=1e-11)
 
     def test_fast_equals_naive_sweep(self):
@@ -238,6 +243,11 @@ class TestTsoOdd:
                 tso_fast_odd(t, eta).data, tso_naive(t, eta).data, atol=1e-11
             )
 
+    def test_naive_rejects_odd_orders_other_than_three(self):
+        t = DenseTensor(5, 2, np.zeros(32))
+        with pytest.raises(InvalidArgumentError):
+            tso_naive(t, 3)
+
     def test_invalid_eta_carries_nearest(self):
         t = normalized_descriptor(3, 4, seed=13)
         with pytest.raises(InvalidArgumentError) as err:
@@ -313,19 +323,19 @@ class TestExtractRepresentation:
     def test_zero_tensor(self):
         zero = DenseTensor(2, 4, np.zeros(16))
         np.testing.assert_array_equal(
-            extract_representation(zero, TsoParams()), np.zeros(4)
+            represent(zero, TsoParams()), np.zeros(4)
         )
 
     def test_small_diag_entry(self):
         # diagonal matrix stays diagonal under shrinkage; eta=1 keeps entries
         t = DenseTensor(2, 2, np.diag([0.01, 0.99]).reshape(-1))
-        out = extract_representation(t, TsoParams(eta2=1, eta_prime=200.0))
+        out = represent(t, TsoParams(eta2=1, eta_prime=200.0))
         assert out[0] == pytest.approx(2.0 / (1.0 + np.exp(-2.0)) - 1.0, rel=1e-14)
         assert out[0] == pytest.approx(0.7615941559557649, abs=1e-14)
 
     def test_hand_case_r2(self):
         t = DenseTensor(2, 2, np.diag([0.6, 0.4]).reshape(-1))
-        out = extract_representation(t, TsoParams(eta2=2, eta_prime=1.0))
+        out = represent(t, TsoParams(eta2=2, eta_prime=1.0))
         expected = np.tanh(0.5 * np.array([1 - 0.4**2, 1 - 0.6**2]))
         np.testing.assert_allclose(out, expected, atol=1e-15)
         np.testing.assert_allclose(out, np.tanh(0.5 * np.array([0.84, 0.64])), atol=1e-15)
@@ -333,16 +343,16 @@ class TestExtractRepresentation:
     def test_psd_inputs_land_in_unit_interval(self):
         for order, dim, seed in ((2, 8, 19), (4, 4, 20)):
             t = normalized_descriptor(order, dim, seed=seed)
-            out = extract_representation(t, TsoParams())
+            out = represent(t, TsoParams())
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
             # strictly below one where the slope keeps tanh unsaturated
-            gentle = extract_representation(t, TsoParams(eta_prime=4.0))
+            gentle = represent(t, TsoParams(eta_prime=4.0))
             assert np.all(gentle >= 0.0) and np.all(gentle < 1.0)
 
     def test_odd_order_uses_rounded_eta(self):
         t = normalized_descriptor(3, 4, seed=21)
         params = TsoParams(eta3=7)  # rounds to 9
-        out = extract_representation(t, params)
+        out = represent(t, params)
         direct = sigme(super_diagonal(tso(t, 9)).values, params.eta_prime)
         np.testing.assert_array_equal(out, direct)
 
@@ -426,9 +436,17 @@ class TestTsoParams:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(InvalidArgumentError):
             TsoParams.from_config("eta2=7\nbogus=1")
+        with pytest.raises(InvalidArgumentError, match="unknown config keys"):
+            TsoParams.from_config("epsilon=1e-06")
+        with pytest.raises(InvalidArgumentError, match="line 1: eta2"):
+            TsoParams.from_config("eta2=abc")
+        with pytest.raises(InvalidArgumentError, match="line 2: eta_prime"):
+            TsoParams.from_config("eta2=7\neta_prime=x")
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             TsoParams(eta2=0)
         with pytest.raises(InvalidArgumentError):
             TsoParams(eta_prime=0.5)
+        with pytest.raises(InvalidArgumentError):
+            TsoParams(eta_prime=float("nan"))
