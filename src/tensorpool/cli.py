@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import storage, suites
-from .errors import TensorPoolError
+from .errors import InvalidArgumentError, TensorPoolError
 from .heads import HeadWeights
 from .pipeline import SplitConfig, forward_episode, synth_episode
 from .attention import rbf_similarity
@@ -55,7 +55,13 @@ def _cmd_run_suite(args) -> int:
 
 
 def _parse_eta_list(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part.strip()]
+    try:
+        etas = [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise InvalidArgumentError(f"--eta expects comma-separated integers, got {raw!r}")
+    if not etas or min(etas) < 1:
+        raise InvalidArgumentError(f"--eta expects one or more exponents >= 1, got {raw!r}")
+    return etas
 
 
 def _cmd_bench(args) -> int:

@@ -76,6 +76,14 @@ class TestBenchCommand:
         stdout = capsys.readouterr().out
         assert "fast_naive_ratio_at_eta_max" in stdout
 
+    @pytest.mark.parametrize("eta", ["x", "2,x", "", ",", "0", "4,-1"])
+    def test_bad_eta_grid_exits_one(self, capsys, eta):
+        code = main(["bench", "--dim", "4", "--eta", eta])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: --eta expects" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestDemoEpisode:
     BASE_ARGS = [

@@ -87,6 +87,18 @@ class TestHotd:
             expected = brute_force_descriptor(cols, w, mu, r)
             np.testing.assert_allclose(hotd(fm, r).array, expected, atol=1e-12)
 
+    def test_matches_outer_power_sum_at_capacity(self):
+        rng = np.random.default_rng(8)
+        for r, d in ((2, 128), (3, 24), (4, 16)):
+            n = 7
+            cols = rng.normal(size=(d, n))
+            w = rng.uniform(0.2, 1.8, size=n)
+            mu = rng.normal(size=d)
+            fm = FeatureMatrix(cols, weights=w, mean=mu)
+            expected = sum(w[k] ** r * outer_power(cols[:, k] - mu, r).data for k in range(n)) / n
+            got = hotd(fm, r).data
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_even_order_unfolding_is_psd(self):
         rng = np.random.default_rng(7)
         fm = FeatureMatrix(rng.normal(size=(4, 6)), weights=rng.uniform(0, 1, 6))

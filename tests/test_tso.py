@@ -7,7 +7,14 @@ from scipy.linalg import sqrtm as scipy_sqrtm
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import DomainError, InvalidArgumentError
 from tensorpool.shrinkage import random_trace_normalized_psd
-from tensorpool.tensor import DenseTensor, identity_tensor, super_diagonal, unfold
+from tensorpool.tensor import (
+    DenseTensor,
+    asymmetry,
+    identity_tensor,
+    super_diagonal,
+    symmetrize,
+    unfold,
+)
 from tensorpool.tso import (
     SpectrumVector,
     TsoParams,
@@ -237,11 +244,12 @@ class TestTsoOdd:
             np.testing.assert_allclose(tso_fast_odd(t, eta).array, expected, atol=1e-11)
 
     def test_fast_equals_naive(self):
-        t = normalized_descriptor(3, 6, seed=12)
-        for eta in (1, 3, 9, 27):
-            np.testing.assert_allclose(
-                tso_fast_odd(t, eta).data, tso_naive(t, eta).data, atol=1e-11
-            )
+        for dim, etas in ((6, (1, 3, 9, 27)), (24, (3, 9, 27))):  # 24 is the order-3 capacity
+            t = normalized_descriptor(3, dim, seed=12)
+            for eta in etas:
+                np.testing.assert_allclose(
+                    tso_fast_odd(t, eta).data, tso_naive(t, eta).data, atol=1e-11
+                )
 
     def test_naive_rejects_odd_orders_other_than_three(self):
         t = DenseTensor(5, 2, np.zeros(32))
@@ -269,13 +277,21 @@ class TestTsoDispatch:
         out = tso(drifted, 4)
         sym = DenseTensor(2, 4, 0.5 * (arr + arr.T))
         np.testing.assert_allclose(out.data, tso(sym, 4).data, atol=1e-14)
+        for order, eta in ((3, 3), (4, 4)):
+            arr = normalized_descriptor(order, 4, seed=15).array.copy()
+            arr[(0, 1, 2, 3)[:order]] += 3e-8
+            drifted = DenseTensor(order, 4, arr)
+            assert asymmetry(drifted) > 1e-10
+            np.testing.assert_allclose(
+                tso(drifted, eta).data, tso(symmetrize(drifted), eta).data, atol=1e-14
+            )
 
     def test_symmetry_guard_rejects_large_drift(self):
-        t = normalized_descriptor(2, 4, seed=16)
-        arr = t.array.copy()
-        arr[0, 1] += 1e-3
-        with pytest.raises(InvalidArgumentError):
-            tso(DenseTensor(2, 4, arr), 4)
+        for order, eta in ((2, 4), (3, 3), (4, 4)):
+            arr = normalized_descriptor(order, 4, seed=16).array.copy()
+            arr[(0, 1, 2, 3)[:order]] += 1e-3
+            with pytest.raises(InvalidArgumentError, match="asymmetry"):
+                tso(DenseTensor(order, 4, arr), eta)
 
     def test_superdiagonal_monotone_in_eta(self):
         for order, dim, seed in ((2, 6, 17), (4, 4, 18)):
@@ -432,6 +448,9 @@ class TestTsoParams:
         text = p.to_config()
         assert "eta2=7" in text and "eta3=9" in text and "eta_prime=200" in text
         assert TsoParams.from_config(text) == p
+        for value, flag in (("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+                            ("false", False), ("False", False), ("0", False), ("NO", False)):
+            assert TsoParams.from_config(f"round_odd_eta={value}").round_odd_eta is flag
 
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(InvalidArgumentError):
@@ -442,6 +461,9 @@ class TestTsoParams:
             TsoParams.from_config("eta2=abc")
         with pytest.raises(InvalidArgumentError, match="line 2: eta_prime"):
             TsoParams.from_config("eta2=7\neta_prime=x")
+        for value in ("ture", "", "on", "2", "y"):
+            with pytest.raises(InvalidArgumentError, match="line 2: round_odd_eta"):
+                TsoParams.from_config(f"eta2=7\nround_odd_eta={value}")
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
