@@ -42,8 +42,8 @@ class AttentionBundle:
             raise InvalidArgumentError("K and V must have the same number of tokens")
         if q.shape[0] == 0 or q.shape[1] == 0 or k.shape[1] == 0:
             raise InvalidArgumentError("attention inputs must be non-empty")
-        if self.sigma <= 0:
-            raise InvalidArgumentError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
         if self.heads < 1 or q.shape[0] % self.heads != 0:
             raise InvalidArgumentError("head count must divide the channel dimension")
         object.__setattr__(self, "queries", q)
@@ -64,8 +64,8 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 
 def rbf_similarity(q, k, sigma: float) -> float:
     """Gaussian similarity of l2-normalized vectors, in (0, 1]."""
-    if sigma <= 0:
-        raise InvalidArgumentError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise InvalidArgumentError(f"sigma must be positive and finite, got {sigma}")
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     k = np.asarray(k, dtype=np.float64).reshape(-1)
     nq, nk = np.linalg.norm(q), np.linalg.norm(k)
@@ -75,18 +75,19 @@ def rbf_similarity(q, k, sigma: float) -> float:
     return float(np.exp(-dist_sq / (2.0 * sigma**2)))
 
 
-def _similarity_matrix(bundle: AttentionBundle, kind: str) -> np.ndarray:
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float, kind: str) -> np.ndarray:
+    """Attention on already validated ``d x N`` matrices, one row per query."""
     if kind == SOFTMAX:
-        scores = bundle.queries.T @ bundle.keys / np.sqrt(bundle.dim)
+        scores = q.T @ k / np.sqrt(q.shape[0])
         scores -= scores.max(axis=1, keepdims=True)
         weights = np.exp(scores)
-        return weights / weights.sum(axis=1, keepdims=True)
-    if kind == RBF:
-        qn = _unit_columns(bundle.queries)
-        kn = _unit_columns(bundle.keys)
-        dist_sq = np.clip(2.0 - 2.0 * (qn.T @ kn), 0.0, None)
-        return np.exp(-dist_sq / (2.0 * bundle.sigma**2))
-    raise InvalidArgumentError(f"unknown attention kind {kind!r}")
+        weights /= weights.sum(axis=1, keepdims=True)
+    elif kind == RBF:
+        dist_sq = np.clip(2.0 - 2.0 * (_unit_columns(q).T @ _unit_columns(k)), 0.0, None)
+        weights = np.exp(-dist_sq / (2.0 * sigma**2))
+    else:
+        raise InvalidArgumentError(f"unknown attention kind {kind!r}")
+    return weights @ v.T
 
 
 def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
@@ -96,7 +97,7 @@ def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
     uses unnormalized Gaussian similarities of l2-normalized tokens, so its
     rows do not sum to one.
     """
-    return _similarity_matrix(bundle, kind) @ bundle.values.T
+    return _attend(bundle.queries, bundle.keys, bundle.values, bundle.sigma, kind)
 
 
 def split_heads(m: np.ndarray, heads: int) -> list[np.ndarray]:
@@ -110,20 +111,15 @@ def multi_head(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
     """Run attention per channel group and concatenate the outputs.
 
     With one head this is exactly ``attention``; each head sees its own
-    ``d / T`` channels of Q, K, and V.
+    ``d / T`` channels of Q, K, and V.  The bundle was validated once, on
+    construction, so the heads run on plain row slices of it.  (A single
+    stacked matmul over ``(heads, d / T, N)`` measured slower than this loop.)
     """
-    heads = bundle.heads
-    if heads == 1:
-        return attention(bundle, kind)
-    outputs = []
-    for q, k, v in zip(
-        split_heads(bundle.queries, heads),
-        split_heads(bundle.keys, heads),
-        split_heads(bundle.values, heads),
-    ):
-        sub = AttentionBundle(q, k, v, sigma=bundle.sigma, heads=1)
-        outputs.append(attention(sub, kind))
-    return np.hstack(outputs)
+    step = bundle.dim // bundle.heads
+    return np.hstack([
+        _attend(bundle.queries[s], bundle.keys[s], bundle.values[s], bundle.sigma, kind)
+        for s in (slice(i, i + step) for i in range(0, bundle.dim, step))
+    ])
 
 
 def layer_norm_residual(x: np.ndarray, sub_output: np.ndarray) -> np.ndarray:

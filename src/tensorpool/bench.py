@@ -101,7 +101,7 @@ def bench_tso(
     fast = tso_fast_even if order % 2 == 0 else tso_fast_odd
     for _ in range(3):  # warm caches and allocators
         fast(t, etas[-1])
-        tso_naive(t, min(etas[-1], 64))
+        tso_naive(t, min(etas))
 
     # Sample round-robin across the grid: slow drift of a shared CPU then
     # hits every exponent equally instead of biasing the scaling fit.
@@ -148,11 +148,11 @@ def summarize(records: list[BenchRecord]) -> dict:
     )
     summary: dict = {"schema_version": 1}
     if len(naive) >= 3:
-        x = np.log([r.eta for r in naive])
+        x = np.log([float(r.eta) for r in naive])
         y = np.log([max(r.wall_time_ns, 1) for r in naive])
         summary["naive_slope_vs_eta"] = float(np.polyfit(x, y, 1)[0])
     if len(fast) >= 3:
-        x = np.log([np.log2(r.eta) for r in fast])
+        x = np.log([np.log2(float(r.eta)) for r in fast])
         y = np.log([max(r.wall_time_ns, 1) for r in fast])
         summary["fast_slope_vs_log2eta"] = float(np.polyfit(x, y, 1)[0])
     if naive and fast and naive[-1].eta == fast[-1].eta:

@@ -183,8 +183,8 @@ def zshot_head(
     if support.hop.shape[0] != query.hop.shape[0]:
         raise InvalidArgumentError("support and query embeddings disagree on width")
     q = weights.w_q @ (query.mean_features + weights.w_p @ query.hop)
-    k = weights.w_k @ (support.mean_features + weights.w_p @ support.hop)
-    v = weights.w_v @ (support.mean_features + weights.w_p @ support.hop)
+    embedded = support.mean_features + weights.w_p @ support.hop
+    k, v = weights.w_k @ embedded, weights.w_v @ embedded
     bundle = AttentionBundle(q, k, v, sigma=sigma, heads=heads)
     return multi_head(bundle, RBF)
 

@@ -70,7 +70,10 @@ def read_tensor(path) -> DenseTensor:
     if len(raw) > expected:
         raise FileFormatError("trailing bytes after payload", expected)
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=16)
-    return DenseTensor(order, dim, data)
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise FileFormatError("non-finite coefficient", 16 + 8 * int(np.argmin(finite)))
+    return DenseTensor._from_owned(order, dim, data.astype(np.float64))
 
 
 def write_container(path, sections: dict[str, np.ndarray]) -> None:

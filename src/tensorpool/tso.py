@@ -51,21 +51,29 @@ class SpectrumVector:
         return cls(vals / (eps + vals.sum()), normalized=True)
 
 
+def _log3(eta: int) -> int:
+    """Largest ``k`` with ``3**k <= eta`` (for ``eta >= 1``), in exact integers.
+
+    Floating-point logs would misround near large powers of three and fail
+    outright on integers beyond int64.
+    """
+    k = 0
+    while eta >= 3:
+        eta //= 3
+        k += 1
+    return k
+
+
 def nearest_power_of_3(eta: int) -> int:
     """Closest power of three to ``eta`` (ties round up)."""
     if eta < 1:
         raise InvalidArgumentError("eta must be >= 1")
-    k = max(0, int(round(np.log(eta) / np.log(3.0))))
-    candidates = sorted({3 ** max(0, k - 1), 3**k, 3 ** (k + 1)})
-    return min(candidates, key=lambda c: (abs(c - eta), -c))
+    low = 3 ** _log3(eta)
+    return low if eta - low < 3 * low - eta else 3 * low
 
 
 def is_power_of_3(eta: int) -> bool:
-    if eta < 1:
-        return False
-    while eta % 3 == 0:
-        eta //= 3
-    return eta == 1
+    return eta >= 1 and 3 ** _log3(eta) == eta
 
 
 @dataclass(frozen=True)
@@ -89,8 +97,8 @@ class TsoParams:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise InvalidArgumentError(f"{name} must be an integer >= 1")
-        if not self.eta_prime >= 1:  # also rejects NaN
-            raise InvalidArgumentError("eta_prime must be >= 1")
+        if not 1 <= self.eta_prime < np.inf:  # also rejects NaN
+            raise InvalidArgumentError(f"eta_prime must be finite and >= 1, got {self.eta_prime}")
 
     def requested_eta(self, order: int) -> int:
         try:
@@ -189,8 +197,8 @@ def sigme(p, eta_prime: float):
     overflow for large arguments.  Odd, ranges in (-1, 1), slope ``eta'/2``
     at zero.
     """
-    if eta_prime < 1:
-        raise InvalidArgumentError("eta_prime must be >= 1")
+    if not 1 <= eta_prime < np.inf:
+        raise InvalidArgumentError(f"eta_prime must be finite and >= 1, got {eta_prime}")
     out = np.tanh(0.5 * eta_prime * np.asarray(p, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
@@ -278,27 +286,26 @@ def odd_contraction_count(eta: int) -> int:
             f"odd-order eta must be a power of 3, got {eta}",
             nearest_eta=nearest_power_of_3(eta),
         )
-    steps = round(np.log(eta) / np.log(3.0))
-    return 2 * steps
+    return 2 * _log3(eta)
 
 
 _IDENTITY_UNFOLDINGS: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _identity_unfolding(d: int, r: int) -> np.ndarray:
-    """Half unfolding of the order-``r`` identity tensor (a 0/1 projector).
+    """``d**ceil(r/2) x d**floor(r/2)`` unfolding of the order-``r`` identity.
 
+    For even ``r`` this is the square 0/1 projector onto the super-diagonal.
     Cached per (d, r): it is a frequently reused immutable constant and the
     fast path's fixed cost must stay small next to one contraction.
     """
     key = (d, r)
     cached = _IDENTITY_UNFOLDINGS.get(key)
     if cached is None:
-        side = d ** (r // 2)
-        cached = np.zeros((side, side))
-        step = (side - 1) // (d - 1) if d > 1 else 1
-        idx = np.arange(d) * step
-        cached[idx, idx] = 1.0
+        flat = np.zeros(d**r)
+        # (i, ..., i) sits at flat index i * (1 + d + ... + d**(r-1)).
+        flat[np.arange(d) * sum(d**k for k in range(r))] = 1.0
+        cached = flat.reshape(d ** ((r + 1) // 2), d ** (r // 2))
         cached.flags.writeable = False
         _IDENTITY_UNFOLDINGS[key] = cached
     return cached
@@ -334,7 +341,7 @@ def _check_odd(t: DenseTensor, eta: int) -> int:
             f"odd-order eta must be a power of 3, got {eta}",
             nearest_eta=nearest_power_of_3(max(int(eta), 1)),
         )
-    return round(np.log(int(eta)) / np.log(3.0))
+    return _log3(int(eta))
 
 
 def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
@@ -349,8 +356,8 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     """
     steps = _check_odd(t, eta)
     r, d = t.order, t.dim
-    rows, cols = d ** ((r + 1) // 2), d ** (r // 2)
-    eye = identity_tensor(d, r).data.reshape(rows, cols)
+    eye = _identity_unfolding(d, r)
+    rows, cols = eye.shape
     m = eye - t.data.reshape(rows, cols)
     for _ in range(steps):
         m = m @ (m.reshape(cols, rows) @ m)

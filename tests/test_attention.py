@@ -95,6 +95,12 @@ class TestAttention:
         with pytest.raises(InvalidArgumentError):
             AttentionBundle(np.zeros((4, 0)), np.zeros((4, 2)), np.zeros((4, 2)))
 
+    def test_non_finite_sigma_rejected(self):
+        m = np.ones((2, 2))
+        for sigma in (np.nan, np.inf, -np.inf, 0.0):
+            with pytest.raises(InvalidArgumentError, match="sigma"):
+                AttentionBundle(m, m, m, sigma=sigma)
+
     def test_unknown_kind(self):
         bundle = AttentionBundle(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
         with pytest.raises(InvalidArgumentError):
@@ -139,8 +145,9 @@ class TestRbfSimilarity:
             rbf_similarity([0.0, 0.0], [1.0, 0.0], 0.5)
 
     def test_sigma_positive(self):
-        with pytest.raises(InvalidArgumentError):
-            rbf_similarity([1.0], [1.0], 0.0)
+        for sigma in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError, match="sigma"):
+                rbf_similarity([1.0], [1.0], sigma)
 
 
 class TestMultiHead:
@@ -149,9 +156,7 @@ class TestMultiHead:
         q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
         bundle = AttentionBundle(q, k, v, sigma=0.5, heads=1)
         for kind in (SOFTMAX, RBF):
-            np.testing.assert_allclose(
-                multi_head(bundle, kind), attention(bundle, kind), atol=1e-14
-            )
+            assert np.array_equal(multi_head(bundle, kind), attention(bundle, kind))
 
     def test_two_heads_match_per_half_attention(self):
         rng = np.random.default_rng(9)

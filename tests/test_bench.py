@@ -56,6 +56,13 @@ class TestBenchTso:
         by_key = {(r.algorithm, r.eta): r for r in records}
         assert by_key[("fast", 9)].contraction_count == 4
 
+    def test_odd_grid_above_64(self):
+        # the naive warm-up must use a grid exponent: 64 is not a power of 3
+        records = bench_tso(order=3, dim=4, etas=(3, 9, 27, 81), repeats=9)
+        by_key = {(r.algorithm, r.eta): r for r in records}
+        assert len(records) == 8
+        assert by_key[("naive", 81)].contraction_count == 8
+
 
 class TestReports:
     @staticmethod
@@ -77,6 +84,15 @@ class TestReports:
         assert summary["fast_naive_ratio_at_eta_max"] == pytest.approx(
             10.0 / 1024.0, rel=1e-12
         )
+
+    def test_summarize_exponents_beyond_int64(self):
+        etas = [3**39, 3**40, 3**41]
+        records = [BenchRecord("tso", 3, 4, eta, algo, 1000 + k, 0)
+                   for k, eta in enumerate(etas) for algo in ("fast", "naive")]
+        summary = summarize(records)
+        assert summary["eta_max"] == 3**41
+        assert np.isfinite(summary["naive_slope_vs_eta"])
+        assert np.isfinite(summary["fast_slope_vs_log2eta"])
 
     def test_csv_layout(self):
         text = records_to_csv(self.fake_records()[:2])

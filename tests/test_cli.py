@@ -76,6 +76,14 @@ class TestBenchCommand:
         stdout = capsys.readouterr().out
         assert "fast_naive_ratio_at_eta_max" in stdout
 
+    def test_eta_beyond_int64_exits_without_traceback(self, capsys):
+        # 3**41: exact base-3 arithmetic accepts it; the chain then overflows
+        code = main(["bench", "--order", "3", "--dim", "4", "--eta", str(3**41)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: tensor coefficients must be finite" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("eta", ["x", "2,x", "", ",", "0", "4,-1"])
     def test_bad_eta_grid_exits_one(self, capsys, eta):
         code = main(["bench", "--dim", "4", "--eta", eta])
@@ -124,6 +132,13 @@ class TestDemoEpisode:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--eta-prime"])
+    def test_non_finite_bandwidth_or_slope_exits_one(self, capsys, flag):
+        for value in ("nan", "inf"):
+            assert main(self.BASE_ARGS + [flag, value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag[2:].replace("-", "_") in err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -17,17 +17,16 @@ from tensorpool.errors import CapacityError, InvalidArgumentError
 from tensorpool.tensor import outer_power, tensor_inner, unfold
 
 
-def brute_force_descriptor(columns, weights, mean, r):
+def brute_force_descriptor(columns, r):
     """Independent oracle: explicit loops over entries and columns."""
     d, n = columns.shape
     out = np.zeros((d,) * r)
     for idx in itertools.product(range(d), repeat=r):
         total = 0.0
         for col in range(n):
-            centered = columns[:, col] - mean
-            term = weights[col] ** r
+            term = 1.0
             for axis in idx:
-                term *= centered[axis]
+                term *= columns[axis, col]
             total += term
         out[idx] = total / n
     return out
@@ -38,26 +37,19 @@ def brute_force_kernel(f, g, r):
     total = 0.0
     for n in range(f.count):
         for m in range(g.count):
-            dot = float(
-                np.dot(f.columns[:, n] - f.mean, g.columns[:, m] - g.mean)
-            )
-            total += (f.weights[n] ** r) * (g.weights[m] ** r) * dot**r
+            total += float(np.dot(f.columns[:, n], g.columns[:, m])) ** r
     return total / (f.count * g.count)
 
 
 class TestFeatureMatrix:
-    def test_defaults(self):
-        fm = FeatureMatrix(np.ones((3, 2)))
-        np.testing.assert_array_equal(fm.weights, [1.0, 1.0])
-        np.testing.assert_array_equal(fm.mean, np.zeros(3))
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            FeatureMatrix(np.ones((2, 2)), weights=[1.0, -0.5])
-
     def test_needs_columns(self):
         with pytest.raises(InvalidArgumentError):
             FeatureMatrix(np.ones((2, 0)))
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                FeatureMatrix(np.array([[1.0, bad]]))
 
 
 class TestHotd:
@@ -74,34 +66,21 @@ class TestHotd:
         rng = np.random.default_rng(5)
         cols = rng.normal(size=(3, 5))
         fm = FeatureMatrix(cols)
-        expected = brute_force_descriptor(cols, fm.weights, fm.mean, 4)
+        expected = brute_force_descriptor(cols, 4)
         np.testing.assert_allclose(hotd(fm, 4).array, expected, atol=1e-12)
-
-    def test_matches_brute_force_weighted_centered(self):
-        rng = np.random.default_rng(6)
-        cols = rng.normal(size=(3, 4))
-        w = rng.uniform(0.0, 2.0, size=4)
-        mu = rng.normal(size=3)
-        fm = FeatureMatrix(cols, weights=w, mean=mu)
-        for r in (2, 3):
-            expected = brute_force_descriptor(cols, w, mu, r)
-            np.testing.assert_allclose(hotd(fm, r).array, expected, atol=1e-12)
 
     def test_matches_outer_power_sum_at_capacity(self):
         rng = np.random.default_rng(8)
         for r, d in ((2, 128), (3, 24), (4, 16)):
             n = 7
             cols = rng.normal(size=(d, n))
-            w = rng.uniform(0.2, 1.8, size=n)
-            mu = rng.normal(size=d)
-            fm = FeatureMatrix(cols, weights=w, mean=mu)
-            expected = sum(w[k] ** r * outer_power(cols[:, k] - mu, r).data for k in range(n)) / n
-            got = hotd(fm, r).data
+            expected = sum(outer_power(cols[:, k], r).data for k in range(n)) / n
+            got = hotd(FeatureMatrix(cols), r).data
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_even_order_unfolding_is_psd(self):
         rng = np.random.default_rng(7)
-        fm = FeatureMatrix(rng.normal(size=(4, 6)), weights=rng.uniform(0, 1, 6))
+        fm = FeatureMatrix(rng.normal(size=(4, 6)))
         eig = np.linalg.eigvalsh(unfold(hotd(fm, 4), 2))
         assert eig[0] >= -1e-12
 
@@ -139,11 +118,7 @@ class TestPolyKernelSum:
 
     def test_matches_double_sum(self):
         rng = np.random.default_rng(13)
-        f = FeatureMatrix(
-            rng.normal(size=(3, 4)),
-            weights=rng.uniform(0, 2, 4),
-            mean=rng.normal(size=3),
-        )
+        f = FeatureMatrix(rng.normal(size=(3, 4)))
         g = FeatureMatrix(rng.normal(size=(3, 2)))
         for r in (2, 3):
             assert poly_kernel_sum(f, g, r) == pytest.approx(
@@ -182,7 +157,7 @@ class TestNormalizeDescriptor:
 
     def test_norm_sum_equals_unfolding_trace_for_even_orders(self):
         rng = np.random.default_rng(19)
-        fm = FeatureMatrix(rng.normal(size=(4, 5)), weights=rng.uniform(0, 1, 5))
+        fm = FeatureMatrix(rng.normal(size=(4, 5)))
         for r in (2, 4):
             trace = np.trace(unfold(hotd(fm, r), r // 2))
             assert descriptor_norm_sum(fm, r) == pytest.approx(trace, rel=1e-12)

@@ -99,6 +99,14 @@ class TestTensorFormat:
             read_tensor(tensor_path)
         assert err.value.byte_offset == 12
 
+    def test_non_finite_coefficient_rejected_at_its_offset(self, tensor_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            payload = np.array([1.0, 2.0, bad, 4.0], dtype="<f8").tobytes()
+            tensor_path.write_bytes(tnsr_header(2, 2) + payload)
+            with pytest.raises(FileFormatError) as err:
+                read_tensor(tensor_path)
+            assert err.value.byte_offset == 16 + 2 * 8
+
     def test_short_file(self, tensor_path):
         tensor_path.write_bytes(b"TN")
         with pytest.raises(FileFormatError) as err:

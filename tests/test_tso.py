@@ -331,8 +331,9 @@ class TestSigme:
         assert sigme_derivative(0.0, 200.0) == 100.0
 
     def test_eta_prime_floor(self):
-        with pytest.raises(InvalidArgumentError):
-            sigme(0.1, 0.5)
+        for eta_prime in (0.5, np.inf, np.nan):
+            with pytest.raises(InvalidArgumentError, match="eta_prime"):
+                sigme(0.1, eta_prime)
 
 
 class TestExtractRepresentation:
@@ -443,6 +444,28 @@ class TestTsoParams:
         assert nearest_power_of_3(30) == 27
         assert is_power_of_3(27) and not is_power_of_3(12)
 
+    def test_exponents_beyond_int64(self):
+        # exact integer base-3 arithmetic: no float log, no int64 overflow
+        assert nearest_power_of_3(3**41) == 3**41
+        assert nearest_power_of_3(10**20) == 3**42
+        for k in range(1, 64):
+            assert is_power_of_3(3**k)
+            assert not is_power_of_3(3**k - 1) and not is_power_of_3(3**k + 1)
+            assert nearest_power_of_3(2 * 3**k) == 3 ** (k + 1)  # ties round up
+            assert nearest_power_of_3(2 * 3**k - 1) == 3**k
+        assert odd_contraction_count(3**41) == 82
+        assert TsoParams(eta3=10**20).eta_for_order(3) == 3**42
+        config = TsoParams.from_config("eta3=100000000000000000000")
+        assert config.eta_for_order(3) == 3**42
+        assert config.substitutions() == [(3, 10**20, 3**42)]
+        with pytest.raises(InvalidArgumentError) as err:
+            TsoParams(eta3=10**20, round_odd_eta=False).eta_for_order(3)
+        assert err.value.nearest_eta == 3**42
+        # the zero tensor's complement is the identity, a fixed point of the chain
+        zero = DenseTensor(3, 2, np.zeros(8))
+        assert tso_fast_odd(zero, 3**41) == zero
+        assert tso_naive(zero, 3**41) == zero
+
     def test_config_round_trip(self):
         p = TsoParams(eta2=7, eta3=9, eta4=3, eta_prime=200.0, round_odd_eta=False)
         text = p.to_config()
@@ -472,3 +495,7 @@ class TestTsoParams:
             TsoParams(eta_prime=0.5)
         with pytest.raises(InvalidArgumentError):
             TsoParams(eta_prime=float("nan"))
+        with pytest.raises(InvalidArgumentError, match="eta_prime"):
+            TsoParams(eta_prime=float("inf"))
+        with pytest.raises(InvalidArgumentError, match="eta_prime"):
+            TsoParams.from_config("eta_prime=inf")
