@@ -6,7 +6,8 @@ a spatially averaged feature vector with a projected high-order vector.  The
 spatial head self-attends over a token matrix of ``N`` spatial fibers plus
 one first-order (FO) and one high-order (HO) summary token, after which the
 two sides' tokens are combined into relation features: spatial tokens by
-subtraction, FO/HO tokens by element-wise products.
+subtraction, FO/HO tokens by element-wise products.  Identical spatial
+tokens are stored once with a multiplicity (see ``TokenMatrix``).
 """
 
 from __future__ import annotations
@@ -101,15 +102,21 @@ class HeadWeights:
 
 @dataclass(frozen=True)
 class TokenMatrix:
-    """``d x (N + 2)`` matrix: N spatial tokens, then the FO and HO tokens."""
+    """``d x (S + 2)`` matrix: S spatial columns, then the FO and HO tokens.
+
+    Each spatial column stands for ``multiplicity`` identical spatial
+    tokens, so the matrix holds ``n_spatial = S * multiplicity`` of them.
+    """
 
     tokens: np.ndarray
     n_spatial: int
+    multiplicity: int = 1
 
     def __post_init__(self):
         arr = np.asarray(self.tokens, dtype=np.float64)
-        if arr.ndim != 2 or self.n_spatial < 1 or arr.shape[1] != self.n_spatial + 2:
-            raise InvalidArgumentError("token matrix must hold n_spatial + 2 columns")
+        m, n = self.multiplicity, self.n_spatial
+        if arr.ndim != 2 or m < 1 or n < 1 or (arr.shape[1] - 2) * m != n:
+            raise InvalidArgumentError("token matrix needs n_spatial / multiplicity + 2 columns")
         object.__setattr__(self, "tokens", arr)
 
     @property
@@ -118,15 +125,16 @@ class TokenMatrix:
 
     @property
     def spatial(self) -> np.ndarray:
-        return self.tokens[:, : self.n_spatial]
+        """All ``n_spatial`` spatial tokens, each column repeated by its multiplicity."""
+        return np.repeat(self.tokens[:, :-2], self.multiplicity, axis=1)
 
     @property
     def fo(self) -> np.ndarray:
-        return self.tokens[:, self.n_spatial]
+        return self.tokens[:, -2]
 
     @property
     def ho(self) -> np.ndarray:
-        return self.tokens[:, self.n_spatial + 1]
+        return self.tokens[:, -1]
 
 
 @dataclass(frozen=True)
@@ -190,13 +198,14 @@ def zshot_head(
 
 
 def build_spatial_hop_tokens(
-    features: np.ndarray, hop: np.ndarray, weights: HeadWeights
+    features: np.ndarray, hop: np.ndarray, weights: HeadWeights, multiplicity: int = 1
 ) -> TokenMatrix:
     """Assemble the token matrix from a stacked feature map and a HOP vector.
 
-    ``features`` is ``2d x N``; its first (lower) half supplies the N
-    spatial tokens, the spatial average of its second (upper) half is the
-    FO token, and the projected ``hop`` vector is the HO token.
+    ``features`` is ``2d x S``, each column standing for ``multiplicity``
+    identical positions; its first (lower) half supplies the spatial
+    tokens, the spatial average of its second (upper) half is the FO token,
+    and the projected ``hop`` vector is the HO token.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] % 2 != 0:
@@ -209,19 +218,29 @@ def build_spatial_hop_tokens(
     fo = upper.mean(axis=1)
     ho = weights.w_g @ hop
     return TokenMatrix(
-        np.column_stack([lower, fo, ho]), n_spatial=features.shape[1]
+        np.column_stack([lower, fo, ho]),
+        n_spatial=features.shape[1] * multiplicity,
+        multiplicity=multiplicity,
     )
 
 
 def spatial_hop_head(
     tokens: TokenMatrix, heads: int = 1, sigma: float = DEFAULT_SIGMA
 ) -> TokenMatrix:
-    """RBF self-attention over all N + 2 tokens, preserving token positions."""
+    """RBF self-attention over all ``n_spatial + 2`` tokens, preserving positions.
+
+    RBF weights are unnormalized, so ``m`` identical tokens give identical
+    outputs and add ``m`` times one token's weighted value to every output:
+    attending over the distinct columns, with each spatial value column
+    scaled by its multiplicity, is exact and costs O(S**2), not O(n_spatial**2).
+    """
+    counts = np.ones(tokens.tokens.shape[1])
+    counts[:-2] = tokens.multiplicity
     bundle = AttentionBundle(
-        tokens.tokens, tokens.tokens, tokens.tokens, sigma=sigma, heads=heads
+        tokens.tokens, tokens.tokens, tokens.tokens * counts, sigma=sigma, heads=heads
     )
     mixed = multi_head(bundle, RBF)
-    return TokenMatrix(mixed.T, n_spatial=tokens.n_spatial)
+    return TokenMatrix(mixed.T, n_spatial=tokens.n_spatial, multiplicity=tokens.multiplicity)
 
 
 def compute_relations(

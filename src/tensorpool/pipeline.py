@@ -9,9 +9,11 @@ heads per box.
 Support crops influence the episode output only through spatially orderless
 reductions (HOP vectors and spatial means), so permuting the columns of any
 support crop leaves every output unchanged.  The relation heads therefore
-receive broadcast-mean spatial tokens built by the same construction on both
-sides, which also makes a query RoI identical to the lone support crop
-produce exactly zero spatial relations.
+see, per side, three distinct tokens: the spatial mean with multiplicity N
+(the box width, so the head's cost does not grow with it), the FO token and
+the HO token.  Both sides are built by the same construction, which makes a
+query RoI identical to the lone support crop produce exactly zero spatial
+relations.
 """
 
 from __future__ import annotations
@@ -245,15 +247,15 @@ def forward_episode(
     relations = []
     for b, crop in enumerate(crops):
         width = crop.shape[1]
-        support_features = np.tile(pooled_support_mean[:, None], (1, width))
-        query_features = np.tile(roi_mean2d[:, b][:, None], (1, width))
         support_tokens = spatial_hop_head(
-            build_spatial_hop_tokens(support_features, pooled_support_hop, weights),
+            build_spatial_hop_tokens(
+                pooled_support_mean[:, None], pooled_support_hop, weights, width
+            ),
             heads=heads,
             sigma=sigma,
         )
         query_tokens = spatial_hop_head(
-            build_spatial_hop_tokens(query_features, roi_hop[:, b], weights),
+            build_spatial_hop_tokens(roi_mean2d[:, b : b + 1], roi_hop[:, b], weights, width),
             heads=heads,
             sigma=sigma,
         )

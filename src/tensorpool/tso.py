@@ -344,6 +344,15 @@ def _check_odd(t: DenseTensor, eta: int) -> int:
     return _log3(int(eta))
 
 
+def _check_chain_finite(m: np.ndarray, r: int, eta: int) -> None:
+    """Reject an overflowed odd chain: it is no contraction, its entries grow with ``eta``."""
+    if not np.all(np.isfinite(m)):
+        raise DomainError(
+            f"order-{r} shrinkage overflows float64 at eta {eta}: "
+            "the odd chain grows with eta and is not finite"
+        )
+
+
 def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     """Odd-order shrinkage for ``eta`` in {1, 3, 9, 27, ...}.
 
@@ -359,8 +368,10 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     eye = _identity_unfolding(d, r)
     rows, cols = eye.shape
     m = eye - t.data.reshape(rows, cols)
-    for _ in range(steps):
-        m = m @ (m.reshape(cols, rows) @ m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            m = m @ (m.reshape(cols, rows) @ m)
+    _check_chain_finite(m, r, eta)
     return DenseTensor._from_owned(r, d, eye - m)
 
 
@@ -387,9 +398,11 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
     steps = _check_odd(t, eta)
     eye = identity_tensor(t.dim, 3).array
     m = eye - t.array
-    for _ in range(steps):
-        four = np.einsum("ijk,klm->ijlm", m, m)
-        m = np.einsum("ijlm,lmn->ijn", four, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            four = np.einsum("ijk,klm->ijlm", m, m)
+            m = np.einsum("ijlm,lmn->ijn", four, m)
+    _check_chain_finite(m, 3, eta)
     return DenseTensor(3, t.dim, eye - m)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tensorpool.attention import RBF, AttentionBundle, multi_head
 from tensorpool.errors import InvalidArgumentError
 from tensorpool.heads import (
     HeadWeights,
@@ -200,6 +201,36 @@ class TestSpatialHopHead:
         out = spatial_hop_head(tokens, heads=2)
         assert out.tokens.shape == (4, 7)
         assert out.n_spatial == 5
+
+    def test_distinct_tokens_bit_identical_to_plain_attention(self):
+        mat = np.random.default_rng(12).normal(size=(4, 7))
+        out = spatial_hop_head(TokenMatrix(mat, n_spatial=5), heads=2, sigma=0.7)
+        plain = multi_head(AttentionBundle(mat, mat, mat, sigma=0.7, heads=2), RBF).T
+        assert np.array_equal(out.tokens, plain)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_multiplicity_equals_repeated_columns(self, heads):
+        rng = np.random.default_rng(13)
+        distinct, fo_ho = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        collapsed = TokenMatrix(np.column_stack([distinct, fo_ho]), n_spatial=6, multiplicity=3)
+        repeated = TokenMatrix(
+            np.column_stack([np.repeat(distinct, 3, axis=1), fo_ho]), n_spatial=6
+        )
+        np.testing.assert_array_equal(collapsed.spatial, repeated.spatial)
+        out = spatial_hop_head(collapsed, heads=heads)
+        expected = spatial_hop_head(repeated, heads=heads)
+        assert out.tokens.shape == (4, 4) and out.multiplicity == 3
+        np.testing.assert_allclose(out.tokens[:, :2], expected.tokens[:, [0, 3]], rtol=1e-13)
+        np.testing.assert_allclose(out.spatial, expected.spatial, rtol=1e-13)
+        np.testing.assert_allclose(out.fo, expected.fo, rtol=1e-13)
+        np.testing.assert_allclose(out.ho, expected.ho, rtol=1e-13)
+
+    def test_multiplicity_must_match_columns(self):
+        with pytest.raises(InvalidArgumentError):
+            TokenMatrix(np.ones((2, 3)), n_spatial=4, multiplicity=3)
+        with pytest.raises(InvalidArgumentError):
+            TokenMatrix(np.ones((2, 3)), n_spatial=0, multiplicity=0)
+        assert TokenMatrix(np.ones((2, 3)), n_spatial=4, multiplicity=4).spatial.shape == (2, 4)
 
     def test_spatial_permutation_equivariance(self):
         rng = np.random.default_rng(7)

@@ -5,7 +5,12 @@ import pytest
 
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import DomainError, InvalidArgumentError
-from tensorpool.heads import HeadWeights
+from tensorpool.heads import (
+    HeadWeights,
+    build_spatial_hop_tokens,
+    compute_relations,
+    spatial_hop_head,
+)
 from tensorpool.pipeline import (
     EpisodeBatch,
     SplitConfig,
@@ -19,6 +24,48 @@ from tensorpool.pipeline import (
 from tensorpool.storage import read_container, write_container
 from tensorpool.tensor import super_diagonal
 from tensorpool.tso import TsoParams, maxexp_scalar, maxexp_scalar_derivative, sigme, sigme_derivative, tso
+
+
+def tiled_relations(episode, cfg, params, weights, heads):
+    """Relations by N + 2 tokens: every box's mean tiled into N equal columns.
+
+    The relation loop written out without multiplicities: per box, both
+    sides' stacked means are repeated over the box width, and the spatial
+    head attends over all N spatial tokens plus the FO and HO tokens.
+    """
+    def stacked_mean(m):
+        return np.concatenate([m.mean(axis=1)] * 2)
+
+    pooled_mean = np.mean([stacked_mean(m) for m in episode.support_maps], axis=0)
+    pooled_hop = np.mean([hop_unit(m, cfg, params) for m in episode.support_maps], axis=0)
+    relations = []
+    for a, b in episode.boxes:
+        crop = episode.query_map[:, a:b]
+        width = b - a
+        support = build_spatial_hop_tokens(
+            np.tile(pooled_mean[:, None], (1, width)), pooled_hop, weights
+        )
+        query = build_spatial_hop_tokens(
+            np.tile(stacked_mean(crop)[:, None], (1, width)), hop_unit(crop, cfg, params), weights
+        )
+        assert support.tokens.shape[1] == width + 2
+        relations.append(compute_relations(
+            spatial_hop_head(support, heads=heads), spatial_hop_head(query, heads=heads), weights
+        ))
+    return relations
+
+
+def worst_relation_gap(got, expected):
+    """Largest deviation over all relation arrays, relative to their largest magnitude."""
+    pairs = [
+        (getattr(g, name), getattr(e, name))
+        for g, e in zip(got, expected, strict=True)
+        for name in ("r_spatial", "r_fo_ho", "r_combined")
+    ]
+    for g, e in pairs:
+        assert g.shape == e.shape
+    scale = max(np.max(np.abs(e)) for _, e in pairs)
+    return max(np.max(np.abs(g - e)) for g, e in pairs) / scale
 
 
 class TestSplitConfig:
@@ -204,6 +251,30 @@ class TestForwardEpisode:
             np.testing.assert_allclose(b.r_spatial, a.r_spatial, atol=1e-10)
         np.testing.assert_allclose(out.zshot_output, base.zshot_output, atol=1e-10)
         np.testing.assert_allclose(out.modulated_map, base.modulated_map, atol=1e-10)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("width", [1, 2, 16, 256])
+    def test_relations_match_tiled_tokens(self, width, heads):
+        cfg, params = SplitConfig((2, 1, 1)), TsoParams()
+        episode = synth_episode(20 + width, 2, 2, 8, width, 3.0)
+        weights = HeadWeights.seeded(8, seed=heads)
+        result = forward_episode(episode, cfg, params, weights, heads=heads)
+        expected = tiled_relations(episode, cfg, params, weights, heads)
+        assert worst_relation_gap(result.relations, expected) <= 1e-12
+
+    def test_relations_match_tiled_tokens_unequal_widths(self):
+        cfg, params = SplitConfig((2, 1, 1)), TsoParams()
+        rng = np.random.default_rng(21)
+        episode = EpisodeBatch(
+            (rng.normal(size=(8, 7)), rng.normal(size=(8, 3))),
+            rng.normal(size=(8, 300)),
+            ((0, 1), (1, 3), (3, 19), (19, 275), (10, 300)),
+        )
+        weights = HeadWeights.seeded(8, seed=22)
+        result = forward_episode(episode, cfg, params, weights, heads=2)
+        assert [rel.r_spatial.shape[1] for rel in result.relations] == [1, 2, 16, 256, 290]
+        expected = tiled_relations(episode, cfg, params, weights, 2)
+        assert worst_relation_gap(result.relations, expected) <= 1e-12
 
     def test_deterministic_across_runs(self):
         episode, cfg, params, weights = self.small_setup(seed=12)

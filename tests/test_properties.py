@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_pipeline import tiled_relations, worst_relation_gap
+
 from tensorpool.descriptors import FeatureMatrix, hotd
 from tensorpool.errors import FileFormatError, InvalidArgumentError
+from tensorpool.heads import HeadWeights
+from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode
 from tensorpool.storage import read_container, read_tensor, write_container, write_tensor
 from tensorpool.tensor import CAPACITY, DenseTensor, asymmetry, outer_power, symmetrize
 from tensorpool.tso import (
@@ -22,7 +26,7 @@ from tensorpool.tso import (
 
 # Fixed example sequence and no example database: the run is the same every
 # time and leaves nothing behind.  Sizes are bounded so the whole module
-# takes about two seconds.
+# takes about three seconds.
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 orders = st.integers(min_value=2, max_value=4)
@@ -154,3 +158,40 @@ def test_config_text_gives_params_or_invalid_argument_error(entries, junk):
         except InvalidArgumentError:
             continue
         assert isinstance(eta, int) and eta >= 1
+
+
+@BOUNDED
+@given(dim=st.sampled_from([8, 12, 16]), shots=st.integers(min_value=1, max_value=3),
+       support_grid=st.integers(min_value=1, max_value=12),
+       widths=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=3),
+       seed=seeds, data=st.data())
+def test_relations_are_tiled_and_orderless(dim, shots, support_grid, widths, seed, data):
+    # Three tokens with a multiplicity give the N + 2 tiled-token relations,
+    # and permuting the columns of a support map or of one query box moves no
+    # relation by more than criterion 07's 1e-10 (relative once values exceed 1,
+    # since relations grow with the box width).
+    heads = data.draw(st.sampled_from([h for h in (1, 2, 3, 4) if dim % h == 0]), label="heads")
+    rng = np.random.default_rng(seed)
+    cfg, params = SplitConfig((2, 1, 1)), TsoParams()
+    weights = HeadWeights.seeded(dim, seed=seed % 1000)
+    starts = np.cumsum([0, *widths])
+    boxes = tuple(zip(starts[:-1], starts[1:]))
+    supports = tuple(rng.normal(size=(dim, support_grid)) for _ in range(shots))
+    query = rng.normal(size=(dim, starts[-1]))
+    episode = EpisodeBatch(supports, query, boxes)
+    base = forward_episode(episode, cfg, params, weights, heads=heads)
+    assert worst_relation_gap(base.relations, tiled_relations(episode, cfg, params, weights, heads)) <= 1e-12
+
+    target = data.draw(st.integers(min_value=0, max_value=shots - 1), label="support")
+    maps = list(supports)
+    maps[target] = maps[target][:, rng.permutation(support_grid)]
+    a, b = boxes[data.draw(st.integers(min_value=0, max_value=len(boxes) - 1), label="box")]
+    shuffled_query = query.copy()
+    shuffled_query[:, a:b] = query[:, a:b][:, rng.permutation(b - a)]
+    for permuted in (EpisodeBatch(tuple(maps), query, boxes),
+                     EpisodeBatch(supports, shuffled_query, boxes)):
+        out = forward_episode(permuted, cfg, params, weights, heads=heads)
+        for x, y in zip(base.relations, out.relations, strict=True):
+            for name in ("r_spatial", "r_fo_ho", "r_combined"):
+                ref, got = getattr(x, name), getattr(y, name)
+                assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))

@@ -1,9 +1,12 @@
 """Shrinkage operators: scalar, spectral, and tensorial, plus fast paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm as scipy_sqrtm
 
+from tensorpool.bench import random_normalized_descriptor
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import DomainError, InvalidArgumentError
 from tensorpool.shrinkage import random_trace_normalized_psd
@@ -250,6 +253,17 @@ class TestTsoOdd:
                 np.testing.assert_allclose(
                     tso_fast_odd(t, eta).data, tso_naive(t, eta).data, atol=1e-11
                 )
+
+    def test_overflow_raises_domain_error_without_warnings(self):
+        # the ternary chain is not a contraction: it grows with eta until it
+        # leaves float64 (here after 3**6, where its largest entry is ~2e124)
+        t = random_normalized_descriptor(3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(tso_fast_odd(t, 3**6).data))
+            for path in (tso_fast_odd, tso_naive, tso):
+                with pytest.raises(DomainError, match=f"order-3 .* at eta {3**9}"):
+                    path(t, 3**9)
 
     def test_naive_rejects_odd_orders_other_than_three(self):
         t = DenseTensor(5, 2, np.zeros(32))
