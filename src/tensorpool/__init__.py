@@ -35,6 +35,7 @@ from .tso import (
     tso_fast_even,
     tso_fast_odd,
     tso_naive,
+    tso_super_diagonal,
 )
 from .shrinkage import (
     ShrinkageProblem,

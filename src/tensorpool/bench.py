@@ -94,6 +94,8 @@ def bench_tso(
     """Time naive vs fast shrinkage over an exponent grid."""
     if repeats < 9:
         raise InvalidArgumentError("timing medians need at least 9 runs")
+    if dim < 1:
+        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     etas = [int(e) for e in etas]
     if order % 2 == 1 and not all(is_power_of_3(e) for e in etas):
         raise InvalidArgumentError("odd-order grids must use powers of 3")

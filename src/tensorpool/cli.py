@@ -40,6 +40,17 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _seed(text: str) -> int:
+    """``--seed`` value: NumPy's generators take only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # reported below, like a negative seed
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _cmd_run_suite(args) -> int:
     if args.input:
         tensor = storage.read_tensor(args.input)
@@ -150,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument(
         "suite", choices=suites.SUITE_NAMES + ("all",), help="suite to execute"
     )
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--seed", type=_seed, default=0)
     p_suite.add_argument("--input", help="optional TNSR tensor file to validate first")
     p_suite.add_argument("--out", help="write the report to this path")
     p_suite.add_argument("--format", choices=("json", "csv"), default="json")
@@ -164,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated exponent grid",
     )
     p_bench.add_argument("--repeats", type=int, default=9)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed, default=0)
     p_bench.add_argument("--out", help="write records to this path")
     p_bench.add_argument("--format", choices=("json", "csv"), default="csv")
     p_bench.set_defaults(handler=_cmd_bench)
 
     p_demo = sub.add_parser("demo-episode", help="run the synthetic episode pipeline")
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=_seed, default=0)
     p_demo.add_argument("--supports", type=int, default=3, help="shot count Z")
     p_demo.add_argument("--rois", type=int, default=2, help="proposal count B")
     p_demo.add_argument("--dim", type=int, default=32)

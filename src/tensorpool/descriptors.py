@@ -28,8 +28,8 @@ class FeatureMatrix:
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=np.float64)
-        if cols.ndim != 2 or cols.shape[1] < 1:
-            raise InvalidArgumentError("columns must be a d x N matrix with N >= 1")
+        if cols.ndim != 2 or cols.shape[0] < 1 or cols.shape[1] < 1:
+            raise InvalidArgumentError("columns must be a d x N matrix with d >= 1 and N >= 1")
         if not np.all(np.isfinite(cols)):
             raise InvalidArgumentError("feature matrix entries must be finite")
         object.__setattr__(self, "columns", cols)

@@ -35,8 +35,9 @@ from .heads import (
     z_average,
     zshot_head,
 )
-from .tso import TsoParams, sigme, tso
-from .tensor import super_diagonal
+# perfbench/spans.py hooks ``tso`` and ``super_diagonal`` here; this module calls neither.
+from .tso import TsoParams, sigme, tso, tso_super_diagonal  # noqa: F401
+from .tensor import super_diagonal  # noqa: F401
 
 ORDERS = (2, 3, 4)
 
@@ -146,9 +147,9 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     """Multi-order pooled vector of a feature map.
 
     Splits channels into the configured order-2/3/4 groups, builds each
-    group's normalized descriptor, shrinks it with the group's exponent,
-    extracts the super-diagonal, concatenates, and squashes element-wise
-    with the shared slope.
+    group's normalized descriptor, computes only the super-diagonal of its
+    shrinkage (``tso_super_diagonal``, with the group's exponent),
+    concatenates, and squashes element-wise with the shared slope.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -159,8 +160,7 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     for segment, order in zip(segments, ORDERS):
         fm = FeatureMatrix(segment)
         descriptor = normalize_descriptor(hotd(fm, order), fm, order)
-        shrunk = tso(descriptor, params.eta_for_order(order))
-        diagonals.append(super_diagonal(shrunk).values)
+        diagonals.append(tso_super_diagonal(descriptor, params.eta_for_order(order)))
     return sigme(np.concatenate(diagonals), params.eta_prime)
 
 

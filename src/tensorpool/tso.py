@@ -10,6 +10,7 @@ the identity, concentrating signal on the super-diagonal; on matrices the
 operator reduces to the spectral map ``lambda -> 1 - (1 - lambda)**eta``.
 Fast paths evaluate the power in O(log eta) contractions for even orders and
 as a ternary chain for odd orders with ``eta`` a power of three.
+``tso_super_diagonal`` computes only the super-diagonal the pooled vector reads.
 """
 
 from __future__ import annotations
@@ -289,6 +290,11 @@ def odd_contraction_count(eta: int) -> int:
     return 2 * _log3(eta)
 
 
+def _diagonal_step(d: int, k: int) -> int:
+    """``1 + d + ... + d**(k-1)``: the flat stride from ``(i,) * k`` to ``(i + 1,) * k``."""
+    return (d**k - 1) // (d - 1) if d > 1 else k
+
+
 _IDENTITY_UNFOLDINGS: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -303,8 +309,7 @@ def _identity_unfolding(d: int, r: int) -> np.ndarray:
     cached = _IDENTITY_UNFOLDINGS.get(key)
     if cached is None:
         flat = np.zeros(d**r)
-        # (i, ..., i) sits at flat index i * (1 + d + ... + d**(r-1)).
-        flat[np.arange(d) * sum(d**k for k in range(r))] = 1.0
+        flat[:: _diagonal_step(d, r)] = 1.0
         cached = flat.reshape(d ** ((r + 1) // 2), d ** (r // 2))
         cached.flags.writeable = False
         _IDENTITY_UNFOLDINGS[key] = cached
@@ -406,12 +411,8 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
     return DenseTensor(3, t.dim, eye - m)
 
 
-def tso(t: DenseTensor, eta: int) -> DenseTensor:
-    """Shrink a normalized super-symmetric tensor toward the identity.
-
-    Validates order, capacity, exponent parity rules, and symmetry (small
-    floating-point drift is repaired by symmetrizing; genuine asymmetry is
-    rejected).  Dispatches to the fast even or odd path.
+def _validated(t: DenseTensor) -> DenseTensor:
+    """Check order and capacity, then screen for asymmetry: repair drift, reject more.
 
     The full check over all ``r!`` permutations runs only when a screen
     cannot rule drift out: with ``delta`` the largest deviation under the
@@ -434,6 +435,52 @@ def tso(t: DenseTensor, eta: int) -> DenseTensor:
             )
         if drift > _SYM_REPAIR * scale:
             t = symmetrize(t)
-    if r % 2 == 0:
+    return t
+
+
+def tso(t: DenseTensor, eta: int) -> DenseTensor:
+    """Shrink a normalized super-symmetric tensor toward the identity.
+
+    Validates order, capacity, exponent parity rules, and symmetry (small
+    floating-point drift is repaired by symmetrizing; genuine asymmetry is
+    rejected; see ``_validated``).  Dispatches to the fast even or odd path.
+    """
+    t = _validated(t)
+    if t.order % 2 == 0:
         return tso_fast_even(t, eta)
     return tso_fast_odd(t, eta)
+
+
+def tso_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
+    """``super_diagonal(tso(t, eta)).values``, validated as ``tso`` validates.
+
+    For even orders, with ``A = P - T`` the ``D x D`` half unfolding of the
+    complement and ``E`` the ``d`` super-diagonal columns of ``P``, the
+    entries are ``1 - rowsum((E^T A^floor(eta/2)) o (A^ceil(eta/2) E)^T)``:
+    ``eta - 2`` products of ``A`` with a ``D x d`` block, exact without any
+    symmetry.  They run when ``(eta - 1) d < even_contraction_count(eta) D``;
+    otherwise (always at order 2, where ``D = d``), and for odd orders, the
+    dense chain runs and its super-diagonal is read.
+    """
+    t = _validated(t)
+    r, d = t.order, t.dim
+    if r % 2 == 1:
+        return tso_fast_odd(t, eta).data[:: _diagonal_step(d, r)].copy()
+    _check_even(t, eta)
+    eta = int(eta)
+    side = d ** (r // 2)
+    # even_contraction_count(eta), from the bits of eta.
+    if (eta - 1) * d >= (eta.bit_length() + eta.bit_count() - 2) * side:
+        return tso_fast_even(t, eta).data[:: _diagonal_step(d, r)].copy()
+    # The test fails at eta 1, so both halves hold at least one factor A.
+    step = _diagonal_step(d, r // 2)
+    a = _identity_unfolding(d, r) - t.data.reshape(side, side)
+    left, right = a[::step], a[:, ::step]  # E^T A and A E
+    for _ in range(eta // 2 - 1):
+        left = left @ a
+    for _ in range(eta - eta // 2 - 1):
+        right = a @ right
+    values = 1.0 - np.einsum("ij,ji->i", left, right)
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError("tensor coefficients must be finite")
+    return values

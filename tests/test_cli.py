@@ -10,6 +10,28 @@ from tensorpool.storage import read_container, write_tensor
 from tensorpool.tensor import DenseTensor
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["run-suite", "all", "--seed", "-1"], 2, "argument --seed"),
+        (["demo-episode", "--seed", "-1"], 2, "argument --seed"),
+        (["bench", "--seed", "-1", "--eta", "2,4"], 2, "argument --seed"),
+        (["bench", "--dim", "0", "--eta", "2,4"], 1, "error: dim must be >= 1"),
+        (["bench", "--dim", "-3", "--eta", "2,4"], 1, "error: dim must be >= 1"),
+    ],
+    ids=["run-suite-seed", "demo-episode-seed", "bench-seed", "bench-dim-0", "bench-dim-negative"],
+)
+def test_negative_seed_or_dim_exits_without_traceback(capsys, argv, code, message):
+    try:
+        got = main(argv)
+    except SystemExit as exit_:  # argparse usage errors
+        got = exit_.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 class TestRunSuite:
     def test_attention_suite_passes(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -46,6 +46,11 @@ class TestFeatureMatrix:
         with pytest.raises(InvalidArgumentError):
             FeatureMatrix(np.ones((2, 0)))
 
+    def test_needs_rows(self):
+        # A 0 x N matrix would give hotd a dim-0 tensor.
+        with pytest.raises(InvalidArgumentError, match="d >= 1"):
+            FeatureMatrix(np.ones((0, 3)))
+
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidArgumentError, match="finite"):

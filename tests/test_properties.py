@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 
 from test_pipeline import tiled_relations, worst_relation_gap
 
-from tensorpool.descriptors import FeatureMatrix, hotd
+from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import FileFormatError, InvalidArgumentError
 from tensorpool.heads import HeadWeights
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode
 from tensorpool.storage import read_container, read_tensor, write_container, write_tensor
-from tensorpool.tensor import CAPACITY, DenseTensor, asymmetry, outer_power, symmetrize
+from tensorpool.tensor import (
+    CAPACITY,
+    DenseTensor,
+    asymmetry,
+    outer_power,
+    super_diagonal,
+    symmetrize,
+)
 from tensorpool.tso import (
     _SYM_REJECT,
     _SYM_REPAIR,
@@ -22,6 +29,7 @@ from tensorpool.tso import (
     tso,
     tso_fast_even,
     tso_fast_odd,
+    tso_super_diagonal,
 )
 
 # Fixed example sequence and no example database: the run is the same every
@@ -76,6 +84,52 @@ def test_hotd_equals_outer_power_sum(order, data, count, seed):
     expected = sum(outer_power(cols[:, n], order).data for n in range(count)) / count
     got = hotd(FeatureMatrix(cols), order).data
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+# Noise sizes, relative to entries of at most 1, that put a drifted copy's
+# asymmetry below the repair threshold, in the repair band, or above the
+# reject threshold.
+DRIFTS = {"none": None, "below": (-16.0, -12.0), "repair": (-9.5, -7.5), "reject": (-5.0, -3.0)}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@BOUNDED
+@given(data=st.data(), count=st.integers(min_value=1, max_value=12),
+       drift=st.sampled_from(sorted(DRIFTS)), seed=seeds)
+def test_super_diagonal_path_equals_dense_tso(order, data, count, drift, seed):
+    # Order-4 exponents fall on both sides of the block-product cost test
+    # (block up to eta ~ 2 d log2(eta)); order 2 never takes it.  Both paths
+    # round like eta * eps on rank-one inputs, so random exponents stop at
+    # 100, where their gap measured at most half the tolerance.
+    dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[order]), label="dim")
+    if order % 2:
+        eta = 3 ** data.draw(st.integers(min_value=0, max_value=3), label="k")
+    else:
+        special = [1, 2, 7, 64] + ([2**40 + 1] if dim <= 8 else [])
+        eta = data.draw(st.one_of(st.sampled_from(special), st.integers(min_value=1, max_value=100)),
+                        label="eta")
+    rng = np.random.default_rng(seed)
+    fm = FeatureMatrix(rng.normal(size=(dim, count)))
+    t = normalize_descriptor(hotd(fm, order), fm, order)
+    repaired = False
+    if DRIFTS[drift] is not None:
+        size = 10.0 ** data.draw(st.floats(*DRIFTS[drift]), label="log_size")
+        t = DenseTensor(order, dim, t.data + size * rng.normal(size=dim**order))
+        scale, asym = max(1.0, np.max(np.abs(t.data))), asymmetry(t)
+        if asym > _SYM_REJECT * scale:
+            with pytest.raises(InvalidArgumentError) as dense_error:
+                tso(t, eta)
+            with pytest.raises(InvalidArgumentError) as error:
+                tso_super_diagonal(t, eta)
+            assert str(error.value) == str(dense_error.value)
+            return
+        repaired = asym > _SYM_REPAIR * scale
+    # Below the repair threshold the unrepaired tensor is shrunk; in the
+    # repair band, the symmetrized one.
+    expected = super_diagonal(tso(symmetrize(t) if repaired else t, eta)).values
+    got = tso_super_diagonal(t, eta)
+    assert got.shape == (dim,)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
 
 def _load(path, blob, reader):

@@ -1,5 +1,6 @@
 """Shrinkage operators: scalar, spectral, and tensorial, plus fast paths."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -35,7 +36,11 @@ from tensorpool.tso import (
     tso_fast_even,
     tso_fast_odd,
     tso_naive,
+    tso_super_diagonal,
 )
+
+# The package re-exports the function ``tso``, which shadows the module's name.
+tso_module = importlib.import_module("tensorpool.tso")
 
 
 def normalized_descriptor(order, dim, seed, count=None):
@@ -306,6 +311,29 @@ class TestTsoDispatch:
             arr[(0, 1, 2, 3)[:order]] += 1e-3
             with pytest.raises(InvalidArgumentError, match="asymmetry"):
                 tso(DenseTensor(order, 4, arr), eta)
+
+    def test_super_diagonal_path_skips_the_chain_only_where_cheaper(self, monkeypatch):
+        class ChainRan(Exception):
+            pass
+
+        def chain(t, eta):
+            raise ChainRan
+
+        monkeypatch.setattr(tso_module, "tso_fast_even", chain)
+        # Order 4, d 12: 5 block products of 144 x 12 beat 4 squarings of 144 x 144.
+        t = normalized_descriptor(4, 12, seed=19)
+        got = tso_super_diagonal(t, 7)
+        np.testing.assert_allclose(got, super_diagonal(tso_naive(t, 7)).values, atol=1e-13)
+        # Order 2 unfolds to d x d, where the chain is never dearer.
+        with pytest.raises(ChainRan):
+            tso_super_diagonal(normalized_descriptor(2, 60, seed=19), 7)
+
+    def test_super_diagonal_path_rejects_overflow_like_tso(self):
+        big = DenseTensor(4, 4, normalized_descriptor(4, 4, seed=20).data * 1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for shrink in (tso, tso_super_diagonal):
+                with pytest.raises(InvalidArgumentError, match="finite"):
+                    shrink(big, 7)
 
     def test_superdiagonal_monotone_in_eta(self):
         for order, dim, seed in ((2, 6, 17), (4, 4, 18)):
