@@ -17,7 +17,6 @@ from .errors import InvalidArgumentError, NormalizationError
 SOFTMAX = "softmax"
 RBF = "rbf"
 DEFAULT_SIGMA = 0.5
-_LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -120,21 +119,3 @@ def multi_head(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
         _attend(bundle.queries[s], bundle.keys[s], bundle.values[s], bundle.sigma, kind)
         for s in (slice(i, i + step) for i in range(0, bundle.dim, step))
     ])
-
-
-def layer_norm_residual(x: np.ndarray, sub_output: np.ndarray) -> np.ndarray:
-    """Add a sublayer output to its input and normalize each token row.
-
-    Rows are tokens (the attention output convention).  Each row of
-    ``x + sub_output`` is shifted to zero mean and scaled to unit variance
-    across channels, with unit gain and zero bias; an epsilon on the
-    standard deviation keeps constant rows finite (they normalize to zero).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    sub = np.asarray(sub_output, dtype=np.float64)
-    if x.shape != sub.shape:
-        raise InvalidArgumentError("residual shapes must match")
-    y = x + sub
-    centered = y - y.mean(axis=-1, keepdims=True)
-    std = np.sqrt(centered.var(axis=-1, keepdims=True) + _LN_EPS**2)
-    return centered / std

@@ -49,6 +49,7 @@ class BenchRecord:
 
 
 _TARGET_BATCH_NS = 2_000_000  # stretch each timed sample to ~2 ms
+MAX_REPEATS = 1000  # samples per grid point: about 2 s each at most
 
 
 def _batch_size(fn) -> int:
@@ -94,6 +95,8 @@ def bench_tso(
     """Time naive vs fast shrinkage over an exponent grid."""
     if repeats < 9:
         raise InvalidArgumentError("timing medians need at least 9 runs")
+    if repeats > MAX_REPEATS:
+        raise InvalidArgumentError(f"repeats must be at most {MAX_REPEATS}, got {repeats}")
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     etas = [int(e) for e in etas]

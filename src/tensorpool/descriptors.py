@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import storage
 from .errors import InvalidArgumentError
 from .tensor import DenseTensor, check_capacity
 
@@ -41,19 +40,6 @@ class FeatureMatrix:
     @property
     def count(self) -> int:
         return self.columns.shape[1]
-
-    @classmethod
-    def from_csv(cls, path) -> "FeatureMatrix":
-        return cls(storage.read_feature_csv(path))
-
-    @classmethod
-    def from_tnsr(cls, path) -> "FeatureMatrix":
-        t = storage.read_tensor(path)
-        if t.order != 2:
-            raise InvalidArgumentError(
-                f"feature matrices load from order-2 tensors, got order {t.order}"
-            )
-        return cls(t.array.copy())
 
 
 def hotd(f: FeatureMatrix, r: int) -> DenseTensor:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import storage
 from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, multi_head
 from .errors import InvalidArgumentError
 
@@ -77,27 +76,6 @@ class HeadWeights:
             w_g=draw(dim, dim),
             w_u=draw(dim, 2 * dim),
         )
-
-    def save(self, path) -> None:
-        storage.write_container(
-            path,
-            {
-                "w_q": self.w_q,
-                "w_k": self.w_k,
-                "w_v": self.w_v,
-                "w_p": self.w_p,
-                "w_g": self.w_g,
-                "w_u": self.w_u,
-            },
-        )
-
-    @classmethod
-    def load(cls, path) -> "HeadWeights":
-        sections = storage.read_container(path)
-        try:
-            return cls(**{k: sections[k] for k in ("w_q", "w_k", "w_v", "w_p", "w_g", "w_u")})
-        except KeyError as missing:
-            raise InvalidArgumentError(f"weights container missing section {missing}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .attention import DEFAULT_SIGMA, RBF, AttentionBundle, multi_head, rbf_similarity
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
-from .errors import DomainError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -125,22 +125,6 @@ class EpisodeBatch:
         if self.labels is not None:
             sections["labels"] = np.asarray(self.labels, dtype=np.float64)
         return sections
-
-    @classmethod
-    def from_sections(cls, sections: dict[str, np.ndarray]) -> "EpisodeBatch":
-        supports = [
-            sections[key] for key in sorted(
-                (k for k in sections if k.startswith("support/")),
-                key=lambda k: int(k.split("/")[1]),
-            )
-        ]
-        if "query" not in sections or "boxes" not in sections or not supports:
-            raise InvalidArgumentError("episode container is missing sections")
-        boxes = [(int(a), int(b)) for a, b in sections["boxes"]]
-        labels = None
-        if "labels" in sections:
-            labels = [int(c) for c in sections["labels"]]
-        return cls(tuple(supports), sections["query"], tuple(boxes), labels)
 
 
 def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.ndarray:
@@ -350,24 +334,3 @@ def matched_class_similarity_rate(
                 total += 1
                 correct += sims[i] > sims[j]
     return correct / total if total else 0.0
-
-
-def numerical_jacobian(op, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector-to-vector map.
-
-    Probes ``op`` at ``x +- step * e_j`` per input coordinate; non-finite
-    probe outputs are flagged with a ``DomainError``.
-    """
-    if step <= 0:
-        raise InvalidArgumentError("step must be positive")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    columns = []
-    for j in range(x.size):
-        bump = np.zeros_like(x)
-        bump[j] = step
-        hi = np.asarray(op(x + bump), dtype=np.float64).reshape(-1)
-        lo = np.asarray(op(x - bump), dtype=np.float64).reshape(-1)
-        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
-            raise DomainError(f"non-finite output probing coordinate {j}")
-        columns.append((hi - lo) / (2.0 * step))
-    return np.column_stack(columns)

@@ -118,12 +118,6 @@ def closed_form_minimizer(prob: ShrinkageProblem) -> np.ndarray:
     return 1.0 - factor * (1.0 - prob.lam) ** eta
 
 
-def closed_form_consistency(prob: ShrinkageProblem) -> float:
-    """|t recomputed from the closed form minus the problem's t|."""
-    lam_prime = closed_form_minimizer(prob)
-    return abs((prob.dim - float(np.sum(lam_prime))) - prob.t)
-
-
 def stationarity_residual(prob: ShrinkageProblem) -> float:
     """Relative first-order residual of the objective at the closed form.
 

@@ -5,8 +5,8 @@ Two on-disk layouts are provided:
 * single-tensor ``TNSR`` files: magic ``b"TNSR"``, u32 version (=1), u32
   order, u32 dim, then ``dim**order`` little-endian float64 coefficients;
 * ``TNSC`` containers holding named sections of rectangular float64 arrays
-  (head weights, feature maps, episodes), since not every stored matrix is
-  cubic.
+  (the episode and intermediates that ``demo-episode --dump`` writes),
+  since not every stored matrix is cubic.
 
 Both round-trip bit-exactly.  Parse failures raise ``FileFormatError``
 carrying the byte offset of the first offending byte.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidArgumentError
+from .errors import FileFormatError
 from .tensor import CAPACITY, MAX_ORDER, DenseTensor
 
 TNSR_MAGIC = b"TNSR"
@@ -146,25 +146,3 @@ def read_container(path) -> dict[str, np.ndarray]:
     if off != len(raw):
         raise FileFormatError("trailing bytes after last section", off)
     return sections
-
-
-def read_feature_csv(path) -> np.ndarray:
-    """Read a feature matrix from CSV: one column vector per line.
-
-    Returns a ``d x N`` array whose n-th column is the n-th line.
-    """
-    columns = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            columns.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise InvalidArgumentError(f"bad CSV value on line {line_no}: {exc}")
-    if not columns:
-        raise InvalidArgumentError("CSV contains no feature columns")
-    widths = {len(c) for c in columns}
-    if len(widths) != 1:
-        raise InvalidArgumentError(f"inconsistent CSV column lengths: {sorted(widths)}")
-    return np.asarray(columns, dtype=np.float64).T

@@ -1,9 +1,11 @@
-"""Dense cubic tensors of low order with contraction and unfolding support.
+"""Dense cubic tensors of low order: identity, super-diagonal and symmetrization.
 
 Everything in this module operates on order-``r`` tensors whose modes all
 share one dimension ``d``, stored flat in row-major order (last index
 fastest).  Values are immutable after construction, so all operations are
-pure functions that are safe to call concurrently.
+pure functions that are safe to call concurrently.  The reference outer
+power, mode contraction, unfolding and inner product that the tests check
+against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -118,29 +120,6 @@ class SuperDiagonal:
         object.__setattr__(self, "values", vals)
 
 
-def outer_power(x, r: int) -> DenseTensor:
-    """Build the order-``r`` tensor with entries ``x[i1] * ... * x[ir]``.
-
-    The result is super-symmetric bit-exactly: each entry multiplies the
-    coefficients in sorted index order, so permuted index tuples share one
-    rounding path.
-    """
-    vec = np.asarray(x, dtype=np.float64).reshape(-1)
-    if r < 1:
-        raise InvalidArgumentError("outer_power requires order r >= 1")
-    if vec.size == 0:
-        raise InvalidArgumentError("outer_power requires a non-empty vector")
-    d = vec.size
-    check_capacity(d, r)
-    if r == 1:
-        return DenseTensor(1, d, vec)
-    indices = np.sort(np.indices((d,) * r).reshape(r, -1), axis=0)
-    out = vec[indices[0]]
-    for mode in range(1, r):
-        out = out * vec[indices[mode]]
-    return DenseTensor(r, d, out)
-
-
 def identity_tensor(d: int, r: int) -> DenseTensor:
     """Tensor with ones exactly where all ``r`` indices coincide."""
     if d < 1:
@@ -153,56 +132,10 @@ def identity_tensor(d: int, r: int) -> DenseTensor:
     return DenseTensor(r, d, arr)
 
 
-def contract(a: DenseTensor, b: DenseTensor, k: int) -> DenseTensor:
-    """Contract the last ``k`` modes of ``a`` with the first ``k`` of ``b``.
-
-    The result has order ``a.order + b.order - 2k``.  For matrices with
-    ``k = 1`` this is the ordinary matrix product; pairing trailing modes of
-    the left operand with leading modes of the right operand is the one
-    convention under which repeated contraction of an even-order tensor
-    matches matrix powers of its half unfolding.
-    """
-    if a.dim != b.dim:
-        raise InvalidArgumentError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if k < 1 or k > a.order or k > b.order:
-        raise InvalidArgumentError(
-            f"mode count k={k} must satisfy 1 <= k <= min(order_a, order_b)"
-        )
-    out_order = a.order + b.order - 2 * k
-    if out_order < 1:
-        raise InvalidArgumentError(
-            "full contraction yields a scalar; use tensor_inner instead"
-        )
-    result = np.tensordot(a.array, b.array, axes=k)
-    return DenseTensor(out_order, a.dim, result)
-
-
-def tensor_inner(a: DenseTensor, b: DenseTensor) -> float:
-    """Full inner product: sum of elementwise products of all coefficients."""
-    if a.order != b.order or a.dim != b.dim:
-        raise InvalidArgumentError("tensor_inner requires identical shapes")
-    return float(np.dot(a.data, b.data))
-
-
 def super_diagonal(t: DenseTensor) -> SuperDiagonal:
     """Extract ``values[i] = t[i, i, ..., i]``."""
     idx = (np.arange(t.dim),) * t.order
     return SuperDiagonal(t.dim, t.array[idx])
-
-
-def unfold(t: DenseTensor, lead: int) -> np.ndarray:
-    """Lossless reshape grouping the first ``lead`` modes as matrix rows.
-
-    The result has shape ``(d**lead, d**(r - lead))`` and is a read-only
-    view; ``reshape(-1)`` recovers the coefficients bit-exactly.
-    """
-    if lead < 1 or lead >= t.order:
-        raise InvalidArgumentError(
-            f"lead mode count {lead} must satisfy 1 <= lead < order ({t.order})"
-        )
-    rows = t.dim**lead
-    cols = t.dim ** (t.order - lead)
-    return t.data.reshape(rows, cols)
 
 
 def symmetrize(t: DenseTensor) -> DenseTensor:

@@ -186,11 +186,6 @@ def maxexp_scalar(lam: float, eta: int) -> float:
     return 1.0 - (1.0 - lam) ** eta
 
 
-def maxexp_scalar_derivative(lam: float, eta: int) -> float:
-    """d/d lam of ``maxexp_scalar``: ``eta * (1 - lam)**(eta - 1)``."""
-    return eta * (1.0 - lam) ** (eta - 1)
-
-
 def sigme(p, eta_prime: float):
     """Saturating element-wise normalization ``2 / (1 + exp(-eta' p)) - 1``.
 
@@ -201,13 +196,6 @@ def sigme(p, eta_prime: float):
     if not 1 <= eta_prime < np.inf:
         raise InvalidArgumentError(f"eta_prime must be finite and >= 1, got {eta_prime}")
     out = np.tanh(0.5 * eta_prime * np.asarray(p, dtype=np.float64))
-    return float(out) if out.ndim == 0 else out
-
-
-def sigme_derivative(p, eta_prime: float):
-    """Analytic slope of ``sigme``: ``(eta'/2) * (1 - tanh(eta' p / 2)**2)``."""
-    t = np.tanh(0.5 * eta_prime * np.asarray(p, dtype=np.float64))
-    out = 0.5 * eta_prime * (1.0 - t * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -269,15 +257,9 @@ def _binary_power(base: np.ndarray, eta: int, multiply):
 
 
 def even_contraction_count(eta: int) -> int:
-    """Contractions the even fast path performs for exponent ``eta``."""
-    counter = [0]
-
-    def fake_multiply(a, b):
-        counter[0] += 1
-        return a
-
-    _binary_power(object(), eta, fake_multiply)
-    return counter[0]
+    """Products ``_binary_power`` takes for ``eta >= 1``: squarings plus accumulations."""
+    eta = int(eta)
+    return eta.bit_length() + eta.bit_count() - 2
 
 
 def odd_contraction_count(eta: int) -> int:
@@ -469,8 +451,7 @@ def tso_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
     _check_even(t, eta)
     eta = int(eta)
     side = d ** (r // 2)
-    # even_contraction_count(eta), from the bits of eta.
-    if (eta - 1) * d >= (eta.bit_length() + eta.bit_count() - 2) * side:
+    if (eta - 1) * d >= even_contraction_count(eta) * side:
         return tso_fast_even(t, eta).data[:: _diagonal_step(d, r)].copy()
     # The test fails at eta 1, so both halves hold at least one factor A.
     step = _diagonal_step(d, r // 2)

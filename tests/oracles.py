@@ -1,0 +1,117 @@
+"""Reference implementations that the tests compare the package against.
+
+Nothing here calls a package computation: each oracle is written from its
+definition (an explicit outer power, ``np.tensordot``, a reshape, a central
+difference, a closed-form slope), so a fault in a fast path cannot hide in
+its own check.  Only the tensor container, the capacity bounds and the
+typed errors come from the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from tensorpool.errors import DomainError, InvalidArgumentError
+from tensorpool.tensor import DenseTensor, check_capacity
+
+
+def outer_power(x, r: int) -> DenseTensor:
+    """Build the order-``r`` tensor with entries ``x[i1] * ... * x[ir]``.
+
+    The result is super-symmetric bit-exactly: each entry multiplies the
+    coefficients in sorted index order, so permuted index tuples share one
+    rounding path.
+    """
+    vec = np.asarray(x, dtype=np.float64).reshape(-1)
+    if r < 1:
+        raise InvalidArgumentError("outer_power requires order r >= 1")
+    if vec.size == 0:
+        raise InvalidArgumentError("outer_power requires a non-empty vector")
+    d = vec.size
+    check_capacity(d, r)
+    if r == 1:
+        return DenseTensor(1, d, vec)
+    indices = np.sort(np.indices((d,) * r).reshape(r, -1), axis=0)
+    out = vec[indices[0]]
+    for mode in range(1, r):
+        out = out * vec[indices[mode]]
+    return DenseTensor(r, d, out)
+
+
+def contract(a: DenseTensor, b: DenseTensor, k: int) -> DenseTensor:
+    """Contract the last ``k`` modes of ``a`` with the first ``k`` of ``b``.
+
+    The result has order ``a.order + b.order - 2k``.  For matrices with
+    ``k = 1`` this is the ordinary matrix product; pairing trailing modes of
+    the left operand with leading modes of the right operand is the one
+    convention under which repeated contraction of an even-order tensor
+    matches matrix powers of its half unfolding.
+    """
+    if a.dim != b.dim:
+        raise InvalidArgumentError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if k < 1 or k > a.order or k > b.order:
+        raise InvalidArgumentError(
+            f"mode count k={k} must satisfy 1 <= k <= min(order_a, order_b)"
+        )
+    out_order = a.order + b.order - 2 * k
+    if out_order < 1:
+        raise InvalidArgumentError(
+            "full contraction yields a scalar; use tensor_inner instead"
+        )
+    result = np.tensordot(a.array, b.array, axes=k)
+    return DenseTensor(out_order, a.dim, result)
+
+
+def tensor_inner(a: DenseTensor, b: DenseTensor) -> float:
+    """Full inner product: sum of elementwise products of all coefficients."""
+    if a.order != b.order or a.dim != b.dim:
+        raise InvalidArgumentError("tensor_inner requires identical shapes")
+    return float(np.dot(a.data, b.data))
+
+
+def unfold(t: DenseTensor, lead: int) -> np.ndarray:
+    """Lossless reshape grouping the first ``lead`` modes as matrix rows.
+
+    The result has shape ``(d**lead, d**(r - lead))`` and is a read-only
+    view; ``reshape(-1)`` recovers the coefficients bit-exactly.
+    """
+    if lead < 1 or lead >= t.order:
+        raise InvalidArgumentError(
+            f"lead mode count {lead} must satisfy 1 <= lead < order ({t.order})"
+        )
+    rows = t.dim**lead
+    cols = t.dim ** (t.order - lead)
+    return t.data.reshape(rows, cols)
+
+
+def numerical_jacobian(op, x, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a vector-to-vector map.
+
+    Probes ``op`` at ``x +- step * e_j`` per input coordinate; non-finite
+    probe outputs are flagged with a ``DomainError``.
+    """
+    if step <= 0:
+        raise InvalidArgumentError("step must be positive")
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    columns = []
+    for j in range(x.size):
+        bump = np.zeros_like(x)
+        bump[j] = step
+        hi = np.asarray(op(x + bump), dtype=np.float64).reshape(-1)
+        lo = np.asarray(op(x - bump), dtype=np.float64).reshape(-1)
+        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+            raise DomainError(f"non-finite output probing coordinate {j}")
+        columns.append((hi - lo) / (2.0 * step))
+    return np.column_stack(columns)
+
+
+def maxexp_scalar_derivative(lam: float, eta: int) -> float:
+    """d/d lam of ``1 - (1 - lam)**eta``: ``eta * (1 - lam)**(eta - 1)``."""
+    return eta * (1.0 - lam) ** (eta - 1)
+
+
+def sigme_derivative(p, eta_prime: float):
+    """Analytic slope of SigmE: ``(eta'/2) * (1 - tanh(eta' p / 2)**2)``."""
+    t = np.tanh(0.5 * eta_prime * np.asarray(p, dtype=np.float64))
+    out = 0.5 * eta_prime * (1.0 - t * t)
+    return float(out) if out.ndim == 0 else out

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 
+from oracles import maxexp_scalar_derivative, numerical_jacobian, sigme_derivative, tensor_inner
+
 from tensorpool.attention import RBF, SOFTMAX, AttentionBundle, attention, multi_head, rbf_similarity
 from tensorpool.bench import bench_tso, summarize
 from tensorpool.descriptors import FeatureMatrix, hotd, poly_kernel_sum
@@ -19,7 +21,6 @@ from tensorpool.pipeline import (
     forward_episode,
     hop_unit,
     matched_class_similarity_rate,
-    numerical_jacobian,
     synth_episode,
 )
 from tensorpool.shrinkage import (
@@ -27,15 +28,12 @@ from tensorpool.shrinkage import (
     verify_identity_target,
     verify_shrinkage_optimality,
 )
-from tensorpool.tensor import tensor_inner
 from tensorpool.tso import (
     SpectrumVector,
     TsoParams,
     maxexp_f,
     maxexp_scalar,
-    maxexp_scalar_derivative,
     sigme,
-    sigme_derivative,
     tso_fast_even,
     tso_fast_odd,
     tso_naive,

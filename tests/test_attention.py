@@ -1,4 +1,4 @@
-"""Attention layers: softmax, RBF, multi-head, layer normalization."""
+"""Attention layers: softmax, RBF, multi-head."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from tensorpool.attention import (
     SOFTMAX,
     AttentionBundle,
     attention,
-    layer_norm_residual,
     multi_head,
     rbf_similarity,
     split_heads,
@@ -186,27 +185,3 @@ class TestMultiHead:
         q = rng.normal(size=(8, 3))
         assert np.array_equal(np.vstack(split_heads(q, 4)), q)
 
-
-class TestLayerNormResidual:
-    def test_constant_row_zeroed(self):
-        x = np.full((2, 5), 3.7)
-        out = layer_norm_residual(x, np.zeros_like(x))
-        np.testing.assert_allclose(out, np.zeros_like(x), atol=1e-12)
-
-    def test_moments(self):
-        rng = np.random.default_rng(12)
-        x, sub = rng.normal(size=(6, 32)), rng.normal(size=(6, 32))
-        out = layer_norm_residual(x, sub)
-        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-9)
-        np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-6)
-
-    def test_renormalization_is_stable(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(4, 16))
-        out = layer_norm_residual(x, np.zeros_like(x))
-        again = layer_norm_residual(out, np.zeros_like(out))
-        np.testing.assert_allclose(again, out, atol=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            layer_norm_residual(np.ones((2, 3)), np.ones((3, 2)))

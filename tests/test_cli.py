@@ -18,8 +18,11 @@ from tensorpool.tensor import DenseTensor
         (["bench", "--seed", "-1", "--eta", "2,4"], 2, "argument --seed"),
         (["bench", "--dim", "0", "--eta", "2,4"], 1, "error: dim must be >= 1"),
         (["bench", "--dim", "-3", "--eta", "2,4"], 1, "error: dim must be >= 1"),
+        # rejected before the episode and the 2d x 2d head weights are drawn
+        (["demo-episode", "--dim", "100000"], 1, "error: dim 62500 exceeds the order-2 limit 128"),
     ],
-    ids=["run-suite-seed", "demo-episode-seed", "bench-seed", "bench-dim-0", "bench-dim-negative"],
+    ids=["run-suite-seed", "demo-episode-seed", "bench-seed", "bench-dim-0", "bench-dim-negative",
+         "demo-episode-dim-beyond-capacity"],
 )
 def test_negative_seed_or_dim_exits_without_traceback(capsys, argv, code, message):
     try:
@@ -105,6 +108,13 @@ class TestBenchCommand:
         assert code == 1
         assert f"error: order-3 shrinkage overflows float64 at eta {3**41}" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_repeats_above_ceiling_exits_one_before_timing(self, capsys):
+        code = main(["bench", "--dim", "2", "--eta", "2", "--repeats", str(10**20)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: repeats must be at most 1000, got {10**20}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("eta", ["x", "2,x", "", ",", "0", "4,-1"])
     def test_bad_eta_grid_exits_one(self, capsys, eta):

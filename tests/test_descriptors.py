@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import outer_power, tensor_inner, unfold
+
 from tensorpool.descriptors import (
     EPSILON,
     FeatureMatrix,
@@ -14,7 +16,6 @@ from tensorpool.descriptors import (
     poly_kernel_sum,
 )
 from tensorpool.errors import CapacityError, InvalidArgumentError
-from tensorpool.tensor import outer_power, tensor_inner, unfold
 
 
 def brute_force_descriptor(columns, r):

@@ -53,14 +53,6 @@ class TestHeadWeights:
                 w_u=np.ones((2, 4)),
             )
 
-    def test_container_round_trip(self, tmp_path):
-        w = HeadWeights.seeded(3, seed=7)
-        path = tmp_path / "weights.tnsc"
-        w.save(path)
-        back = HeadWeights.load(path)
-        for name in ("w_q", "w_k", "w_v", "w_p", "w_g", "w_u"):
-            assert np.array_equal(getattr(w, name), getattr(back, name))
-
 
 class TestZshotHead:
     def test_single_support_direction(self):

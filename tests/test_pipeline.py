@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import maxexp_scalar_derivative, numerical_jacobian, sigme_derivative
+
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import DomainError, InvalidArgumentError
 from tensorpool.heads import (
@@ -18,12 +20,11 @@ from tensorpool.pipeline import (
     forward_episode,
     hop_unit,
     matched_class_similarity_rate,
-    numerical_jacobian,
     synth_episode,
 )
 from tensorpool.storage import read_container, write_container
 from tensorpool.tensor import super_diagonal
-from tensorpool.tso import TsoParams, maxexp_scalar, maxexp_scalar_derivative, sigme, sigme_derivative, tso
+from tensorpool.tso import TsoParams, maxexp_scalar, sigme, tso
 
 
 def tiled_relations(episode, cfg, params, weights, heads):
@@ -187,14 +188,12 @@ class TestEpisodeBatch:
     def test_container_round_trip(self, tmp_path):
         episode = synth_episode(5, 2, 3, 8, 4, 2.0)
         path = tmp_path / "episode.tnsc"
-        write_container(path, episode.to_sections())
-        back = EpisodeBatch.from_sections(read_container(path))
-        assert back.shots == episode.shots
-        assert back.boxes == episode.boxes
-        assert back.labels == episode.labels
-        np.testing.assert_array_equal(back.query_map, episode.query_map)
-        for a, b in zip(back.support_maps, episode.support_maps):
-            np.testing.assert_array_equal(a, b)
+        sections = episode.to_sections()
+        write_container(path, sections)
+        back = read_container(path)
+        assert list(back) == ["support/0", "support/1", "query", "boxes", "labels"]
+        for name, arr in sections.items():
+            np.testing.assert_array_equal(back[name], arr)
 
 
 class TestForwardEpisode:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import outer_power, tensor_inner
 from test_pipeline import tiled_relations, worst_relation_gap
 
-from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
+from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
 from tensorpool.errors import FileFormatError, InvalidArgumentError
 from tensorpool.heads import HeadWeights
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode
@@ -18,7 +19,6 @@ from tensorpool.tensor import (
     CAPACITY,
     DenseTensor,
     asymmetry,
-    outer_power,
     super_diagonal,
     symmetrize,
 )
@@ -84,6 +84,19 @@ def test_hotd_equals_outer_power_sum(order, data, count, seed):
     expected = sum(outer_power(cols[:, n], order).data for n in range(count)) / count
     got = hotd(FeatureMatrix(cols), order).data
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+@BOUNDED
+@given(order=orders, data=st.data(), counts=st.tuples(*[st.integers(min_value=1, max_value=8)] * 2),
+       seed=seeds)
+def test_kernel_sum_linearizes_descriptor_inner_product(order, data, counts, seed):
+    # Shapes up to capacity, beyond the small d of acceptance criterion 01.
+    dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[order]), label="dim")
+    rng = np.random.default_rng(seed)
+    f, g = (FeatureMatrix(rng.normal(size=(dim, n))) for n in counts)
+    kernel = poly_kernel_sum(f, g, order)
+    inner = tensor_inner(hotd(f, order), hotd(g, order))
+    assert abs(kernel - inner) <= 1e-10 * max(1.0, abs(kernel))
 
 
 # Noise sizes, relative to entries of at most 1, that put a drifted copy's

@@ -9,7 +9,6 @@ from tensorpool.shrinkage import (
     IdentityTargetReport,
     OptimalityReport,
     ShrinkageProblem,
-    closed_form_consistency,
     closed_form_minimizer,
     objective,
     objective_gradient,
@@ -136,7 +135,8 @@ class TestClosedForm:
         for _ in range(20):
             spectrum = SpectrumVector.from_raw(rng.uniform(0.1, 1.0, size=5))
             prob = ShrinkageProblem(spectrum, int(rng.integers(2, 33)))
-            assert closed_form_consistency(prob) <= 1e-9
+            t = prob.dim - float(np.sum(closed_form_minimizer(prob)))
+            assert abs(t - prob.t) <= 1e-9
 
     def test_complement_distributions_sum_to_one(self):
         rng = np.random.default_rng(5)

@@ -1,15 +1,13 @@
-"""Serialization: TNSR tensors, TNSC containers, CSV feature matrices."""
+"""Serialization: TNSR tensors and TNSC containers."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from tensorpool.descriptors import FeatureMatrix
-from tensorpool.errors import FileFormatError, InvalidArgumentError
+from tensorpool.errors import FileFormatError
 from tensorpool.storage import (
     read_container,
-    read_feature_csv,
     read_tensor,
     write_container,
     write_tensor,
@@ -162,33 +160,3 @@ class TestContainerFormat:
         assert "truncated" in str(err.value)
         assert err.value.byte_offset == 12 + 4 + 1 + 4 + 8 * 4
 
-
-class TestFeatureLoading:
-    def test_csv_one_column_per_line(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-        fm = FeatureMatrix.from_csv(path)
-        assert (fm.dim, fm.count) == (3, 2)
-        np.testing.assert_array_equal(fm.columns[:, 0], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(fm.columns[:, 1], [4.0, 5.0, 6.0])
-
-    def test_csv_rejects_ragged_lines(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(InvalidArgumentError):
-            read_feature_csv(path)
-
-    def test_from_tnsr_order_two(self, tmp_path):
-        path = tmp_path / "m.tnsr"
-        rng = np.random.default_rng(2)
-        t = DenseTensor(2, 5, rng.normal(size=25))
-        write_tensor(path, t)
-        fm = FeatureMatrix.from_tnsr(path)
-        assert (fm.dim, fm.count) == (5, 5)
-        np.testing.assert_array_equal(fm.columns, t.array)
-
-    def test_from_tnsr_rejects_other_orders(self, tmp_path):
-        path = tmp_path / "m.tnsr"
-        write_tensor(path, DenseTensor(3, 2, np.zeros(8)))
-        with pytest.raises(InvalidArgumentError):
-            FeatureMatrix.from_tnsr(path)

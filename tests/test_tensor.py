@@ -1,22 +1,14 @@
-"""Tensor core: outer powers, identity tensors, contraction, unfolding."""
+"""Tensor core and the test oracles: outer powers, identity tensors, contraction, unfolding."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from oracles import contract, outer_power, tensor_inner, unfold
+
 from tensorpool.errors import CapacityError, InvalidArgumentError
-from tensorpool.tensor import (
-    DenseTensor,
-    asymmetry,
-    contract,
-    identity_tensor,
-    outer_power,
-    super_diagonal,
-    symmetrize,
-    tensor_inner,
-    unfold,
-)
+from tensorpool.tensor import DenseTensor, asymmetry, identity_tensor, super_diagonal, symmetrize
 
 
 class TestOuterPower:

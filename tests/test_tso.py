@@ -1,12 +1,17 @@
 """Shrinkage operators: scalar, spectral, and tensorial, plus fast paths."""
 
-import importlib
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm as scipy_sqrtm
 
+from oracles import maxexp_scalar_derivative, sigme_derivative, unfold
+
+import tensorpool.tso as tso_module
 from tensorpool.bench import random_normalized_descriptor
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import DomainError, InvalidArgumentError
@@ -17,20 +22,18 @@ from tensorpool.tensor import (
     identity_tensor,
     super_diagonal,
     symmetrize,
-    unfold,
 )
 from tensorpool.tso import (
     SpectrumVector,
     TsoParams,
+    _binary_power,
     even_contraction_count,
     is_power_of_3,
     maxexp_f,
     maxexp_scalar,
-    maxexp_scalar_derivative,
     nearest_power_of_3,
     odd_contraction_count,
     sigme,
-    sigme_derivative,
     sqrtm_diag_approx,
     tso,
     tso_fast_even,
@@ -38,9 +41,6 @@ from tensorpool.tso import (
     tso_naive,
     tso_super_diagonal,
 )
-
-# The package re-exports the function ``tso``, which shadows the module's name.
-tso_module = importlib.import_module("tensorpool.tso")
 
 
 def normalized_descriptor(order, dim, seed, count=None):
@@ -201,6 +201,11 @@ class TestContractionCounts:
         assert even_contraction_count(2) == 1
         # eta=5 (binary 101): 2 squarings + 2 accumulations - 1 free first = 3
         assert even_contraction_count(5) == 3
+        # the count is the number of products the squaring schedule performs
+        for eta in (1, 2, 5, 7, 64, 1000, 2**40 + 1):
+            products = []
+            _binary_power(1.0, eta, lambda acc, base: products.append(base) or acc)
+            assert len(products) == even_contraction_count(eta)
 
     def test_closed_formula(self):
         for eta in list(range(1, 65)) + [1024]:
@@ -541,3 +546,20 @@ class TestTsoParams:
             TsoParams(eta_prime=float("inf"))
         with pytest.raises(InvalidArgumentError, match="eta_prime"):
             TsoParams.from_config("eta_prime=inf")
+
+
+def test_layer_imports_keep_submodules_and_leave_scipy_out():
+    # A fresh interpreter, importing the layers the benchmark loads: only the
+    # shrinkage verifier needs scipy, and no package attribute may shadow a submodule.
+    code = (
+        "import sys, types\n"
+        "import tensorpool.tso as m\n"
+        "import tensorpool.heads, tensorpool.pipeline, tensorpool.storage, tensorpool.tensor\n"
+        "print(isinstance(m, types.ModuleType), 'scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tso_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
