@@ -2,8 +2,7 @@
 
 Matrices follow the column-token convention on the way in (``Q`` is
 ``d x N_q`` with one query per column) and the row-token convention on the
-way out (``N_q x d``), matching how attention outputs are consumed by
-normalization layers.
+way out (``N_q x d``, one row per query).
 """
 
 from __future__ import annotations
@@ -94,8 +93,13 @@ def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
 
     The softmax kind mixes values with rows summing to one; the RBF kind
     uses unnormalized Gaussian similarities of l2-normalized tokens, so its
-    rows do not sum to one.
+    rows do not sum to one.  A bundle built for several heads goes to
+    ``multi_head``.
     """
+    if bundle.heads != 1:
+        raise InvalidArgumentError(
+            f"attention runs one head, the bundle has {bundle.heads}: use multi_head"
+        )
     return _attend(bundle.queries, bundle.keys, bundle.values, bundle.sigma, kind)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
 from .errors import InvalidArgumentError
-from .tensor import DenseTensor
+from .tensor import DenseTensor, check_capacity
 from .tso import (
     even_contraction_count,
     is_power_of_3,
@@ -99,6 +99,9 @@ def bench_tso(
         raise InvalidArgumentError(f"repeats must be at most {MAX_REPEATS}, got {repeats}")
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
+    if order < 2:
+        raise InvalidArgumentError(f"order must be >= 2, got {order}")
+    check_capacity(dim, order)  # before any feature matrix is drawn
     etas = [int(e) for e in etas]
     if order % 2 == 1 and not all(is_power_of_3(e) for e in etas):
         raise InvalidArgumentError("odd-order grids must use powers of 3")

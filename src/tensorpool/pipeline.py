@@ -24,7 +24,7 @@ import numpy as np
 
 from .attention import DEFAULT_SIGMA, RBF, AttentionBundle, multi_head, rbf_similarity
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
-from .errors import InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -40,6 +40,7 @@ from .tso import TsoParams, sigme, tso, tso_super_diagonal  # noqa: F401
 from .tensor import super_diagonal  # noqa: F401
 
 ORDERS = (2, 3, 4)
+MAX_EPISODE_COLUMNS = 16_384  # grid * (shots + rois) of a synthetic episode
 
 
 @dataclass(frozen=True)
@@ -276,6 +277,12 @@ def synth_episode(
     """
     if shots < 1 or rois < 1 or dim < 1 or grid < 1:
         raise InvalidArgumentError("episode sizes must be positive")
+    columns = grid * (shots + rois)
+    if columns > MAX_EPISODE_COLUMNS:
+        raise CapacityError(
+            f"episode of {columns} columns (grid x (shots + rois)) exceeds the limit "
+            f"{MAX_EPISODE_COLUMNS}"
+        )
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(dim, 2))
     directions /= np.linalg.norm(directions, axis=0)

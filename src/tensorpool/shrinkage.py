@@ -7,10 +7,12 @@ The map ``lam -> 1 - (1 - lam)**eta`` is the unique minimizer of
 over candidate spectra ``lam'``, where ``comp`` forms the normalized
 complement distributions ``(1 - lam)/s`` and ``(1 - lam')/t`` and the
 regularizer weight ``delta`` couples to the exponent.  This module evaluates
-the objective, its gradient, and the closed-form minimizer, and checks them
-against brute-force numerical optimization.  A second verifier confirms the
-shrinkage target: as the exponent grows, full-rank trace-normalized inputs
-are pulled all the way to the identity matrix.
+the objective and the closed-form minimizer, and checks the closed form
+against a numerical minimization that never consults it: the objective is
+a sum of one term per coordinate, so one bounded scalar search per
+coordinate finds its minimum.  A second verifier confirms the shrinkage
+target: as the exponent grows, full-rank trace-normalized inputs are
+pulled all the way to the identity matrix.
 """
 
 from __future__ import annotations
@@ -96,16 +98,6 @@ def objective(prob: ShrinkageProblem, lam_prime) -> float:
     return kl + prob.delta * penalty
 
 
-def objective_gradient(prob: ShrinkageProblem, lam_prime) -> np.ndarray:
-    """Analytic d objective / d lam'_i."""
-    source, target = _complements(prob, lam_prime)
-    term_kl = source / (prob.t * target)
-    term_penalty = (prob.delta / ((prob.eta - 1.0) * prob.t)) * target ** (
-        prob.alpha - 1.0
-    )
-    return term_kl - term_penalty
-
-
 def closed_form_minimizer(prob: ShrinkageProblem) -> np.ndarray:
     """Stationary spectrum ``1 - factor * (1 - lam)**eta``.
 
@@ -151,66 +143,26 @@ class OptimalityReport:
     numerical_minimizer: np.ndarray = field(repr=False, default=None)
     closed_form: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def flagged(self) -> bool:
-        return not self.converged
 
+def minimize_objective(prob: ShrinkageProblem) -> tuple[np.ndarray, bool]:
+    """Numerically minimize the objective over (0, 1)**d, one coordinate at a time.
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def minimize_objective(
-    prob: ShrinkageProblem, starts: int = 8, seed: int = 0
-) -> tuple[np.ndarray, bool]:
-    """Numerically minimize the objective over (0, 1)**d.
-
-    Runs gradient-based interior-point descent on logit-transformed
-    candidates from ``starts`` random initializations, then polishes each
-    coordinate with a derivative-free bounded search (the objective is
-    separable across coordinates, so the polish is exact up to bracketing
-    tolerance; the logit stage alone stalls once coordinates saturate).
+    ``s`` and ``t`` are fixed by the problem, so with ``u_i = (1 - lam'_i)/t``
+    and ``s_i`` the source complement the objective is a constant plus
+    ``sum_i -s_i log u_i + delta u_i**alpha / (1 - alpha)``.  Each term
+    depends on one coordinate and, as ``0 < alpha < 1``, has one stationary
+    point, a minimum: the term falls before it and rises after it.  So a
+    bounded scalar search of the full objective along each coordinate, the
+    others held at a constant, finds the joint minimizer exactly, up to the
+    search tolerance.  The closed form is never consulted.  Returns the
+    minimizer and whether every coordinate's search converged.
     """
-    if starts < 1:
-        raise InvalidArgumentError("at least one start is required")
-    rng = np.random.default_rng(seed)
-
-    def interior(z):
-        # sigmoid saturates to exactly 1.0 in float64 for z beyond ~37;
-        # keep candidates inside the objective's open domain
-        return np.clip(_sigmoid(z), 0.0, 1.0 - 1e-12)
-
-    def f_of_z(z):
-        return objective(prob, interior(z))
-
-    def grad_of_z(z):
-        lam_prime = interior(z)
-        return objective_gradient(prob, lam_prime) * lam_prime * (1.0 - lam_prime)
-
-    best = None
-    all_converged = True
-    for _ in range(starts):
-        z0 = rng.uniform(-2.0, 2.0, size=prob.dim)
-        res = optimize.minimize(
-            f_of_z,
-            z0,
-            jac=grad_of_z,
-            method="L-BFGS-B",
-            options={"maxiter": 1000, "gtol": 1e-12, "ftol": 1e-16},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    candidate = interior(best.x)
-
-    polished = np.empty(prob.dim)
+    base = np.full(prob.dim, 0.5)
+    minimizer = np.empty(prob.dim)
+    converged = True
     for i in range(prob.dim):
         def coord_obj(x, i=i):
-            trial = candidate.copy()
+            trial = base.copy()
             trial[i] = x
             return objective(prob, trial)
 
@@ -220,18 +172,15 @@ def minimize_objective(
             method="bounded",
             options={"xatol": 1e-12, "maxiter": 500},
         )
-        if not res.success:
-            all_converged = False
-        polished[i] = res.x if res.fun <= coord_obj(candidate[i]) else candidate[i]
-    return polished, all_converged
+        converged = converged and bool(res.success)
+        minimizer[i] = res.x
+    return minimizer, converged
 
 
-def verify_shrinkage_optimality(
-    prob: ShrinkageProblem, starts: int = 8, seed: int = 0
-) -> OptimalityReport:
+def verify_shrinkage_optimality(prob: ShrinkageProblem) -> OptimalityReport:
     """Check that numerical minimization lands on the closed-form spectrum."""
     begin = time.perf_counter()
-    numerical, converged = minimize_objective(prob, starts=starts, seed=seed)
+    numerical, converged = minimize_objective(prob)
     closed = closed_form_minimizer(prob)
     residual = float(np.max(np.abs(numerical - closed)))
     report = OptimalityReport(
@@ -247,20 +196,17 @@ def verify_shrinkage_optimality(
     return report
 
 
-def random_trace_normalized_psd(
-    rng: np.random.Generator, dim: int, lam_min: float | None = None
-) -> np.ndarray:
+def random_trace_normalized_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random symmetric PSD matrix with unit trace and full rank.
 
-    ``lam_min`` pins the smallest eigenvalue exactly; the rest of the unit
-    mass is spread uniformly.  Keeping ``lam_min`` around 1e-5 to 1e-4 makes
-    the large-exponent limit land between numerical zero and the 1e-6
-    acceptance band, so deviation sequences stay strictly decreasing.
+    The smallest eigenvalue is drawn from [2e-5, 1e-4]; the rest of the unit
+    mass is spread uniformly.  That range puts the large-exponent limit
+    between numerical zero and the 1e-6 acceptance band, so deviation
+    sequences stay strictly decreasing.
     """
     if dim < 2:
         raise InvalidArgumentError("dimension must be >= 2")
-    if lam_min is None:
-        lam_min = float(rng.uniform(2e-5, 1e-4))
+    lam_min = float(rng.uniform(2e-5, 1e-4))
     rest = rng.uniform(0.5, 1.0, size=dim - 1)
     rest *= (1.0 - lam_min) / rest.sum()
     eigenvalues = np.concatenate([[lam_min], rest])
@@ -282,21 +228,18 @@ class IdentityTargetReport:
     limit_deviation: float
 
 
-def verify_identity_target(
-    dim: int, trials: int, seed: int = 0, max_exponent_log2: int = 20
-) -> IdentityTargetReport:
+def verify_identity_target(dim: int, trials: int, seed: int = 0) -> IdentityTargetReport:
     """Confirm the shrinkage target is the identity matrix.
 
     For random full-rank trace-normalized inputs, the deviation
     ``max |maxexp_f(m, eta) - I|`` must fall monotonically as ``eta``
     doubles (strictly while above the floating-point floor) and reach 1e-6
-    by ``eta = 2**max_exponent_log2``.  Eigenvector orthogonality is checked
-    on the way.
+    by ``eta = 2**20``.  Eigenvector orthogonality is checked on the way.
     """
     if dim < 2:
         raise InvalidArgumentError("dimension must be >= 2")
     rng = np.random.default_rng(seed)
-    etas = [2**k for k in range(1, max_exponent_log2 + 1)]
+    etas = [2**k for k in range(1, 21)]
     eye = np.eye(dim)
     worst = np.zeros(len(etas))
     ortho = 0.0

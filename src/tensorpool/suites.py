@@ -149,9 +149,7 @@ def suite_theorems(seed: int = 0) -> list[CheckResult]:
         eta = int(rng.integers(2, 17))
         spectrum = SpectrumVector.from_raw(rng.uniform(0.1, 1.0, size=d))
         prob = shrinkage.ShrinkageProblem(spectrum, eta)
-        report = shrinkage.verify_shrinkage_optimality(
-            prob, seed=int(rng.integers(1 << 30))
-        )
+        report = shrinkage.verify_shrinkage_optimality(prob)
         worst_dist = max(worst_dist, report.residual)
         worst_stat = max(worst_stat, report.stationarity)
         closed = shrinkage.closed_form_minimizer(prob)

@@ -46,10 +46,10 @@ class SpectrumVector:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_raw(cls, values, eps: float = EPSILON) -> "SpectrumVector":
-        """l1-normalize raw eigenvalues: ``lam_i / (eps + sum(lam))``."""
+    def from_raw(cls, values) -> "SpectrumVector":
+        """l1-normalize raw eigenvalues: ``lam_i / (EPSILON + sum(lam))``."""
         vals = np.asarray(values, dtype=np.float64).reshape(-1)
-        return cls(vals / (eps + vals.sum()), normalized=True)
+        return cls(vals / (EPSILON + vals.sum()), normalized=True)
 
 
 def _log3(eta: int) -> int:
@@ -81,17 +81,16 @@ def is_power_of_3(eta: int) -> bool:
 class TsoParams:
     """Shrinkage exponents per order, plus the element-wise slope.
 
-    Odd orders only support exponents that are powers of three.  When
-    ``round_odd_eta`` is set, other requests are mapped to the nearest power
-    of three and the substitution is reported by ``substitutions()`` so
-    callers can surface it in run metadata instead of silently diverging.
+    Odd orders only support exponents that are powers of three.  Other
+    requests are mapped to the nearest power of three and the substitution
+    is reported by ``substitutions()`` so callers can surface it in run
+    metadata instead of silently diverging.
     """
 
     eta2: int = 7
     eta3: int = 7
     eta4: int = 7
     eta_prime: float = 200.0
-    round_odd_eta: bool = True
 
     def __post_init__(self):
         for name in ("eta2", "eta3", "eta4"):
@@ -110,14 +109,7 @@ class TsoParams:
     def eta_for_order(self, order: int) -> int:
         """Effective exponent for ``order``, applying odd-order rounding."""
         eta = self.requested_eta(order)
-        if order % 2 == 0 or is_power_of_3(eta):
-            return eta
-        if self.round_odd_eta:
-            return nearest_power_of_3(eta)
-        raise InvalidArgumentError(
-            f"odd-order eta must be a power of 3, got {eta}",
-            nearest_eta=nearest_power_of_3(eta),
-        )
+        return eta if order % 2 == 0 else nearest_power_of_3(eta)
 
     def substitutions(self) -> list[tuple[int, int, int]]:
         """(order, requested, used) for every odd order that was rounded."""
@@ -128,50 +120,6 @@ class TsoParams:
             if used != requested:
                 subs.append((order, requested, used))
         return subs
-
-    def to_config(self) -> str:
-        return "\n".join(
-            [
-                f"eta2={self.eta2}",
-                f"eta3={self.eta3}",
-                f"eta4={self.eta4}",
-                f"eta_prime={self.eta_prime:g}",
-                f"round_odd_eta={'true' if self.round_odd_eta else 'false'}",
-            ]
-        )
-
-    @classmethod
-    def from_config(cls, text: str) -> "TsoParams":
-        kv = {}
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidArgumentError(f"bad config line {line_no}: {line!r}")
-            key, _, value = line.partition("=")
-            kv[key.strip()] = (line_no, value.strip())
-        kwargs = {}
-        for key, parse in (("eta2", int), ("eta3", int), ("eta4", int), ("eta_prime", float)):
-            if key in kv:
-                line_no, value = kv.pop(key)
-                try:
-                    kwargs[key] = parse(value)
-                except ValueError:
-                    raise InvalidArgumentError(
-                        f"bad config line {line_no}: {key} expects a number, got {value!r}"
-                    )
-        if "round_odd_eta" in kv:
-            line_no, value = kv.pop("round_odd_eta")
-            flag = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-            if value.lower() not in flag:
-                raise InvalidArgumentError(
-                    f"bad config line {line_no}: round_odd_eta expects true or false, got {value!r}"
-                )
-            kwargs["round_odd_eta"] = flag[value.lower()]
-        if kv:
-            raise InvalidArgumentError(f"unknown config keys: {sorted(kv)}")
-        return cls(**kwargs)
 
 
 def maxexp_scalar(lam: float, eta: int) -> float:
@@ -199,11 +147,11 @@ def sigme(p, eta_prime: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _validate_symmetric_matrix(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _validate_symmetric_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("expected a square matrix")
-    if np.max(np.abs(m - m.T)) > tol * max(1.0, np.max(np.abs(m))):
+    if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
         raise DomainError("matrix is not symmetric within tolerance")
     return 0.5 * (m + m.T)
 

@@ -3,8 +3,9 @@
 Nothing here calls a package computation: each oracle is written from its
 definition (an explicit outer power, ``np.tensordot``, a reshape, a central
 difference, a closed-form slope), so a fault in a fast path cannot hide in
-its own check.  Only the tensor container, the capacity bounds and the
-typed errors come from the package.
+its own check.  Only the tensor container, the capacity bounds, the
+typed errors and a shrinkage problem's constants (``s``, ``t``, ``delta``)
+come from the package.
 """
 
 from __future__ import annotations
@@ -115,3 +116,16 @@ def sigme_derivative(p, eta_prime: float):
     t = np.tanh(0.5 * eta_prime * np.asarray(p, dtype=np.float64))
     out = 0.5 * eta_prime * (1.0 - t * t)
     return float(out) if out.ndim == 0 else out
+
+
+def objective_gradient(prob, lam_prime) -> np.ndarray:
+    """Analytic d objective / d lam'_i of a ``shrinkage.ShrinkageProblem``.
+
+    With ``source = (1 - lam)/s`` and ``target = (1 - lam')/t``:
+    ``source / (t * target) - delta / ((eta - 1) t) * target**(alpha - 1)``.
+    """
+    source = (1.0 - prob.lam) / prob.s
+    target = (1.0 - np.asarray(lam_prime, dtype=np.float64)) / prob.t
+    return source / (prob.t * target) - (
+        prob.delta / ((prob.eta - 1.0) * prob.t)
+    ) * target ** (prob.alpha - 1.0)

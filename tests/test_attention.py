@@ -176,6 +176,15 @@ class TestMultiHead:
         assert out.shape == (5, 8)
         assert np.all(np.isfinite(out))
 
+    def test_single_head_attention_rejects_multi_head_bundle(self):
+        # Running one head over all channels would silently differ from multi_head.
+        rng = np.random.default_rng(12)
+        q, k, v = (rng.normal(size=(8, 3)) for _ in range(3))
+        bundle = AttentionBundle(q, k, v, sigma=0.5, heads=4)
+        for kind in (SOFTMAX, RBF):
+            with pytest.raises(InvalidArgumentError, match="multi_head"):
+                attention(bundle, kind)
+
     def test_indivisible_heads_rejected(self):
         with pytest.raises(InvalidArgumentError):
             AttentionBundle(np.ones((5, 2)), np.ones((5, 2)), np.ones((5, 2)), heads=2)

@@ -20,9 +20,17 @@ from tensorpool.tensor import DenseTensor
         (["bench", "--dim", "-3", "--eta", "2,4"], 1, "error: dim must be >= 1"),
         # rejected before the episode and the 2d x 2d head weights are drawn
         (["demo-episode", "--dim", "100000"], 1, "error: dim 62500 exceeds the order-2 limit 128"),
+        # rejected before the random features or the episode maps are drawn
+        (["bench", "--dim", "10000000", "--eta", "2,4,8"], 1,
+         "error: dim 10000000 exceeds the order-2 limit 128"),
+        (["demo-episode", "--grid", "1000000000000"], 1,
+         "error: episode of 5000000000000 columns (grid x (shots + rois)) exceeds the limit 16384"),
+        (["demo-episode", "--rois", "100000000000"], 1,
+         "error: episode of 1600000000048 columns (grid x (shots + rois)) exceeds the limit 16384"),
     ],
     ids=["run-suite-seed", "demo-episode-seed", "bench-seed", "bench-dim-0", "bench-dim-negative",
-         "demo-episode-dim-beyond-capacity"],
+         "demo-episode-dim-beyond-capacity", "bench-dim-beyond-capacity",
+         "demo-episode-grid-beyond-ceiling", "demo-episode-rois-beyond-ceiling"],
 )
 def test_negative_seed_or_dim_exits_without_traceback(capsys, argv, code, message):
     try:

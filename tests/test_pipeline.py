@@ -6,7 +6,7 @@ import pytest
 from oracles import maxexp_scalar_derivative, numerical_jacobian, sigme_derivative
 
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
-from tensorpool.errors import DomainError, InvalidArgumentError
+from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError
 from tensorpool.heads import (
     HeadWeights,
     build_spatial_hop_tokens,
@@ -14,6 +14,7 @@ from tensorpool.heads import (
     spatial_hop_head,
 )
 from tensorpool.pipeline import (
+    MAX_EPISODE_COLUMNS,
     EpisodeBatch,
     SplitConfig,
     attend_query_to_supports,
@@ -324,6 +325,13 @@ class TestSynthEpisode:
     def test_labels_alternate(self):
         episode = synth_episode(3, 1, 4, 8, 4, 1.0)
         assert episode.labels == (0, 1, 0, 1)
+
+    def test_column_ceiling(self):
+        # one support column plus the rest as one-column boxes: the ceiling holds
+        episode = synth_episode(0, 1, MAX_EPISODE_COLUMNS - 1, 1, 1, 1.0)
+        assert episode.query_map.shape == (1, MAX_EPISODE_COLUMNS - 1)
+        with pytest.raises(CapacityError, match=f"exceeds the limit {MAX_EPISODE_COLUMNS}"):
+            synth_episode(0, 1, MAX_EPISODE_COLUMNS, 1, 1, 1.0)
 
 
 class TestNumericalJacobian:

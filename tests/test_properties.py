@@ -26,6 +26,7 @@ from tensorpool.tso import (
     _SYM_REJECT,
     _SYM_REPAIR,
     TsoParams,
+    is_power_of_3,
     tso,
     tso_fast_even,
     tso_fast_odd,
@@ -199,32 +200,29 @@ def test_damaged_tnsc_loads_or_raises_file_format_error(tmp_path_factory, shapes
 
 # Magnitudes spread evenly up to 10**30, and the powers of three among them:
 # plain st.integers draws few values beyond int64.
-config_values = st.one_of(
+exponents = st.one_of(
     st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=-1, max_value=1))
-    .map(lambda t: str(10 ** t[0] + t[1])),
-    st.integers(min_value=0, max_value=62).map(lambda k: str(3**k)),
-    st.integers(min_value=-3, max_value=3).map(str),
-    st.sampled_from(["inf", "-inf", "nan", "1e400", "0.5", "true", "no", "", "x"]),
+    .map(lambda t: 10 ** t[0] + t[1]),
+    st.integers(min_value=0, max_value=62).map(lambda k: 3**k),
+    st.integers(min_value=-3, max_value=3),
 )
-config_keys = st.sampled_from(["eta2", "eta3", "eta4", "eta_prime", "round_odd_eta"])
 
 
 @settings(BOUNDED, max_examples=200)
-@given(entries=st.dictionaries(config_keys, config_values, max_size=5),
-       junk=st.sampled_from(["", "# comment", "epsilon=1", "=1", "eta2"]))
-def test_config_text_gives_params_or_invalid_argument_error(entries, junk):
+@given(eta2=exponents, eta3=exponents, eta4=exponents)
+def test_exponents_give_params_or_invalid_argument_error(eta2, eta3, eta4):
     # Exponents beyond int64 must not reach a float log (np.log raises TypeError).
-    text = "\n".join([junk, *(f"{key}={value}" for key, value in entries.items())])
     try:
-        params = TsoParams.from_config(text)
+        params = TsoParams(eta2=eta2, eta3=eta3, eta4=eta4)
     except InvalidArgumentError:
+        assert min(eta2, eta3, eta4) < 1
         return
     for order in (2, 3, 4):
-        try:
-            eta = params.eta_for_order(order)
-        except InvalidArgumentError:
-            continue
+        eta = params.eta_for_order(order)
         assert isinstance(eta, int) and eta >= 1
+    used = params.eta_for_order(3)
+    assert is_power_of_3(used)
+    assert params.substitutions() == ([] if used == eta3 else [(3, eta3, used)])
 
 
 @BOUNDED

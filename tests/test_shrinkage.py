@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import entropy as scipy_entropy
 
+from oracles import objective_gradient
+
+import tensorpool.shrinkage as shrinkage
 from tensorpool.errors import DomainError, InvalidArgumentError
 from tensorpool.shrinkage import (
     IdentityTargetReport,
     OptimalityReport,
     ShrinkageProblem,
     closed_form_minimizer,
+    minimize_objective,
     objective,
-    objective_gradient,
     random_trace_normalized_psd,
     stationarity_residual,
     verify_identity_target,
@@ -161,23 +164,67 @@ class TestClosedForm:
 class TestOptimalityVerification:
     def test_reference_instance(self):
         prob = make_problem([0.5, 0.3, 0.2], 7)
-        report = verify_shrinkage_optimality(prob, seed=0)
+        report = verify_shrinkage_optimality(prob)
         assert isinstance(report, OptimalityReport)
         assert report.residual <= 1e-4
         np.testing.assert_allclose(
             report.numerical_minimizer, [0.99219, 0.91765, 0.79028], atol=1e-4
         )
         assert report.stationarity <= 1e-6
-        assert report.converged and not report.flagged
+        assert report.converged
         assert report.wall_time_ms > 0
 
     def test_numerical_beats_nothing_below_closed_form(self):
         # optimality: closed form must not lie above the numerical optimum
         prob = make_problem([0.4, 0.35, 0.25], 5)
-        report = verify_shrinkage_optimality(prob, seed=1)
+        report = verify_shrinkage_optimality(prob)
         f_closed = objective(prob, np.clip(report.closed_form, 0, 1 - 1e-12))
         f_numeric = objective(prob, report.numerical_minimizer)
         assert f_closed <= f_numeric + 1e-8
+
+    def test_coordinate_slices_fall_then_rise(self):
+        # The per-coordinate search is exact only if every slice of the
+        # objective along one coordinate is unimodal.  Samples are geometric
+        # in 1 - lam' (down to 1e-12, where float64 still holds 1 - lam' to a
+        # relative 1e-4), so the minimum at 1 - lam' = (1 - lam)**eta is bracketed
+        # whenever it lies in that range.
+        rng = np.random.default_rng(9)
+        grid = 1.0 - np.geomspace(0.999, 1e-12, 200)
+        bracketed = 0
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            prob = ShrinkageProblem(
+                SpectrumVector.from_raw(rng.uniform(0.05, 1.0, size=d)),
+                int(rng.integers(2, 33)),
+            )
+            base = rng.uniform(0.1, 0.9, size=d)
+            for i in range(d):
+                values = []
+                for x in grid:
+                    trial = base.copy()
+                    trial[i] = x
+                    values.append(objective(prob, trial))
+                signs = np.sign(np.diff(values))
+                changes = np.flatnonzero(signs[1:] != signs[:-1])
+                complement = (1.0 - prob.lam[i]) ** prob.eta
+                if 1e-11 < complement < 0.99:
+                    bracketed += 1
+                    assert changes.size == 1 and signs[0] < 0 < signs[-1]
+                else:  # the minimum lies beyond the samples: one monotone run
+                    assert changes.size == 0
+        assert bracketed >= 100, bracketed
+
+    def test_search_never_consults_closed_form_or_random_draws(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the numerical check must not call this")
+
+        prob = make_problem([0.5, 0.3, 0.2], 7)
+        monkeypatch.setattr(shrinkage, "closed_form_minimizer", forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        minimizer, converged = minimize_objective(prob)
+        assert converged
+        # 1 - (1 - lam)**7, written out
+        np.testing.assert_allclose(minimizer, [0.9921875, 0.9176457, 0.7902848], atol=1e-4)
 
 
 class TestIdentityTarget:

@@ -477,12 +477,6 @@ class TestTsoParams:
         assert p.substitutions() == [(3, 7, 9)]
         assert TsoParams(eta3=9).substitutions() == []
 
-    def test_rounding_disabled_raises_with_nearest(self):
-        p = TsoParams(eta3=7, round_odd_eta=False)
-        with pytest.raises(InvalidArgumentError) as err:
-            p.eta_for_order(3)
-        assert err.value.nearest_eta == 9
-
     def test_nearest_power_of_3(self):
         assert nearest_power_of_3(7) == 9
         assert nearest_power_of_3(1) == 1
@@ -501,39 +495,16 @@ class TestTsoParams:
             assert nearest_power_of_3(2 * 3**k) == 3 ** (k + 1)  # ties round up
             assert nearest_power_of_3(2 * 3**k - 1) == 3**k
         assert odd_contraction_count(3**41) == 82
-        assert TsoParams(eta3=10**20).eta_for_order(3) == 3**42
-        config = TsoParams.from_config("eta3=100000000000000000000")
-        assert config.eta_for_order(3) == 3**42
-        assert config.substitutions() == [(3, 10**20, 3**42)]
+        params = TsoParams(eta3=10**20)
+        assert params.eta_for_order(3) == 3**42
+        assert params.substitutions() == [(3, 10**20, 3**42)]
         with pytest.raises(InvalidArgumentError) as err:
-            TsoParams(eta3=10**20, round_odd_eta=False).eta_for_order(3)
+            odd_contraction_count(10**20)
         assert err.value.nearest_eta == 3**42
         # the zero tensor's complement is the identity, a fixed point of the chain
         zero = DenseTensor(3, 2, np.zeros(8))
         assert tso_fast_odd(zero, 3**41) == zero
         assert tso_naive(zero, 3**41) == zero
-
-    def test_config_round_trip(self):
-        p = TsoParams(eta2=7, eta3=9, eta4=3, eta_prime=200.0, round_odd_eta=False)
-        text = p.to_config()
-        assert "eta2=7" in text and "eta3=9" in text and "eta_prime=200" in text
-        assert TsoParams.from_config(text) == p
-        for value, flag in (("true", True), ("TRUE", True), ("1", True), ("Yes", True),
-                            ("false", False), ("False", False), ("0", False), ("NO", False)):
-            assert TsoParams.from_config(f"round_odd_eta={value}").round_odd_eta is flag
-
-    def test_config_rejects_unknown_keys(self):
-        with pytest.raises(InvalidArgumentError):
-            TsoParams.from_config("eta2=7\nbogus=1")
-        with pytest.raises(InvalidArgumentError, match="unknown config keys"):
-            TsoParams.from_config("epsilon=1e-06")
-        with pytest.raises(InvalidArgumentError, match="line 1: eta2"):
-            TsoParams.from_config("eta2=abc")
-        with pytest.raises(InvalidArgumentError, match="line 2: eta_prime"):
-            TsoParams.from_config("eta2=7\neta_prime=x")
-        for value in ("ture", "", "on", "2", "y"):
-            with pytest.raises(InvalidArgumentError, match="line 2: round_odd_eta"):
-                TsoParams.from_config(f"eta2=7\nround_odd_eta={value}")
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -544,8 +515,6 @@ class TestTsoParams:
             TsoParams(eta_prime=float("nan"))
         with pytest.raises(InvalidArgumentError, match="eta_prime"):
             TsoParams(eta_prime=float("inf"))
-        with pytest.raises(InvalidArgumentError, match="eta_prime"):
-            TsoParams.from_config("eta_prime=inf")
 
 
 def test_layer_imports_keep_submodules_and_leave_scipy_out():
