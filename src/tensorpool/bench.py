@@ -50,6 +50,7 @@ class BenchRecord:
 
 _TARGET_BATCH_NS = 2_000_000  # stretch each timed sample to ~2 ms
 MAX_REPEATS = 1000  # samples per grid point: about 2 s each at most
+MAX_EVEN_ETA = 4096  # a naive even call is eta - 1 products: about 2 s at order-4 capacity
 
 
 def _batch_size(fn) -> int:
@@ -105,6 +106,10 @@ def bench_tso(
     etas = [int(e) for e in etas]
     if order % 2 == 1 and not all(is_power_of_3(e) for e in etas):
         raise InvalidArgumentError("odd-order grids must use powers of 3")
+    if order % 2 == 0 and max(etas) > MAX_EVEN_ETA:
+        raise InvalidArgumentError(
+            f"even-order eta must be at most {MAX_EVEN_ETA}, got {max(etas)}"
+        )
     t = random_normalized_descriptor(order, dim, seed=seed)
     fast = tso_fast_even if order % 2 == 0 else tso_fast_odd
     for _ in range(3):  # warm caches and allocators

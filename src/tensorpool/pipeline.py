@@ -35,12 +35,14 @@ from .heads import (
     z_average,
     zshot_head,
 )
-# perfbench/spans.py hooks ``tso`` and ``super_diagonal`` here; this module calls neither.
-from .tso import TsoParams, sigme, tso, tso_super_diagonal  # noqa: F401
-from .tensor import super_diagonal  # noqa: F401
+# perfbench/spans.py hooks ``tso`` and ``super_diagonal`` here; this module calls neither:
+# ``hop_unit`` shrinks through the unscreened ``_shrunk_super_diagonal``.
+from .tso import TsoParams, _shrunk_super_diagonal, sigme, tso  # noqa: F401
+from .tensor import CAPACITY, super_diagonal  # noqa: F401
 
 ORDERS = (2, 3, 4)
 MAX_EPISODE_COLUMNS = 16_384  # grid * (shots + rois) of a synthetic episode
+MAX_EPISODE_DIM = sum(CAPACITY[r] for r in ORDERS)  # no split pools more channels
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,10 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
 
     Splits channels into the configured order-2/3/4 groups, builds each
     group's normalized descriptor, computes only the super-diagonal of its
-    shrinkage (``tso_super_diagonal``, with the group's exponent),
-    concatenates, and squashes element-wise with the shared slope.
+    shrinkage (``tso_super_diagonal`` with the group's exponent, but without
+    the symmetry screen that guards caller tensors: the descriptors are
+    means of outer powers, super-symmetric by construction), concatenates,
+    and squashes element-wise with the shared slope.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -145,7 +149,7 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     for segment, order in zip(segments, ORDERS):
         fm = FeatureMatrix(segment)
         descriptor = normalize_descriptor(hotd(fm, order), fm, order)
-        diagonals.append(tso_super_diagonal(descriptor, params.eta_for_order(order)))
+        diagonals.append(_shrunk_super_diagonal(descriptor, params.eta_for_order(order)))
     return sigme(np.concatenate(diagonals), params.eta_prime)
 
 
@@ -199,8 +203,9 @@ def forward_episode(
     """Run the full synthetic pipeline on one episode.
 
     Pools supports and query RoI crops with ``hop_unit``, modulates the
-    query map over the support HOP vectors, then runs the shot head and the
-    spatial head per box and combines their tokens into relation outputs.
+    query map over the support HOP vectors, then runs the shot head, and the
+    spatial head per box on the query side and once per distinct box width
+    on the support side, and combines their tokens into relation outputs.
     Deterministic for fixed inputs.
     """
     if weights.dim != episode.dim:
@@ -229,22 +234,26 @@ def forward_episode(
         list(support_mean2d.T), list(support_hop.T)
     )
 
-    relations = []
-    for b, crop in enumerate(crops):
-        width = crop.shape[1]
-        support_tokens = spatial_hop_head(
+    # The support side depends on the box only through its width.
+    support_tokens = {
+        width: spatial_hop_head(
             build_spatial_hop_tokens(
                 pooled_support_mean[:, None], pooled_support_hop, weights, width
             ),
             heads=heads,
             sigma=sigma,
         )
+        for width in {crop.shape[1] for crop in crops}
+    }
+    relations = []
+    for b, crop in enumerate(crops):
+        width = crop.shape[1]
         query_tokens = spatial_hop_head(
             build_spatial_hop_tokens(roi_mean2d[:, b : b + 1], roi_hop[:, b], weights, width),
             heads=heads,
             sigma=sigma,
         )
-        relations.append(compute_relations(support_tokens, query_tokens, weights))
+        relations.append(compute_relations(support_tokens[width], query_tokens, weights))
     return EpisodeResult(
         relations=tuple(relations),
         zshot_output=zshot,
@@ -277,6 +286,8 @@ def synth_episode(
     """
     if shots < 1 or rois < 1 or dim < 1 or grid < 1:
         raise InvalidArgumentError("episode sizes must be positive")
+    if dim > MAX_EPISODE_DIM:
+        raise CapacityError(f"episode dim {dim} exceeds the limit {MAX_EPISODE_DIM}")
     columns = grid * (shots + rois)
     if columns > MAX_EPISODE_COLUMNS:
         raise CapacityError(

@@ -382,7 +382,14 @@ def tso(t: DenseTensor, eta: int) -> DenseTensor:
 
 
 def tso_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
-    """``super_diagonal(tso(t, eta)).values``, validated as ``tso`` validates.
+    """``super_diagonal(tso(t, eta)).values``, validated as ``tso`` validates."""
+    return _shrunk_super_diagonal(_validated(t), eta)
+
+
+def _shrunk_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
+    """``tso_super_diagonal`` without the screen, for tensors built super-symmetric.
+
+    ``hop_unit`` passes descriptors that ``hotd`` built within capacity.
 
     For even orders, with ``A = P - T`` the ``D x D`` half unfolding of the
     complement and ``E`` the ``d`` super-diagonal columns of ``P``, the
@@ -392,7 +399,6 @@ def tso_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
     otherwise (always at order 2, where ``D = d``), and for odd orders, the
     dense chain runs and its super-diagonal is read.
     """
-    t = _validated(t)
     r, d = t.order, t.dim
     if r % 2 == 1:
         return tso_fast_odd(t, eta).data[:: _diagonal_step(d, r)].copy()

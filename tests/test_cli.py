@@ -27,10 +27,14 @@ from tensorpool.tensor import DenseTensor
          "error: episode of 5000000000000 columns (grid x (shots + rois)) exceeds the limit 16384"),
         (["demo-episode", "--rois", "100000000000"], 1,
          "error: episode of 1600000000048 columns (grid x (shots + rois)) exceeds the limit 16384"),
+        # rejected before the naive path runs eta - 1 contractions per call
+        (["bench", "--dim", "2", "--eta", "1000000000"], 1,
+         "error: even-order eta must be at most 4096, got 1000000000"),
     ],
     ids=["run-suite-seed", "demo-episode-seed", "bench-seed", "bench-dim-0", "bench-dim-negative",
          "demo-episode-dim-beyond-capacity", "bench-dim-beyond-capacity",
-         "demo-episode-grid-beyond-ceiling", "demo-episode-rois-beyond-ceiling"],
+         "demo-episode-grid-beyond-ceiling", "demo-episode-rois-beyond-ceiling",
+         "bench-eta-beyond-ceiling"],
 )
 def test_negative_seed_or_dim_exits_without_traceback(capsys, argv, code, message):
     try:

@@ -5,6 +5,8 @@ import pytest
 
 from oracles import maxexp_scalar_derivative, numerical_jacobian, sigme_derivative
 
+import tensorpool.pipeline as pipeline
+import tensorpool.tso as tso_module
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError
 from tensorpool.heads import (
@@ -15,6 +17,7 @@ from tensorpool.heads import (
 )
 from tensorpool.pipeline import (
     MAX_EPISODE_COLUMNS,
+    MAX_EPISODE_DIM,
     EpisodeBatch,
     SplitConfig,
     attend_query_to_supports,
@@ -24,8 +27,8 @@ from tensorpool.pipeline import (
     synth_episode,
 )
 from tensorpool.storage import read_container, write_container
-from tensorpool.tensor import super_diagonal
-from tensorpool.tso import TsoParams, maxexp_scalar, sigme, tso
+from tensorpool.tensor import CAPACITY, super_diagonal
+from tensorpool.tso import TsoParams, maxexp_scalar, sigme, tso, tso_super_diagonal
 
 
 def tiled_relations(episode, cfg, params, weights, heads):
@@ -135,6 +138,27 @@ class TestHopUnit:
         masked[4:] = 0.0  # zero the order-3 and order-4 groups
         out = hop_unit(masked, cfg, params)
         np.testing.assert_array_equal(out[:4], full[:4])
+
+    def test_skips_the_symmetry_screen_with_the_public_result(self, monkeypatch):
+        # Groups 60/24/12 take the order-2 chain, the order-3 chain and the
+        # order-4 block products; the screened public path gives the same bits.
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(96, 16))
+        cfg, params = SplitConfig((5, 2, 1)), TsoParams()
+        counts = cfg.channel_counts(96)
+        diagonals = []
+        for segment, order in zip(np.split(features, np.cumsum(counts)[:-1]), (2, 3, 4)):
+            fm = FeatureMatrix(segment)
+            desc = normalize_descriptor(hotd(fm, order), fm, order)
+            diagonals.append(tso_super_diagonal(desc, params.eta_for_order(order)))
+        expected = sigme(np.concatenate(diagonals), params.eta_prime)
+        assert np.array_equal(hop_unit(features, cfg, params), expected)
+
+        def screen(t):
+            raise AssertionError("hop_unit screened a descriptor it built")
+
+        monkeypatch.setattr(tso_module, "_validated", screen)
+        assert np.array_equal(hop_unit(features, cfg, params), expected)
 
     def test_incompatible_split(self):
         with pytest.raises(InvalidArgumentError):
@@ -276,6 +300,44 @@ class TestForwardEpisode:
         expected = tiled_relations(episode, cfg, params, weights, 2)
         assert worst_relation_gap(result.relations, expected) <= 1e-12
 
+    def test_support_side_runs_once_per_box_width(self, monkeypatch):
+        cfg, params = SplitConfig((2, 1, 1)), TsoParams()
+        rng = np.random.default_rng(23)
+        episode = EpisodeBatch(
+            (rng.normal(size=(8, 6)), rng.normal(size=(8, 4))),
+            rng.normal(size=(8, 22)),
+            ((0, 3), (3, 8), (8, 13), (13, 22)),  # widths 3, 5, 5, 9
+        )
+        weights = HeadWeights.seeded(8, seed=24)
+        widths = []
+
+        def counted(tokens, **kwargs):
+            widths.append(tokens.multiplicity)
+            return spatial_hop_head(tokens, **kwargs)
+
+        monkeypatch.setattr(pipeline, "spatial_hop_head", counted)
+        result = forward_episode(episode, cfg, params, weights, heads=2)
+        # Four query-side calls, one per box, and three support-side ones.
+        assert sorted(widths) == [3, 3, 5, 5, 5, 9, 9]
+
+        # Per RoI, both sides recomputed from scratch.
+        def stacked_mean(m):
+            return np.concatenate([m.mean(axis=1)] * 2)[:, None]
+
+        pooled_mean = np.mean([stacked_mean(m)[:, 0] for m in episode.support_maps], axis=0)
+        pooled_hop = np.mean([hop_unit(m, cfg, params) for m in episode.support_maps], axis=0)
+        for (a, b), rel in zip(episode.boxes, result.relations, strict=True):
+            crop = episode.query_map[:, a:b]
+            support = build_spatial_hop_tokens(pooled_mean[:, None], pooled_hop, weights, b - a)
+            query = build_spatial_hop_tokens(
+                stacked_mean(crop), hop_unit(crop, cfg, params), weights, b - a
+            )
+            expected = compute_relations(
+                spatial_hop_head(support, heads=2), spatial_hop_head(query, heads=2), weights
+            )
+            for name in ("r_spatial", "r_fo_ho", "r_combined"):
+                assert np.array_equal(getattr(rel, name), getattr(expected, name))
+
     def test_deterministic_across_runs(self):
         episode, cfg, params, weights = self.small_setup(seed=12)
         first = forward_episode(episode, cfg, params, weights)
@@ -332,6 +394,14 @@ class TestSynthEpisode:
         assert episode.query_map.shape == (1, MAX_EPISODE_COLUMNS - 1)
         with pytest.raises(CapacityError, match=f"exceeds the limit {MAX_EPISODE_COLUMNS}"):
             synth_episode(0, 1, MAX_EPISODE_COLUMNS, 1, 1, 1.0)
+
+    def test_dim_ceiling(self):
+        # No split pools more channels than its three groups' capacities.
+        assert MAX_EPISODE_DIM == CAPACITY[2] + CAPACITY[3] + CAPACITY[4]
+        assert synth_episode(0, 1, 1, MAX_EPISODE_DIM, 1, 1.0).dim == MAX_EPISODE_DIM
+        for dim in (MAX_EPISODE_DIM + 1, 10**12):  # rejected before anything is drawn
+            with pytest.raises(CapacityError, match=f"exceeds the limit {MAX_EPISODE_DIM}"):
+                synth_episode(0, 1, 1, dim, 1, 1.0)
 
 
 class TestNumericalJacobian:

@@ -77,6 +77,21 @@ def test_adjacent_swap_screen_bounds_asymmetry(order, dim, terms, log_size, seed
 
 
 @BOUNDED
+@given(order=orders, data=st.data(), count=st.integers(min_value=1, max_value=300),
+       log_scale=st.floats(min_value=-6.0, max_value=6.0), seed=seeds)
+def test_normalized_descriptor_is_symmetric_far_below_the_repair_threshold(
+    order, data, count, log_scale, seed
+):
+    # hop_unit shrinks its descriptors without tso's symmetry screen, which is
+    # safe with this margin: three decades under the repair threshold (1e-10).
+    dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[order]), label="dim")
+    rng = np.random.default_rng(seed)
+    fm = FeatureMatrix(10.0**log_scale * rng.normal(size=(dim, count)))
+    t = normalize_descriptor(hotd(fm, order), fm, order)
+    assert asymmetry(t) <= 1e-13 * max(1.0, np.max(np.abs(t.data)))
+
+
+@BOUNDED
 @given(order=orders, data=st.data(), count=st.integers(min_value=1, max_value=8), seed=seeds)
 def test_hotd_equals_outer_power_sum(order, data, count, seed):
     dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[order]), label="dim")

@@ -314,8 +314,9 @@ class TestTsoDispatch:
         for order, eta in ((2, 4), (3, 3), (4, 4)):
             arr = normalized_descriptor(order, 4, seed=16).array.copy()
             arr[(0, 1, 2, 3)[:order]] += 1e-3
-            with pytest.raises(InvalidArgumentError, match="asymmetry"):
-                tso(DenseTensor(order, 4, arr), eta)
+            for shrink in (tso, tso_super_diagonal):  # both public entry points
+                with pytest.raises(InvalidArgumentError, match="asymmetry"):
+                    shrink(DenseTensor(order, 4, arr), eta)
 
     def test_super_diagonal_path_skips_the_chain_only_where_cheaper(self, monkeypatch):
         class ChainRan(Exception):
