@@ -85,7 +85,7 @@ def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
     so dividing by it (plus epsilon) trace-normalizes the descriptor.  The
     same formula is used for odd orders, where no unfolding trace exists.
     """
-    return float(np.mean(np.linalg.norm(f.columns, axis=0) ** r))
+    return float((np.linalg.norm(f.columns, axis=0) ** r).sum()) / f.count
 
 
 def normalize_descriptor(t: DenseTensor, f: FeatureMatrix, r: int) -> DenseTensor:

@@ -35,9 +35,18 @@ from .heads import (
     z_average,
     zshot_head,
 )
-# perfbench/spans.py hooks ``tso`` and ``super_diagonal`` here; this module calls neither:
-# ``hop_unit`` shrinks through the unscreened ``_shrunk_super_diagonal``.
-from .tso import TsoParams, _shrunk_super_diagonal, sigme, tso  # noqa: F401
+# perfbench/spans.py hooks ``hotd``, ``normalize_descriptor``, ``tso`` and ``super_diagonal``
+# here.  ``hop_unit`` calls the first two on its dense route only, and neither of the
+# others: it shrinks through the unscreened ``_shrunk_super_diagonal``, or builds no
+# descriptor at all on the factored route (``_factored_super_diagonal``).
+from .tso import (  # noqa: F401
+    TsoParams,
+    _factored_is_cheaper,
+    _factored_super_diagonal,
+    _shrunk_super_diagonal,
+    sigme,
+    tso,
+)
 from .tensor import CAPACITY, super_diagonal  # noqa: F401
 
 ORDERS = (2, 3, 4)
@@ -133,12 +142,18 @@ class EpisodeBatch:
 def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.ndarray:
     """Multi-order pooled vector of a feature map.
 
-    Splits channels into the configured order-2/3/4 groups, builds each
-    group's normalized descriptor, computes only the super-diagonal of its
-    shrinkage (``tso_super_diagonal`` with the group's exponent, but without
-    the symmetry screen that guards caller tensors: the descriptors are
-    means of outer powers, super-symmetric by construction), concatenates,
-    and squashes element-wise with the shared slope.
+    Splits channels into the configured order-2/3/4 groups, computes only
+    the super-diagonal of each group's shrunk normalized descriptor (what
+    ``tso_super_diagonal`` returns at the group's exponent, but without the
+    symmetry screen that guards caller tensors: the descriptors are means of
+    outer powers, super-symmetric by construction), concatenates, and
+    squashes element-wise with the shared slope.
+
+    An order-3 or order-4 group whose ``(d + N)``-square Gram route takes
+    fewer multiply-adds (``_factored_is_cheaper``: few columns next to
+    ``d**r``) runs ``_factored_super_diagonal`` on its columns.  Every other
+    group builds its descriptor with ``hotd`` and ``normalize_descriptor``
+    and shrinks it with ``_shrunk_super_diagonal``.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -148,8 +163,12 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     diagonals = []
     for segment, order in zip(segments, ORDERS):
         fm = FeatureMatrix(segment)
-        descriptor = normalize_descriptor(hotd(fm, order), fm, order)
-        diagonals.append(_shrunk_super_diagonal(descriptor, params.eta_for_order(order)))
+        eta = params.eta_for_order(order)
+        if _factored_is_cheaper(fm.dim, fm.count, order, eta):
+            diagonals.append(_factored_super_diagonal(fm, order, eta))
+        else:
+            descriptor = normalize_descriptor(hotd(fm, order), fm, order)
+            diagonals.append(_shrunk_super_diagonal(descriptor, eta))
     return sigme(np.concatenate(diagonals), params.eta_prime)
 
 

@@ -120,6 +120,8 @@ def read_container(path) -> dict[str, np.ndarray]:
             name = raw[off : off + name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise FileFormatError("section name is not valid UTF-8", off)
+        if name in sections:
+            raise FileFormatError(f"duplicate section name '{name}'", off)
         off += name_len
         if off + 4 > len(raw):
             raise FileFormatError("truncated section rank", off)

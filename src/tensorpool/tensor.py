@@ -72,11 +72,12 @@ class DenseTensor:
         norm: any NaN or infinity makes it non-finite (the terms are
         non-negative, so nothing can cancel), and the exact scan runs only
         when it fires, so a merely overflowing squared norm cannot cause a
-        false rejection.
+        false rejection.  ``np.vdot``, unlike ``dot``, raises no floating-point
+        warning when that sum overflows.
         """
         obj = object.__new__(cls)
-        flat = flat.reshape(-1)
-        if not math.isfinite(flat.dot(flat)) and not np.all(np.isfinite(flat)):
+        flat = flat.ravel()
+        if not math.isfinite(np.vdot(flat, flat)) and not np.all(np.isfinite(flat)):
             raise InvalidArgumentError("tensor coefficients must be finite")
         flat.flags.writeable = False
         object.__setattr__(obj, "order", order)

@@ -11,15 +11,22 @@ operator reduces to the spectral map ``lambda -> 1 - (1 - lambda)**eta``.
 Fast paths evaluate the power in O(log eta) contractions for even orders and
 as a ternary chain for odd orders with ``eta`` a power of three.
 ``tso_super_diagonal`` computes only the super-diagonal the pooled vector reads.
+
+A descriptor built from ``N`` feature columns has rank at most ``N``, so for
+orders 3 and 4 ``_factored_super_diagonal`` runs the same power on the
+``(d + N) x (d + N)`` Gram of the unit columns and the identity's basis
+vectors, and never forms the ``d**r`` descriptor; ``hop_unit`` takes it where
+``_factored_is_cheaper`` counts fewer multiply-adds than the dense route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import EPSILON
+from .descriptors import EPSILON, FeatureMatrix, descriptor_norm_sum
 from .errors import DomainError, InvalidArgumentError
 from .tensor import DenseTensor, asymmetry, check_capacity, identity_tensor, symmetrize
 
@@ -173,7 +180,10 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
     if float(np.linalg.eigvalsh(m)[0]) < -1e-8:
         raise DomainError("matrix is not positive semi-definite")
     eye = np.eye(m.shape[0])
-    return eye - _binary_power(eye - m, eta, np.matmul)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _binary_power(eye - m, eta, np.matmul)
+    _check_power_finite(g, 2, eta)
+    return eye - g
 
 
 def sqrtm_diag_approx(m: np.ndarray) -> np.ndarray:
@@ -246,6 +256,39 @@ def _identity_unfolding(d: int, r: int) -> np.ndarray:
     return cached
 
 
+def _check_eta(order: int, eta) -> int:
+    """``eta`` as an int, if it is a legal exponent for ``order``.
+
+    Even orders take any integer >= 1; odd orders only powers of three, and
+    the error then carries the nearest one.
+    """
+    if order % 2 == 0:
+        if not isinstance(eta, (int, np.integer)) or eta < 1:
+            raise InvalidArgumentError("eta must be an integer >= 1")
+    elif not isinstance(eta, (int, np.integer)) or not is_power_of_3(int(eta)):
+        raise InvalidArgumentError(
+            f"odd-order eta must be a power of 3, got {eta}",
+            nearest_eta=nearest_power_of_3(max(int(eta), 1)),
+        )
+    return int(eta)
+
+
+def _overflow(r: int, eta: int) -> DomainError:
+    """The error for a power that left float64.
+
+    The odd chain grows with ``eta``; the even power of a rank-deficient
+    descriptor drifts like ``eta * eps`` and overflows at huge ``eta``.
+    """
+    return DomainError(
+        f"order-{r} shrinkage overflows float64 at eta {eta}: the power is not finite"
+    )
+
+
+def _check_power_finite(m: np.ndarray, r: int, eta: int) -> None:
+    if not math.isfinite(np.vdot(m, m)) and not np.isfinite(m).all():  # as in _from_owned
+        raise _overflow(r, eta)
+
+
 def _check_even(t: DenseTensor, eta: int) -> None:
     if t.order % 2 != 0:
         raise InvalidArgumentError("even fast path requires an even order")
@@ -253,6 +296,9 @@ def _check_even(t: DenseTensor, eta: int) -> None:
         raise InvalidArgumentError("eta must be an integer >= 1")
 
 
+# An overflow surfaces as the DomainError below.  A decorator with all= is the
+# cheapest way to enter the mode, which matters next to one small product.
+@np.errstate(all="ignore")
 def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
     """Even-order shrinkage via exponentiation by squaring.
 
@@ -265,27 +311,16 @@ def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
     a = p - t.data.reshape(side, side)
     g = _binary_power(a, eta, np.matmul)
     np.subtract(p, g, out=g)  # g is owned here, even when eta == 1 (g is a)
-    return DenseTensor._from_owned(t.order, t.dim, g)
+    try:  # one finiteness check on this hot path: the result's
+        return DenseTensor._from_owned(t.order, t.dim, g)
+    except InvalidArgumentError:
+        raise _overflow(t.order, eta) from None
 
 
 def _check_odd(t: DenseTensor, eta: int) -> int:
     if t.order % 2 != 1:
         raise InvalidArgumentError("odd fast path requires an odd order")
-    if not isinstance(eta, (int, np.integer)) or not is_power_of_3(int(eta)):
-        raise InvalidArgumentError(
-            f"odd-order eta must be a power of 3, got {eta}",
-            nearest_eta=nearest_power_of_3(max(int(eta), 1)),
-        )
-    return _log3(int(eta))
-
-
-def _check_chain_finite(m: np.ndarray, r: int, eta: int) -> None:
-    """Reject an overflowed odd chain: it is no contraction, its entries grow with ``eta``."""
-    if not np.all(np.isfinite(m)):
-        raise DomainError(
-            f"order-{r} shrinkage overflows float64 at eta {eta}: "
-            "the odd chain grows with eta and is not finite"
-        )
+    return _log3(_check_eta(t.order, eta))
 
 
 def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
@@ -306,7 +341,7 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             m = m @ (m.reshape(cols, rows) @ m)
-    _check_chain_finite(m, r, eta)
+    _check_power_finite(m, r, eta)
     return DenseTensor._from_owned(r, d, eye - m)
 
 
@@ -324,8 +359,10 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
         side = p.shape[0]
         a = p - t.data.reshape(side, side)
         g = a
-        for _ in range(int(eta) - 1):
-            g = g @ a
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(int(eta) - 1):
+                g = g @ a
+        _check_power_finite(g, t.order, eta)
         np.subtract(p, g, out=g)
         return DenseTensor._from_owned(t.order, t.dim, g)
     if t.order != 3:
@@ -337,7 +374,7 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
         for _ in range(steps):
             four = np.einsum("ijk,klm->ijlm", m, m)
             m = np.einsum("ijlm,lmn->ijn", four, m)
-    _check_chain_finite(m, 3, eta)
+    _check_power_finite(m, 3, eta)
     return DenseTensor(3, t.dim, eye - m)
 
 
@@ -411,11 +448,98 @@ def _shrunk_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
     step = _diagonal_step(d, r // 2)
     a = _identity_unfolding(d, r) - t.data.reshape(side, side)
     left, right = a[::step], a[:, ::step]  # E^T A and A E
-    for _ in range(eta // 2 - 1):
-        left = left @ a
-    for _ in range(eta - eta // 2 - 1):
-        right = a @ right
-    values = 1.0 - np.einsum("ij,ji->i", left, right)
-    if not np.isfinite(values).all():
-        raise InvalidArgumentError("tensor coefficients must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(eta // 2 - 1):
+            left = left @ a
+        for _ in range(eta - eta // 2 - 1):
+            right = a @ right
+        values = 1.0 - np.einsum("ij,ji->i", left, right)
+    _check_power_finite(values, r, eta)
+    return values
+
+
+def _factored_is_cheaper(d: int, n: int, r: int, eta: int) -> bool:
+    """Whether ``_factored_super_diagonal`` takes fewer multiply-adds than the dense route.
+
+    The dense route is ``hotd`` (``d**r N``), ``normalize_descriptor``
+    (``d**r``) and ``_shrunk_super_diagonal``: ``log3(eta)`` odd steps of
+    ``2 d**4``, or the cheaper of the even squaring chain and the block
+    products on the ``D x D`` half unfolding.  The factored route forms the
+    ``m x m`` Gram (``m = d + n``, ``m**2 d``), then takes ``log3(eta)`` steps
+    of ``2 m d (m + d)`` at order 3, or at order 4 squares ``m x m`` matrices
+    up to the half power and applies it to ``d`` columns.
+    """
+    if r not in (3, 4):
+        return False
+    eta = int(eta)
+    m = d + n
+    dense = d**r * (n + 1)
+    factored = m * m * d
+    if r == 3:
+        steps = _log3(eta)
+        dense += 2 * steps * d**4
+        factored += 2 * steps * m * d * (m + d)
+    else:
+        side = d * d
+        dense += side * side * min(even_contraction_count(eta) * side, (eta - 1) * d)
+        half = (eta - 1) // 2
+        if half:
+            factored += even_contraction_count(half) * m**3 + m * m * d
+        if eta % 2 == 0:
+            factored += m * m * d
+    return factored < dense
+
+
+def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
+    """``_shrunk_super_diagonal(normalize_descriptor(hotd(f, r), f, r), eta)`` for ``r`` 3 or 4.
+
+    With ``rho_n = |phi_n|``, unit columns ``x_n = phi_n / rho_n`` (0 where
+    ``rho_n = 0``) and ``w_n = rho_n**r / (N (EPSILON + mean rho**r))``, the
+    normalized descriptor is ``sum_n w_n x_n**r`` and the identity is
+    ``sum_p e_p**r``.  With ``X = [I_d, x_1 .. x_N]`` and ``Gamma = X^T X``:
+
+    * order 4: the complement's half unfolding is ``U S U^T`` with
+      ``U = KR(X, 2)`` and ``S = diag(1_d, -w)``, and ``G = U^T U`` is
+      ``Gamma o Gamma``.  The super-diagonal is
+      ``1 - diag(((G S)**eta G)[:d, :d])``, split as ``Y^T S Z`` with
+      ``Y = (G S)**a G[:, :d]``, ``a = floor((eta - 1) / 2)``, and ``Z`` one
+      factor ``G S`` further when ``eta`` is even (``(G S)**k G`` is
+      symmetric).
+    * order 3: the complement's ``d**2 x d`` unfolding is ``U W`` with
+      ``W_0 = [I_d; -diag(w) x^T]``.  A step of ``tso_fast_odd``'s chain,
+      ``M (M' M)`` with ``M'`` the ``d x d**2`` reshape, maps it to
+      ``U W'`` with ``W' = W X (Gamma o (W X)) W``, and the super-diagonal
+      is ``1 - diag((X o X) W)``.
+
+    Checks what the dense route checks: capacity, the exponent rule (odd
+    exponents are powers of three; the error carries the nearest), and a
+    ``DomainError`` when the power leaves float64.
+    """
+    if r not in (3, 4):
+        raise InvalidArgumentError(f"the factored route takes orders 3 and 4, got {r}")
+    check_capacity(f.dim, r)
+    eta = _check_eta(r, eta)
+    d = f.dim
+    rho = np.linalg.norm(f.columns, axis=0)
+    x = np.eye(d, d + f.count)
+    np.divide(f.columns, np.where(rho > 0.0, rho, 1.0), out=x[:, d:])
+    gram = x.T @ x
+    s = np.ones(d + f.count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(-(rho**r), f.count * (EPSILON + descriptor_norm_sum(f, r)), out=s[d:])
+        if r == 3:
+            m = x.T * s[:, None]  # W_0
+            for _ in range(_log3(eta)):
+                m = m @ ((x @ (gram * (m @ x))) @ m)
+            values = 1.0 - np.einsum("pa,pa,ap->p", x, x, m)
+        else:
+            g = gram * gram
+            gs = g * s
+            y = g[:, :d]
+            half = (eta - 1) // 2
+            if half:
+                y = _binary_power(gs, half, np.matmul) @ y
+            z = gs @ y if eta % 2 == 0 else y
+            values = 1.0 - np.einsum("ji,ji->i", s[:, None] * y, z)
+    _check_power_finite(values, r, eta)
     return values

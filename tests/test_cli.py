@@ -30,11 +30,14 @@ from tensorpool.tensor import DenseTensor
         # rejected before the naive path runs eta - 1 contractions per call
         (["bench", "--dim", "2", "--eta", "1000000000"], 1,
          "error: even-order eta must be at most 4096, got 1000000000"),
+        # the order-2 power of a rank-deficient descriptor leaves float64
+        (["demo-episode", "--eta", str(10**23)], 1,
+         f"error: order-2 shrinkage overflows float64 at eta {10**23}"),
     ],
     ids=["run-suite-seed", "demo-episode-seed", "bench-seed", "bench-dim-0", "bench-dim-negative",
          "demo-episode-dim-beyond-capacity", "bench-dim-beyond-capacity",
          "demo-episode-grid-beyond-ceiling", "demo-episode-rois-beyond-ceiling",
-         "bench-eta-beyond-ceiling"],
+         "bench-eta-beyond-ceiling", "demo-episode-eta-overflows"],
 )
 def test_negative_seed_or_dim_exits_without_traceback(capsys, argv, code, message):
     try:

@@ -140,8 +140,10 @@ class TestHopUnit:
         np.testing.assert_array_equal(out[:4], full[:4])
 
     def test_skips_the_symmetry_screen_with_the_public_result(self, monkeypatch):
-        # Groups 60/24/12 take the order-2 chain, the order-3 chain and the
-        # order-4 block products; the screened public path gives the same bits.
+        # Groups 60/24/12: order 2 takes the dense chain and equals the
+        # screened public path bit for bit.  Orders 3 and 4 take the Gram
+        # route, which rounds differently by design; they agree within
+        # test_per_group_oracle's 1e-12.
         rng = np.random.default_rng(3)
         features = rng.normal(size=(96, 16))
         cfg, params = SplitConfig((5, 2, 1)), TsoParams()
@@ -152,13 +154,44 @@ class TestHopUnit:
             desc = normalize_descriptor(hotd(fm, order), fm, order)
             diagonals.append(tso_super_diagonal(desc, params.eta_for_order(order)))
         expected = sigme(np.concatenate(diagonals), params.eta_prime)
-        assert np.array_equal(hop_unit(features, cfg, params), expected)
+        got = hop_unit(features, cfg, params)
+        assert np.array_equal(got[:60], expected[:60])
+        np.testing.assert_allclose(got[60:], expected[60:], rtol=0, atol=1e-12)
 
         def screen(t):
             raise AssertionError("hop_unit screened a descriptor it built")
 
         monkeypatch.setattr(tso_module, "_validated", screen)
-        assert np.array_equal(hop_unit(features, cfg, params), expected)
+        assert np.array_equal(hop_unit(features, cfg, params), got)
+
+    @pytest.mark.parametrize(
+        "dim, width, cfg, gram_orders",
+        [
+            (96, 16, SplitConfig((5, 2, 1)), (3, 4)),  # episode-hop: d 60/24/12
+            (32, 256, SplitConfig((5, 2, 1)), ()),  # episode-wide: d 20/8/4
+            (16, 8, SplitConfig((5, 2, 1)), ()),  # the benchmark's test spec: d 10/4/2
+            (8, 6, SplitConfig((2, 1, 1)), ()),  # test_group_independence: d 4/2/2
+        ],
+    )
+    def test_gram_route_only_where_it_counts_fewer_multiply_adds(
+        self, monkeypatch, dim, width, cfg, gram_orders
+    ):
+        routes = []
+        dense_pool, gram = pipeline.hotd, pipeline._factored_super_diagonal
+
+        def record_dense(f, r):
+            routes.append(("dense", r))
+            return dense_pool(f, r)
+
+        def record_gram(f, r, eta):
+            routes.append(("gram", r))
+            return gram(f, r, eta)
+
+        monkeypatch.setattr(pipeline, "hotd", record_dense)
+        monkeypatch.setattr(pipeline, "_factored_super_diagonal", record_gram)
+        features = np.random.default_rng(4).normal(size=(dim, width))
+        hop_unit(features, cfg, TsoParams())
+        assert routes == [("gram" if r in gram_orders else "dense", r) for r in (2, 3, 4)]
 
     def test_incompatible_split(self):
         with pytest.raises(InvalidArgumentError):

@@ -11,7 +11,7 @@ from oracles import outer_power, tensor_inner
 from test_pipeline import tiled_relations, worst_relation_gap
 
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
-from tensorpool.errors import FileFormatError, InvalidArgumentError
+from tensorpool.errors import DomainError, FileFormatError, InvalidArgumentError
 from tensorpool.heads import HeadWeights
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode
 from tensorpool.storage import read_container, read_tensor, write_container, write_tensor
@@ -26,6 +26,7 @@ from tensorpool.tso import (
     _SYM_REJECT,
     _SYM_REPAIR,
     TsoParams,
+    _factored_super_diagonal,
     is_power_of_3,
     tso,
     tso_fast_even,
@@ -159,6 +160,39 @@ def test_super_diagonal_path_equals_dense_tso(order, data, count, drift, seed):
     got = tso_super_diagonal(t, eta)
     assert got.shape == (dim,)
     assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@BOUNDED
+@given(data=st.data(), count=st.integers(min_value=1, max_value=40),
+       log_scale=st.floats(min_value=-6.0, max_value=6.0),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]), seed=seeds)
+def test_gram_route_equals_dense_tso(order, data, count, log_scale, zero_share, seed):
+    # Odd exponents 3**0 to 3**3 compare values; up to 3**13 the chain grows
+    # until it leaves float64, and both routes must make the same decision.
+    # Even exponents 1 to 100 take every half power of the squaring chain.
+    dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[order]), label="dim")
+    if order == 3:
+        eta = 3 ** data.draw(st.integers(min_value=0, max_value=13), label="k")
+    else:
+        eta = data.draw(st.one_of(st.sampled_from([1, 2, 7, 64]),
+                                  st.integers(min_value=1, max_value=100)), label="eta")
+    rng = np.random.default_rng(seed)
+    columns = 10.0**log_scale * rng.normal(size=(dim, count))
+    columns[:, rng.random(count) < zero_share] = 0.0
+    fm = FeatureMatrix(columns)
+    t = normalize_descriptor(hotd(fm, order), fm, order)
+    try:
+        expected = super_diagonal(tso(t, eta)).values
+    except DomainError as dense_error:
+        with pytest.raises(DomainError) as error:
+            _factored_super_diagonal(fm, order, eta)
+        assert str(error.value) == str(dense_error)
+        return
+    got = _factored_super_diagonal(fm, order, eta)
+    assert got.shape == (dim,) and np.isfinite(got).all()
+    if eta <= 27:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def _load(path, blob, reader):

@@ -151,6 +151,15 @@ class TestContainerFormat:
             read_container(path)
         assert err.value.byte_offset == 16
 
+    def test_duplicate_section_name_rejected_at_its_offset(self, tmp_path):
+        # two sections named "a": a dict would keep only the second
+        path = tmp_path / "c.tnsc"
+        section = struct.pack("<I", 1) + b"a" + struct.pack("<II", 1, 1) + struct.pack("<d", 1.0)
+        path.write_bytes(b"TNSC" + struct.pack("<II", 1, 2) + section + section)
+        with pytest.raises(FileFormatError, match="duplicate section name 'a'") as err:
+            read_container(path)
+        assert err.value.byte_offset == 12 + len(section) + 4
+
     def test_extent_product_beyond_int64_is_truncation(self, tmp_path):
         # eight extents of 2**31 multiply to 0 in wrapping int64 arithmetic
         path = tmp_path / "c.tnsc"

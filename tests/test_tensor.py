@@ -190,6 +190,14 @@ class TestDenseTensorInvariants:
         with pytest.raises(InvalidArgumentError):
             DenseTensor(1, 2, [1.0, np.nan])
 
+    def test_owned_buffer_with_overflowing_squared_norm_is_accepted_quietly(self):
+        # the squared-norm tripwire overflows; the exact scan finds every entry finite
+        big = np.array([1e200, -1e200, 1.0, 0.0])
+        t = DenseTensor._from_owned(2, 2, big)  # Tier-1 turns a RuntimeWarning into an error
+        assert np.array_equal(t.data, [1e200, -1e200, 1.0, 0.0])
+        with pytest.raises(InvalidArgumentError):
+            DenseTensor._from_owned(2, 2, np.array([1e200, np.inf, 1.0, 0.0]))
+
     def test_immutable(self):
         t = identity_tensor(2, 2)
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from oracles import maxexp_scalar_derivative, sigme_derivative, unfold
 import tensorpool.tso as tso_module
 from tensorpool.bench import random_normalized_descriptor
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
-from tensorpool.errors import DomainError, InvalidArgumentError
+from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError
 from tensorpool.shrinkage import random_trace_normalized_psd
 from tensorpool.tensor import (
     DenseTensor,
@@ -27,6 +27,7 @@ from tensorpool.tso import (
     SpectrumVector,
     TsoParams,
     _binary_power,
+    _factored_super_diagonal,
     even_contraction_count,
     is_power_of_3,
     maxexp_f,
@@ -142,6 +143,15 @@ class TestMaxExpF:
                 lam = np.linalg.eigvalsh(maxexp_f(m, eta))
                 assert lam[0] >= -1e-12 and lam[-1] <= 1.0 + 1e-12
 
+    def test_overflow_raises_domain_error_without_warnings(self):
+        # rank 16 in 20 dimensions: eigenvalue 1 of I - M drifts off 1 by rounding
+        v = np.random.default_rng(0).normal(size=(20, 16))
+        m = v @ v.T / (np.trace(v @ v.T) + 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"order-2 .* at eta {10**20}"):
+                maxexp_f(m, 10**20)
+
 
 class TestTsoEven:
     def test_eta_one_identity(self):
@@ -191,6 +201,18 @@ class TestTsoEven:
         t = normalized_descriptor(3, 4, seed=8)
         with pytest.raises(InvalidArgumentError):
             tso_fast_even(t, 2)
+
+    def test_overflow_raises_domain_error_without_warnings(self):
+        # 16 columns in 20 dimensions: the complement keeps eigenvalue 1 on
+        # the descriptor's null space, rounding moves it off 1, and the power
+        # leaves float64 by eta 10**20.
+        fm = FeatureMatrix(np.random.default_rng(0).normal(size=(20, 16)))
+        t = normalize_descriptor(hotd(fm, 2), fm, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in (tso_fast_even, tso, tso_super_diagonal):
+                with pytest.raises(DomainError, match=f"order-2 .* at eta {10**20}"):
+                    path(t, 10**20)
 
 
 class TestContractionCounts:
@@ -335,10 +357,12 @@ class TestTsoDispatch:
             tso_super_diagonal(normalized_descriptor(2, 60, seed=19), 7)
 
     def test_super_diagonal_path_rejects_overflow_like_tso(self):
+        # tso squares, tso_super_diagonal takes the block products (d 4, eta 7)
         big = DenseTensor(4, 4, normalized_descriptor(4, 4, seed=20).data * 1e100)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for shrink in (tso, tso_super_diagonal):
-                with pytest.raises(InvalidArgumentError, match="finite"):
+                with pytest.raises(DomainError, match="order-4 shrinkage overflows .* at eta 7"):
                     shrink(big, 7)
 
     def test_superdiagonal_monotone_in_eta(self):
@@ -349,6 +373,45 @@ class TestTsoDispatch:
             ]
             for a, b in zip(diags, diags[1:]):
                 assert np.all(b >= a - 1e-12)
+
+
+class TestFactoredRoute:
+    def test_checks_the_dense_route_checks(self):
+        fm = FeatureMatrix(np.random.default_rng(21).normal(size=(4, 3)))
+        with pytest.raises(InvalidArgumentError) as err:
+            _factored_super_diagonal(fm, 3, 7)
+        assert err.value.nearest_eta == 9
+        with pytest.raises(InvalidArgumentError):
+            _factored_super_diagonal(fm, 4, 0)
+        with pytest.raises(InvalidArgumentError):
+            _factored_super_diagonal(fm, 2, 7)
+        with pytest.raises(CapacityError):
+            _factored_super_diagonal(FeatureMatrix(np.ones((25, 2))), 3, 9)
+        with pytest.raises(CapacityError):
+            _factored_super_diagonal(FeatureMatrix(np.ones((17, 2))), 4, 7)
+
+    def test_weights_beyond_float64_raise_domain_error_without_warnings(self):
+        # |phi|**3 overflows, so the descriptor's weights are not finite
+        fm = FeatureMatrix(np.full((4, 3), 1e110))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order in (3, 4):
+                with pytest.raises(DomainError, match=f"order-{order} .* at eta 9"):
+                    _factored_super_diagonal(fm, order, 9)
+
+    def test_odd_overflow_like_the_chain(self):
+        fm = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 8)))
+        t = normalize_descriptor(hotd(fm, 3), fm, 3)
+        for k in range(4, 14):
+            try:
+                tso_fast_odd(t, 3**k)
+            except DomainError:
+                with pytest.raises(DomainError, match=f"order-3 .* at eta {3**k}"):
+                    _factored_super_diagonal(fm, 3, 3**k)
+                break
+            assert np.isfinite(_factored_super_diagonal(fm, 3, 3**k)).all()
+        else:
+            raise AssertionError("the odd chain stayed finite up to 3**13")
 
 
 class TestSigme:
