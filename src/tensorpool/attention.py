@@ -7,6 +7,8 @@ way out (``N_q x d``, one row per query).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,16 @@ from .errors import InvalidArgumentError, NormalizationError
 SOFTMAX = "softmax"
 RBF = "rbf"
 DEFAULT_SIGMA = 0.5
+# The smallest bandwidth at which 2 / sigma**2 is finite: below it the RBF
+# exponent of two l2-normalized tokens (squared distance up to 4) overflows.
+MIN_SIGMA = math.nextafter(math.sqrt(2.0 / sys.float_info.max), math.inf)
+
+
+def _check_sigma(sigma: float) -> None:
+    """Reject an RBF bandwidth outside ``[MIN_SIGMA, inf)``, NaN included."""
+    if not MIN_SIGMA <= sigma < math.inf:
+        bound = f"{MIN_SIGMA:.4g}, where 2 / sigma**2 is finite"
+        raise InvalidArgumentError(f"sigma must be finite and >= {bound}; got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +52,7 @@ class AttentionBundle:
             raise InvalidArgumentError("K and V must have the same number of tokens")
         if q.shape[0] == 0 or q.shape[1] == 0 or k.shape[1] == 0:
             raise InvalidArgumentError("attention inputs must be non-empty")
-        if not 0 < self.sigma < np.inf:
-            raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_sigma(self.sigma)
         if self.heads < 1 or q.shape[0] % self.heads != 0:
             raise InvalidArgumentError("head count must divide the channel dimension")
         object.__setattr__(self, "queries", q)
@@ -62,8 +73,7 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 
 def rbf_similarity(q, k, sigma: float) -> float:
     """Gaussian similarity of l2-normalized vectors, in (0, 1]."""
-    if not 0 < sigma < np.inf:
-        raise InvalidArgumentError(f"sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     k = np.asarray(k, dtype=np.float64).reshape(-1)
     nq, nk = np.linalg.norm(q), np.linalg.norm(k)

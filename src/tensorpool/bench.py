@@ -75,15 +75,11 @@ def random_normalized_descriptor(order: int, dim: int, seed: int = 0) -> DenseTe
 
 
 def naive_contraction_count(order: int, eta: int) -> int:
-    if order % 2 == 0:
-        return int(eta) - 1
-    return odd_contraction_count(eta)
+    return int(eta) - 1 if order % 2 == 0 else odd_contraction_count(eta)
 
 
 def fast_contraction_count(order: int, eta: int) -> int:
-    if order % 2 == 0:
-        return even_contraction_count(eta)
-    return odd_contraction_count(eta)
+    return even_contraction_count(eta) if order % 2 == 0 else odd_contraction_count(eta)
 
 
 def bench_tso(

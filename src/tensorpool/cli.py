@@ -24,9 +24,8 @@ from . import bench as bench_mod
 from . import storage, suites
 from .errors import InvalidArgumentError, TensorPoolError
 from .heads import HeadWeights
-from .pipeline import ORDERS, SplitConfig, forward_episode, synth_episode
+from .pipeline import SplitConfig, forward_episode, plan, synth_episode
 from .attention import rbf_similarity
-from .tensor import check_capacity
 from .tso import TsoParams
 
 EXIT_OK = 0
@@ -101,12 +100,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_demo_episode(args) -> int:
     cfg = SplitConfig.parse(args.split)
-    params = TsoParams(
-        eta2=args.eta, eta3=args.eta, eta4=args.eta, eta_prime=args.eta_prime
-    )
+    params = TsoParams(eta2=args.eta, eta3=args.eta, eta4=args.eta, eta_prime=args.eta_prime)
     # Reject an oversized width before the episode and the 2d x 2d weights are drawn.
-    for count, order in zip(cfg.channel_counts(args.dim), ORDERS):
-        check_capacity(count, order)
+    plan(args.dim, args.grid, cfg, params)
     episode = synth_episode(
         args.seed, args.supports, args.rois, args.dim, args.grid, args.separation
     )

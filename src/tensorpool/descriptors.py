@@ -8,11 +8,12 @@ degree-``r`` polynomial kernel sum, which the tests exploit as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError
 from .tensor import DenseTensor, check_capacity
 
 # Stabilizer used by every normalization in the package.
@@ -58,10 +59,14 @@ def hotd(f: FeatureMatrix, r: int) -> DenseTensor:
         raise InvalidArgumentError("descriptors require order r >= 2")
     check_capacity(f.dim, r)
     c = f.columns
-    lead = (c[:, None, :] * c[None, :, :]).reshape(-1, f.count) if r > 2 else c
-    trail = lead if r % 2 == 0 else c
-    acc = (lead * (1.0 / f.count)) @ trail.T
-    return DenseTensor._from_owned(r, f.dim, acc)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        lead = (c[:, None, :] * c[None, :, :]).reshape(-1, f.count) if r > 2 else c
+        trail = lead if r % 2 == 0 else c
+        acc = (lead * (1.0 / f.count)) @ trail.T
+    try:
+        return DenseTensor._from_owned(r, f.dim, acc)
+    except InvalidArgumentError:
+        raise _features_overflow(f, r) from None
 
 
 def poly_kernel_sum(f: FeatureMatrix, g: FeatureMatrix, r: int) -> float:
@@ -84,8 +89,22 @@ def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
     For even ``r`` this equals the trace of the descriptor's half unfolding,
     so dividing by it (plus epsilon) trace-normalizes the descriptor.  The
     same formula is used for odd orders, where no unfolding trace exists.
+    A sum beyond float64 raises ``DomainError``, on every route that pools ``f``.
     """
-    return float((np.linalg.norm(f.columns, axis=0) ** r).sum()) / f.count
+    with np.errstate(over="ignore"):
+        total = float((np.linalg.norm(f.columns, axis=0) ** r).sum())
+    if not math.isfinite(total):
+        raise _features_overflow(f, r)
+    return total / f.count
+
+
+def _features_overflow(f: FeatureMatrix, r: int) -> DomainError:
+    """The error for features whose order-``r`` descriptor leaves float64."""
+    top = float(np.max(np.abs(f.columns)))
+    norm = top * float(np.max(np.linalg.norm(f.columns / top, axis=0)))
+    return DomainError(
+        f"order-{r} descriptor overflows float64: the largest feature norm is {norm:.3g}"
+    )
 
 
 def normalize_descriptor(t: DenseTensor, f: FeatureMatrix, r: int) -> DenseTensor:

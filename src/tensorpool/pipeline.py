@@ -35,19 +35,18 @@ from .heads import (
     z_average,
     zshot_head,
 )
-# perfbench/spans.py hooks ``hotd``, ``normalize_descriptor``, ``tso`` and ``super_diagonal``
-# here.  ``hop_unit`` calls the first two on its dense route only, and neither of the
-# others: it shrinks through the unscreened ``_shrunk_super_diagonal``, or builds no
-# descriptor at all on the factored route (``_factored_super_diagonal``).
+# perfbench/spans.py hooks ``hotd``, ``normalize_descriptor``, ``tso``, ``super_diagonal`` and
+# ``sigme`` here.  ``hop_unit`` calls the first two on the dense routes of its plan only, ``sigme``
+# always, and neither ``tso`` nor ``super_diagonal``.
 from .tso import (  # noqa: F401
     TsoParams,
-    _factored_is_cheaper,
     _factored_super_diagonal,
+    _route,
     _shrunk_super_diagonal,
     sigme,
     tso,
 )
-from .tensor import CAPACITY, super_diagonal  # noqa: F401
+from .tensor import CAPACITY, check_capacity, super_diagonal  # noqa: F401
 
 ORDERS = (2, 3, 4)
 MAX_EPISODE_COLUMNS = 16_384  # grid * (shots + rois) of a synthetic episode
@@ -56,14 +55,16 @@ MAX_EPISODE_DIM = sum(CAPACITY[r] for r in ORDERS)  # no split pools more channe
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Channel-split ratios for the order-2, 3, 4 descriptor groups."""
+    """Channel-split ratios for the order-2, 3, 4 descriptor groups; a 0 drops that order."""
 
     ratios: tuple[int, int, int] = (5, 2, 1)
 
     def __post_init__(self):
         ratios = tuple(int(r) for r in self.ratios)
-        if len(ratios) != len(ORDERS) or any(r < 1 for r in ratios):
-            raise InvalidArgumentError("ratios must be three positive integers")
+        if len(ratios) != len(ORDERS) or min(ratios) < 0 or not any(ratios):
+            raise InvalidArgumentError(
+                "ratios must be three non-negative integers, at least one positive"
+            )
         object.__setattr__(self, "ratios", ratios)
 
     @classmethod
@@ -75,11 +76,11 @@ class SplitConfig:
         return cls(parts)
 
     def channel_counts(self, dim: int) -> tuple[int, int, int]:
-        """Channels per order; rounding remainders go to the lowest order."""
+        """Channels per order; rounding remainders go to the lowest order present."""
         total = sum(self.ratios)
         counts = [r * dim // total for r in self.ratios]
-        counts[0] += dim - sum(counts)
-        if any(c < 2 for c in counts):
+        counts[next(i for i, r in enumerate(self.ratios) if r)] += dim - sum(counts)
+        if any(c < 2 for c, r in zip(counts, self.ratios) if r):
             raise InvalidArgumentError(
                 f"split {self.ratios} of {dim} channels leaves a group below 2"
             )
@@ -87,6 +88,33 @@ class SplitConfig:
 
     def __str__(self):
         return ":".join(str(r) for r in self.ratios)
+
+
+@dataclass(frozen=True)
+class GroupPlan:
+    """How ``hop_unit`` pools one channel group: its order, rows, exponent and ``_route``."""
+
+    order: int
+    channels: slice = field(hash=False)  # a slice cannot be hashed before Python 3.12
+    eta: int
+    route: str
+
+
+def plan(dim: int, width: int, cfg: SplitConfig, params: TsoParams) -> tuple[GroupPlan, ...]:
+    """The groups ``hop_unit`` pools from a ``dim x width`` map, lowest order first.
+
+    Orders with a zero ratio have no group.  Each group's channel count is
+    checked against its order's capacity.
+    """
+    groups, start = [], 0
+    for order, count in zip(ORDERS, cfg.channel_counts(dim)):
+        if count:
+            check_capacity(count, order)
+            eta = int(params.eta_for_order(order))  # a NumPy integer would wrap in _route's count
+            route = _route(count, order, eta, width)
+            groups.append(GroupPlan(order, slice(start, start + count), eta, route))
+            start += count
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -140,35 +168,26 @@ class EpisodeBatch:
 
 
 def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.ndarray:
-    """Multi-order pooled vector of a feature map.
+    """Multi-order pooled vector of a feature map: its ``plan``, run group by group.
 
-    Splits channels into the configured order-2/3/4 groups, computes only
-    the super-diagonal of each group's shrunk normalized descriptor (what
-    ``tso_super_diagonal`` returns at the group's exponent, but without the
-    symmetry screen that guards caller tensors: the descriptors are means of
-    outer powers, super-symmetric by construction), concatenates, and
-    squashes element-wise with the shared slope.
-
-    An order-3 or order-4 group whose ``(d + N)``-square Gram route takes
-    fewer multiply-adds (``_factored_is_cheaper``: few columns next to
-    ``d**r``) runs ``_factored_super_diagonal`` on its columns.  Every other
-    group builds its descriptor with ``hotd`` and ``normalize_descriptor``
-    and shrinks it with ``_shrunk_super_diagonal``.
+    Each group yields the super-diagonal of its shrunk normalized descriptor,
+    what ``tso_super_diagonal`` returns without the symmetry screen that
+    guards caller tensors (these descriptors are super-symmetric by
+    construction): by ``_factored_super_diagonal`` on the ``"gram"`` route,
+    else by ``hotd``, ``normalize_descriptor`` and ``_shrunk_super_diagonal``.
+    The groups are concatenated and squashed by ``sigme`` with the shared slope.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise InvalidArgumentError("hop_unit expects a d x N feature map")
-    counts = cfg.channel_counts(features.shape[0])
-    segments = np.split(features, np.cumsum(counts)[:-1], axis=0)
     diagonals = []
-    for segment, order in zip(segments, ORDERS):
-        fm = FeatureMatrix(segment)
-        eta = params.eta_for_order(order)
-        if _factored_is_cheaper(fm.dim, fm.count, order, eta):
-            diagonals.append(_factored_super_diagonal(fm, order, eta))
+    for group in plan(*features.shape, cfg, params):
+        fm = FeatureMatrix(features[group.channels])
+        if group.route == "gram":
+            diagonals.append(_factored_super_diagonal(fm, group.order, group.eta))
         else:
-            descriptor = normalize_descriptor(hotd(fm, order), fm, order)
-            diagonals.append(_shrunk_super_diagonal(descriptor, eta))
+            descriptor = normalize_descriptor(hotd(fm, group.order), fm, group.order)
+            diagonals.append(_shrunk_super_diagonal(descriptor, group.eta, group.route))
     return sigme(np.concatenate(diagonals), params.eta_prime)
 
 
@@ -280,7 +299,9 @@ def forward_episode(
         support_hop=support_hop,
         roi_hop=roi_hop,
         metadata={
-            "eta_substitutions": params.substitutions(),
+            "eta_substitutions": [
+                sub for sub in params.substitutions() if cfg.ratios[ORDERS.index(sub[0])]
+            ],
             "heads": heads,
             "sigma": sigma,
             "split": str(cfg),
@@ -362,12 +383,8 @@ def matched_class_similarity_rate(
             )
             for a, b in episode.boxes
         ]
-        for i, label_i in enumerate(episode.labels):
-            if label_i != 0:
-                continue
-            for j, label_j in enumerate(episode.labels):
-                if label_j == 0:
-                    continue
-                total += 1
-                correct += sims[i] > sims[j]
+        matched = [s for s, label in zip(sims, episode.labels) if label == 0]
+        mismatched = [s for s, label in zip(sims, episode.labels) if label != 0]
+        total += len(matched) * len(mismatched)
+        correct += sum(m > o for m in matched for o in mismatched)
     return correct / total if total else 0.0

@@ -30,27 +30,30 @@ VERSION = 1
 _U32 = struct.Struct("<I")
 
 
+def _read_checked(path, magic: bytes, header: int) -> bytes:
+    """The file's bytes, once its ``header``-byte header's magic and version check out."""
+    raw = Path(path).read_bytes()
+    kind = magic.decode()
+    if len(raw) < header:
+        raise FileFormatError(f"truncated {kind} header", len(raw))
+    if raw[:4] != magic:
+        raise FileFormatError(f"bad magic, expected {magic!r}", 0)
+    version = _U32.unpack_from(raw, 4)[0]
+    if version != VERSION:
+        raise FileFormatError(f"unsupported {kind} version {version}", 4)
+    return raw
+
+
 def write_tensor(path, t: DenseTensor) -> None:
     """Serialize one cubic tensor to ``path`` in the TNSR layout."""
-    blob = bytearray()
-    blob += TNSR_MAGIC
-    blob += _U32.pack(VERSION)
-    blob += _U32.pack(t.order)
-    blob += _U32.pack(t.dim)
-    blob += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(TNSR_MAGIC + _U32.pack(VERSION) + _U32.pack(t.order) + _U32.pack(t.dim))
+        fh.write(memoryview(np.ascontiguousarray(t.data, dtype="<f8")))
 
 
 def read_tensor(path) -> DenseTensor:
     """Parse a TNSR file back into a tensor, bit-exactly."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FileFormatError("truncated TNSR header", len(raw))
-    if raw[:4] != TNSR_MAGIC:
-        raise FileFormatError("bad magic, expected b'TNSR'", 0)
-    version = _U32.unpack_from(raw, 4)[0]
-    if version != VERSION:
-        raise FileFormatError(f"unsupported TNSR version {version}", 4)
+    raw = _read_checked(path, TNSR_MAGIC, 16)
     # bound the header fields before any size arithmetic depends on them
     order = _U32.unpack_from(raw, 8)[0]
     if order < 1 or order > MAX_ORDER:
@@ -78,34 +81,22 @@ def read_tensor(path) -> DenseTensor:
 
 def write_container(path, sections: dict[str, np.ndarray]) -> None:
     """Serialize named float64 arrays to ``path`` in the TNSC layout."""
-    blob = bytearray()
-    blob += TNSC_MAGIC
-    blob += _U32.pack(VERSION)
-    blob += _U32.pack(len(sections))
+    # Convert every section before opening the file: one that fails leaves no file.
+    parts = [TNSC_MAGIC + _U32.pack(VERSION) + _U32.pack(len(sections))]
     for name, arr in sections.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         if arr.ndim < 1:
             arr = arr.reshape(1)
         encoded = name.encode("utf-8")
-        blob += _U32.pack(len(encoded))
-        blob += encoded
-        blob += _U32.pack(arr.ndim)
-        for extent in arr.shape:
-            blob += _U32.pack(extent)
-        blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+        shape = b"".join(_U32.pack(extent) for extent in arr.shape)
+        parts += [_U32.pack(len(encoded)) + encoded + _U32.pack(arr.ndim) + shape, memoryview(arr)]
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
 
 
 def read_container(path) -> dict[str, np.ndarray]:
     """Parse a TNSC container, preserving section order."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise FileFormatError("truncated TNSC header", len(raw))
-    if raw[:4] != TNSC_MAGIC:
-        raise FileFormatError("bad magic, expected b'TNSC'", 0)
-    version = _U32.unpack_from(raw, 4)[0]
-    if version != VERSION:
-        raise FileFormatError(f"unsupported TNSC version {version}", 4)
+    raw = _read_checked(path, TNSC_MAGIC, 12)
     n_sections = _U32.unpack_from(raw, 8)[0]
     off = 12
     sections: dict[str, np.ndarray] = {}

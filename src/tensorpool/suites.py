@@ -24,7 +24,7 @@ from .heads import (
     spatial_hop_head,
     zshot_head,
 )
-from .pipeline import EpisodeBatch, SplitConfig, forward_episode, hop_unit, synth_episode
+from .pipeline import EpisodeBatch, SplitConfig, forward_episode, hop_unit, plan, synth_episode
 from .tensor import super_diagonal
 from .tso import SpectrumVector, TsoParams, maxexp_f, maxexp_scalar, tso, tso_naive
 from .bench import random_normalized_descriptor
@@ -293,17 +293,14 @@ def suite_pipeline(seed: int = 0) -> list[CheckResult]:
     ) else 1.0
 
     features = rng.normal(size=(d, n))
-    counts = cfg.channel_counts(d)
     full = hop_unit(features, cfg, params)
-    bounds = np.cumsum(counts)
     group_resid = 0.0
-    for gi in range(3):
+    for group in plan(d, n, cfg, params):
+        rows = group.channels
         masked = np.zeros_like(features)
-        lo = 0 if gi == 0 else bounds[gi - 1]
-        hi = bounds[gi]
-        masked[lo:hi] = features[lo:hi]
+        masked[rows] = features[rows]
         alone = hop_unit(masked, cfg, params)
-        group_resid = max(group_resid, float(np.max(np.abs(alone[lo:hi] - full[lo:hi]))))
+        group_resid = max(group_resid, float(np.max(np.abs(alone[rows] - full[rows]))))
 
     return [
         _check("support_orderless_end_to_end", worst_orderless, 1e-10),

@@ -15,8 +15,8 @@ as a ternary chain for odd orders with ``eta`` a power of three.
 A descriptor built from ``N`` feature columns has rank at most ``N``, so for
 orders 3 and 4 ``_factored_super_diagonal`` runs the same power on the
 ``(d + N) x (d + N)`` Gram of the unit columns and the identity's basis
-vectors, and never forms the ``d**r`` descriptor; ``hop_unit`` takes it where
-``_factored_is_cheaper`` counts fewer multiply-adds than the dense route.
+vectors, and never forms the ``d**r`` descriptor.  ``_route`` picks, from one
+multiply-add count, between that Gram route and the dense ones.
 """
 
 from __future__ import annotations
@@ -107,26 +107,17 @@ class TsoParams:
         if not 1 <= self.eta_prime < np.inf:  # also rejects NaN
             raise InvalidArgumentError(f"eta_prime must be finite and >= 1, got {self.eta_prime}")
 
-    def requested_eta(self, order: int) -> int:
-        try:
-            return {2: self.eta2, 3: self.eta3, 4: self.eta4}[order]
-        except KeyError:
-            raise InvalidArgumentError(f"no exponent configured for order {order}")
-
     def eta_for_order(self, order: int) -> int:
         """Effective exponent for ``order``, applying odd-order rounding."""
-        eta = self.requested_eta(order)
+        eta = {2: self.eta2, 3: self.eta3, 4: self.eta4}.get(order)
+        if eta is None:
+            raise InvalidArgumentError(f"no exponent configured for order {order}")
         return eta if order % 2 == 0 else nearest_power_of_3(eta)
 
     def substitutions(self) -> list[tuple[int, int, int]]:
         """(order, requested, used) for every odd order that was rounded."""
-        subs = []
-        for order in (3,):
-            requested = self.requested_eta(order)
-            used = self.eta_for_order(order)
-            if used != requested:
-                subs.append((order, requested, used))
-        return subs
+        used = self.eta_for_order(3)
+        return [] if used == self.eta3 else [(3, self.eta3, used)]
 
 
 def maxexp_scalar(lam: float, eta: int) -> float:
@@ -154,15 +145,6 @@ def sigme(p, eta_prime: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _validate_symmetric_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError("expected a square matrix")
-    if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-        raise DomainError("matrix is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
-
-
 def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
     """Matrix shrinkage ``I - (I - M)**eta`` for trace-normalized PSD ``M``.
 
@@ -173,7 +155,12 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
     """
     if eta < 1:
         raise InvalidArgumentError("eta must be >= 1")
-    m = _validate_symmetric_matrix(m)
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidArgumentError("expected a square matrix")
+    if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+        raise DomainError("matrix is not symmetric within tolerance")
+    m = 0.5 * (m + m.T)
     tr = float(np.trace(m))
     if tr <= 0.0 or tr > 1.0 + 1e-9:
         raise DomainError(f"matrix must be trace-normalized into (0, 1], trace={tr}")
@@ -184,20 +171,6 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
         g = _binary_power(eye - m, eta, np.matmul)
     _check_power_finite(g, 2, eta)
     return eye - g
-
-
-def sqrtm_diag_approx(m: np.ndarray) -> np.ndarray:
-    """Diagonal of the principal matrix square root, via eigendecomposition.
-
-    A cheap stand-in for the diagonal of the shrinkage output; kept for
-    side-by-side comparisons.
-    """
-    m = _validate_symmetric_matrix(m)
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -1e-8:
-        raise DomainError(f"negative eigenvalue {vals[0]} below tolerance")
-    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return np.diag(root).copy()
 
 
 def _binary_power(base: np.ndarray, eta: int, multiply):
@@ -222,12 +195,7 @@ def even_contraction_count(eta: int) -> int:
 
 def odd_contraction_count(eta: int) -> int:
     """Contractions of the ternary odd chain: two per base-3 step."""
-    if not is_power_of_3(eta):
-        raise InvalidArgumentError(
-            f"odd-order eta must be a power of 3, got {eta}",
-            nearest_eta=nearest_power_of_3(eta),
-        )
-    return 2 * _log3(eta)
+    return 2 * _log3(_check_eta(3, eta))
 
 
 def _diagonal_step(d: int, k: int) -> int:
@@ -420,31 +388,65 @@ def tso(t: DenseTensor, eta: int) -> DenseTensor:
 
 def tso_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
     """``super_diagonal(tso(t, eta)).values``, validated as ``tso`` validates."""
-    return _shrunk_super_diagonal(_validated(t), eta)
+    t = _validated(t)
+    eta = _check_eta(t.order, eta)
+    return _shrunk_super_diagonal(t, eta, _route(t.dim, t.order, eta))
 
 
-def _shrunk_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
-    """``tso_super_diagonal`` without the screen, for tensors built super-symmetric.
+def _route(d: int, r: int, eta: int, n: int | None = None) -> str:
+    """The route to the order-``r`` super-diagonal at a legal ``eta`` with the fewest multiply-adds.
+
+    Dense routes shrink a built descriptor: ``"chain"`` (odd orders,
+    ``log3(eta)`` steps of ``2 d**4`` at order 3), ``"square"``
+    (``even_contraction_count(eta)`` products of the ``D x D`` half unfolding,
+    ``D = d**(r/2)``) or ``"block"`` (``eta - 1`` products of it with a
+    ``D x d`` block; never at order 2, where ``D = d``).  Given the column
+    count ``n``, orders 3 and 4 may take ``"gram"`` instead:
+    ``_factored_super_diagonal`` forms the ``m x m`` Gram (``m = d + n``,
+    ``m**2 d``), then takes ``log3(eta)`` steps of ``2 m d (m + d)`` at order
+    3, or at order 4 squares ``m x m`` matrices up to the half power and
+    applies it to ``d`` columns.  Its count is set against the dense route's
+    plus ``hotd`` (``d**r n``) and ``normalize_descriptor`` (``d**r``).
+    """
+    if r % 2:
+        steps = _log3(eta)
+        route, cost = "chain", 2 * steps * d ** (r + r // 2)
+    else:
+        side = d ** (r // 2)
+        square = even_contraction_count(eta) * side**3
+        block = (eta - 1) * d * side * side
+        route, cost = ("block", block) if block < square else ("square", square)
+    if n is None or r not in (3, 4):
+        return route
+    m = d + n
+    gram = m * m * d
+    if r == 3:
+        gram += 2 * steps * m * d * (m + d)
+    else:
+        half = (eta - 1) // 2
+        if half:
+            gram += even_contraction_count(half) * m**3 + m * m * d
+        if eta % 2 == 0:
+            gram += m * m * d
+    return "gram" if gram < cost + d**r * (n + 1) else route
+
+
+def _shrunk_super_diagonal(t: DenseTensor, eta: int, route: str) -> np.ndarray:
+    """``tso_super_diagonal`` without the screen, on the dense ``route`` ``_route`` chose.
 
     ``hop_unit`` passes descriptors that ``hotd`` built within capacity.
-
-    For even orders, with ``A = P - T`` the ``D x D`` half unfolding of the
-    complement and ``E`` the ``d`` super-diagonal columns of ``P``, the
-    entries are ``1 - rowsum((E^T A^floor(eta/2)) o (A^ceil(eta/2) E)^T)``:
-    ``eta - 2`` products of ``A`` with a ``D x d`` block, exact without any
-    symmetry.  They run when ``(eta - 1) d < even_contraction_count(eta) D``;
-    otherwise (always at order 2, where ``D = d``), and for odd orders, the
-    dense chain runs and its super-diagonal is read.
+    ``"chain"`` and ``"square"`` read the super-diagonal of ``tso_fast_odd``
+    and ``tso_fast_even``.  ``"block"``: with ``A = P - T`` the ``D x D`` half
+    unfolding of the complement and ``E`` the ``d`` super-diagonal columns of
+    ``P``, the entries are ``1 - rowsum((E^T A^floor(eta/2)) o (A^ceil(eta/2) E)^T)``:
+    ``eta - 2`` products of ``A`` with a ``D x d`` block, exact without any symmetry.
     """
     r, d = t.order, t.dim
-    if r % 2 == 1:
-        return tso_fast_odd(t, eta).data[:: _diagonal_step(d, r)].copy()
-    _check_even(t, eta)
-    eta = int(eta)
+    if route != "block":
+        shrunk = tso_fast_odd(t, eta) if route == "chain" else tso_fast_even(t, eta)
+        return shrunk.data[:: _diagonal_step(d, r)].copy()
+    # _route picks "block" only for eta >= 2, so both halves hold at least one factor A.
     side = d ** (r // 2)
-    if (eta - 1) * d >= even_contraction_count(eta) * side:
-        return tso_fast_even(t, eta).data[:: _diagonal_step(d, r)].copy()
-    # The test fails at eta 1, so both halves hold at least one factor A.
     step = _diagonal_step(d, r // 2)
     a = _identity_unfolding(d, r) - t.data.reshape(side, side)
     left, right = a[::step], a[:, ::step]  # E^T A and A E
@@ -458,40 +460,8 @@ def _shrunk_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
     return values
 
 
-def _factored_is_cheaper(d: int, n: int, r: int, eta: int) -> bool:
-    """Whether ``_factored_super_diagonal`` takes fewer multiply-adds than the dense route.
-
-    The dense route is ``hotd`` (``d**r N``), ``normalize_descriptor``
-    (``d**r``) and ``_shrunk_super_diagonal``: ``log3(eta)`` odd steps of
-    ``2 d**4``, or the cheaper of the even squaring chain and the block
-    products on the ``D x D`` half unfolding.  The factored route forms the
-    ``m x m`` Gram (``m = d + n``, ``m**2 d``), then takes ``log3(eta)`` steps
-    of ``2 m d (m + d)`` at order 3, or at order 4 squares ``m x m`` matrices
-    up to the half power and applies it to ``d`` columns.
-    """
-    if r not in (3, 4):
-        return False
-    eta = int(eta)
-    m = d + n
-    dense = d**r * (n + 1)
-    factored = m * m * d
-    if r == 3:
-        steps = _log3(eta)
-        dense += 2 * steps * d**4
-        factored += 2 * steps * m * d * (m + d)
-    else:
-        side = d * d
-        dense += side * side * min(even_contraction_count(eta) * side, (eta - 1) * d)
-        half = (eta - 1) // 2
-        if half:
-            factored += even_contraction_count(half) * m**3 + m * m * d
-        if eta % 2 == 0:
-            factored += m * m * d
-    return factored < dense
-
-
 def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
-    """``_shrunk_super_diagonal(normalize_descriptor(hotd(f, r), f, r), eta)`` for ``r`` 3 or 4.
+    """Super-diagonal of ``normalize_descriptor(hotd(f, r), f, r)`` shrunk at ``eta``, r 3 or 4.
 
     With ``rho_n = |phi_n|``, unit columns ``x_n = phi_n / rho_n`` (0 where
     ``rho_n = 0``) and ``w_n = rho_n**r / (N (EPSILON + mean rho**r))``, the
@@ -512,21 +482,23 @@ def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
       is ``1 - diag((X o X) W)``.
 
     Checks what the dense route checks: capacity, the exponent rule (odd
-    exponents are powers of three; the error carries the nearest), and a
-    ``DomainError`` when the power leaves float64.
+    exponents are powers of three; the error carries the nearest), features
+    whose descriptor leaves float64 (``descriptor_norm_sum``'s
+    ``DomainError``), and a ``DomainError`` when the power leaves float64.
     """
     if r not in (3, 4):
         raise InvalidArgumentError(f"the factored route takes orders 3 and 4, got {r}")
     check_capacity(f.dim, r)
     eta = _check_eta(r, eta)
     d = f.dim
+    norm_sum = descriptor_norm_sum(f, r)  # finite, so no column norm below overflows
     rho = np.linalg.norm(f.columns, axis=0)
     x = np.eye(d, d + f.count)
     np.divide(f.columns, np.where(rho > 0.0, rho, 1.0), out=x[:, d:])
     gram = x.T @ x
     s = np.ones(d + f.count)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(-(rho**r), f.count * (EPSILON + descriptor_norm_sum(f, r)), out=s[d:])
+        np.divide(-(rho**r), f.count * (EPSILON + norm_sum), out=s[d:])
         if r == 3:
             m = x.T * s[:, None]  # W_0
             for _ in range(_log3(eta)):

@@ -1,9 +1,13 @@
 """Attention layers: softmax, RBF, multi-head."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from tensorpool.attention import (
+    MIN_SIGMA,
     RBF,
     SOFTMAX,
     AttentionBundle,
@@ -147,6 +151,30 @@ class TestRbfSimilarity:
         for sigma in (0.0, np.nan, np.inf):
             with pytest.raises(InvalidArgumentError, match="sigma"):
                 rbf_similarity([1.0], [1.0], sigma)
+
+
+class TestBandwidthBound:
+    """Below MIN_SIGMA, 2 / sigma**2 overflows and every RBF weight would be 0 or NaN."""
+
+    def test_bound_is_where_the_exponent_scale_stops_being_finite(self):
+        assert math.isfinite(2.0 / MIN_SIGMA**2)
+        assert not math.isfinite(2.0 / math.nextafter(MIN_SIGMA, 0.0) ** 2)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-155, math.nextafter(MIN_SIGMA, 0.0)])
+    def test_underflowing_bandwidth_rejected_everywhere(self, sigma):
+        m = np.eye(2)
+        with pytest.raises(InvalidArgumentError, match="sigma must be finite and >= 1.055e-154"):
+            rbf_similarity([1.0, 0.0], [0.0, 1.0], sigma)
+        with pytest.raises(InvalidArgumentError, match="sigma must be finite and >= 1.055e-154"):
+            AttentionBundle(m, m, m, sigma=sigma)
+
+    def test_smallest_bandwidth_runs_without_warnings(self):
+        m = np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rbf_similarity([1.0, 0.0], [0.0, 1.0], MIN_SIGMA) == 0.0
+            out = multi_head(AttentionBundle(m, m, m, sigma=MIN_SIGMA), RBF)
+        np.testing.assert_array_equal(out, np.eye(2))
 
 
 class TestMultiHead:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, report files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,27 @@ class TestDemoEpisode:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_ratio_split(self, capsys):
+        assert main(["demo-episode", "--split", "5:0:0"]) == 0
+        assert "split=5:0:0" in capsys.readouterr().out
+        assert main(["demo-episode", "--split", "5:0:1"]) == 0
+        assert "note:" not in capsys.readouterr().out  # no order-3 group to round for
+        assert main(["demo-episode", "--split", "0:0:0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--sigma", "1e-300", "error: sigma must be finite and >= 1.055e-154"),
+         ("--separation", "1e80", "error: order-4 descriptor overflows float64")],
+    )
+    def test_underflow_or_overflow_exits_one_without_warnings(self, capsys, flag, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["demo-episode", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--sigma", "--eta-prime"])
     def test_non_finite_bandwidth_or_slope_exits_one(self, capsys, flag):

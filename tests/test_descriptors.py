@@ -1,6 +1,7 @@
 """Outer-power descriptors and the polynomial-kernel linearization."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tensorpool.descriptors import (
     normalize_descriptor,
     poly_kernel_sum,
 )
-from tensorpool.errors import CapacityError, InvalidArgumentError
+from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError
 
 
 def brute_force_descriptor(columns, r):
@@ -167,6 +168,29 @@ class TestNormalizeDescriptor:
         for r in (2, 4):
             trace = np.trace(unfold(hotd(fm, r), r // 2))
             assert descriptor_norm_sum(fm, r) == pytest.approx(trace, rel=1e-12)
+
+
+class TestFeatureOverflow:
+    """Features whose descriptor leaves float64 raise one error, without warnings."""
+
+    def test_pooling_overflow(self):
+        fm = FeatureMatrix(1e77 * np.random.default_rng(9).normal(size=(4, 256)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^order-4 descriptor overflows float64"):
+                hotd(fm, 4)
+
+    def test_normalization_overflow(self):
+        # The descriptor itself is finite, but the sum of |phi|**4 is not:
+        # dividing by it would turn every entry into 0.
+        fm = FeatureMatrix(3e76 * np.random.default_rng(9).normal(size=(4, 256)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = hotd(fm, 4)
+            with pytest.raises(DomainError, match="^order-4 descriptor overflows float64"):
+                normalize_descriptor(t, fm, 4)
+            with pytest.raises(DomainError, match="largest feature norm is 1.41e\\+77$"):
+                descriptor_norm_sum(FeatureMatrix(np.full((2, 3), 1e77)), 4)
 
 
 class TestInvariances:

@@ -1,5 +1,8 @@
 """End-to-end synthetic episodes: pooling, modulation, relation heads."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from tensorpool.pipeline import (
     forward_episode,
     hop_unit,
     matched_class_similarity_rate,
+    plan,
     synth_episode,
 )
 from tensorpool.storage import read_container, write_container
@@ -96,6 +100,38 @@ class TestSplitConfig:
         with pytest.raises(InvalidArgumentError):
             SplitConfig.parse("5:x:1")
 
+    def test_zero_ratio_drops_the_order(self):
+        assert SplitConfig((5, 0, 0)).channel_counts(32) == (32, 0, 0)
+        assert str(SplitConfig.parse("5:0:0")) == "5:0:0"
+
+    def test_remainder_goes_to_lowest_order_present(self):
+        # 16 channels at 0:2:1 -> floor (0, 10, 5) leaves 1 for order 3
+        assert SplitConfig((0, 2, 1)).channel_counts(16) == (0, 11, 5)
+
+    @pytest.mark.parametrize("ratios", [(0, 0, 0), (5, -1, 1), (-5, 2, 1)])
+    def test_all_zero_or_negative_ratios_rejected(self, ratios):
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            SplitConfig(ratios)
+
+
+class TestPlan:
+    def test_groups_cover_the_channels_lowest_order_first(self):
+        groups = plan(96, 16, SplitConfig((5, 2, 1)), TsoParams(eta3=7))
+        assert [(g.order, g.channels, g.eta) for g in groups] == [
+            (2, slice(0, 60), 7), (3, slice(60, 84), 9), (4, slice(84, 96), 7)
+        ]
+        assert len(set(groups + plan(96, 16, SplitConfig((5, 2, 1)), TsoParams(eta3=9)))) == 3
+
+    def test_zero_ratio_has_no_group(self):
+        groups = plan(32, 8, SplitConfig((0, 2, 1)), TsoParams())
+        assert [(g.order, g.channels) for g in groups] == [(3, slice(0, 22)), (4, slice(22, 32))]
+
+    def test_capacity_checked_per_group(self):
+        with pytest.raises(CapacityError, match="order-3 limit 24"):
+            plan(32, 8, SplitConfig((0, 1, 0)), TsoParams())
+        with pytest.raises(CapacityError, match="order-2 limit 128"):
+            plan(160, 8, SplitConfig((1, 0, 0)), TsoParams())
+
 
 class TestHopUnit:
     def test_output_length(self):
@@ -165,33 +201,81 @@ class TestHopUnit:
         assert np.array_equal(hop_unit(features, cfg, params), got)
 
     @pytest.mark.parametrize(
-        "dim, width, cfg, gram_orders",
+        "dim, width, cfg, group_routes",
         [
-            (96, 16, SplitConfig((5, 2, 1)), (3, 4)),  # episode-hop: d 60/24/12
-            (32, 256, SplitConfig((5, 2, 1)), ()),  # episode-wide: d 20/8/4
-            (16, 8, SplitConfig((5, 2, 1)), ()),  # the benchmark's test spec: d 10/4/2
-            (8, 6, SplitConfig((2, 1, 1)), ()),  # test_group_independence: d 4/2/2
+            # episode-hop: d 60/24/12
+            (96, 16, SplitConfig((5, 2, 1)), ("square", "gram", "gram")),
+            # episode-wide: d 20/8/4
+            (32, 256, SplitConfig((5, 2, 1)), ("square", "chain", "block")),
+            # the benchmark's test spec: d 10/4/2
+            (16, 8, SplitConfig((5, 2, 1)), ("square", "chain", "block")),
+            # test_group_independence: d 4/2/2
+            (8, 6, SplitConfig((2, 1, 1)), ("square", "chain", "block")),
         ],
     )
     def test_gram_route_only_where_it_counts_fewer_multiply_adds(
-        self, monkeypatch, dim, width, cfg, gram_orders
+        self, monkeypatch, dim, width, cfg, group_routes
     ):
-        routes = []
+        groups = plan(dim, width, cfg, TsoParams())
+        assert tuple(g.route for g in groups) == group_routes
+        assert [g.order for g in groups] == [2, 3, 4]
+        calls = []
         dense_pool, gram = pipeline.hotd, pipeline._factored_super_diagonal
+        shrink = pipeline._shrunk_super_diagonal
 
         def record_dense(f, r):
-            routes.append(("dense", r))
+            calls.append(("dense", r))
             return dense_pool(f, r)
 
         def record_gram(f, r, eta):
-            routes.append(("gram", r))
+            calls.append(("gram", r))
             return gram(f, r, eta)
+
+        def record_shrink(t, eta, route):
+            calls.append((route, t.order))
+            return shrink(t, eta, route)
 
         monkeypatch.setattr(pipeline, "hotd", record_dense)
         monkeypatch.setattr(pipeline, "_factored_super_diagonal", record_gram)
+        monkeypatch.setattr(pipeline, "_shrunk_super_diagonal", record_shrink)
         features = np.random.default_rng(4).normal(size=(dim, width))
         hop_unit(features, cfg, TsoParams())
-        assert routes == [("gram" if r in gram_orders else "dense", r) for r in (2, 3, 4)]
+        expected = []
+        for g in groups:
+            expected += [("gram", g.order)] if g.route == "gram" else [
+                ("dense", g.order), (g.route, g.order)
+            ]
+        assert calls == expected
+
+    def test_order_two_alone_is_sigme_of_its_super_diagonal(self):
+        features = np.random.default_rng(7).normal(size=(32, 20))
+        params = TsoParams()
+        fm = FeatureMatrix(features)
+        expected = sigme(
+            tso_super_diagonal(normalize_descriptor(hotd(fm, 2), fm, 2), params.eta2),
+            params.eta_prime,
+        )
+        assert np.array_equal(hop_unit(features, SplitConfig((5, 0, 0)), params), expected)
+
+    @pytest.mark.parametrize(
+        "shape, scale, route",
+        [((32, 256), 3e76, "block"), ((32, 256), 1e77, "block"), ((96, 16), 1e78, "gram")],
+        ids=["dense-normalization-overflows", "dense-pooling-overflows", "gram"],
+    )
+    def test_feature_overflow_names_order_and_norm_on_every_route(self, shape, scale, route):
+        # Orders 2 and 3 stay finite at these scales; |phi|**4 does not.
+        features = scale * np.random.default_rng(8).normal(size=shape)
+        cfg, params = SplitConfig((5, 2, 1)), TsoParams()
+        group = plan(*shape, cfg, params)[2]
+        assert group.route == route
+        columns = features[group.channels]
+        top = np.max(np.abs(columns))
+        norm = top * np.max(np.linalg.norm(columns / top, axis=0))
+        message = f"order-4 descriptor overflows float64: the largest feature norm is {norm:.3g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                hop_unit(features, cfg, params)
 
     def test_incompatible_split(self):
         with pytest.raises(InvalidArgumentError):
@@ -384,6 +468,12 @@ class TestForwardEpisode:
         params = TsoParams(eta3=7)
         result = forward_episode(episode, cfg, params, weights)
         assert result.metadata["eta_substitutions"] == [(3, 7, 9)]
+
+    def test_metadata_lists_substitutions_of_present_orders_only(self):
+        episode, _, _, weights = self.small_setup(seed=13)
+        result = forward_episode(episode, SplitConfig((2, 0, 1)), TsoParams(eta3=7), weights)
+        assert result.metadata["eta_substitutions"] == []
+        assert result.metadata["split"] == "2:0:1"
 
     def test_weight_width_mismatch(self):
         episode, cfg, params, _ = self.small_setup(seed=14)

@@ -13,7 +13,7 @@ from test_pipeline import tiled_relations, worst_relation_gap
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
 from tensorpool.errors import DomainError, FileFormatError, InvalidArgumentError
 from tensorpool.heads import HeadWeights
-from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode
+from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode, hop_unit
 from tensorpool.storage import read_container, read_tensor, write_container, write_tensor
 from tensorpool.tensor import (
     CAPACITY,
@@ -27,7 +27,9 @@ from tensorpool.tso import (
     _SYM_REPAIR,
     TsoParams,
     _factored_super_diagonal,
+    _route,
     is_power_of_3,
+    sigme,
     tso,
     tso_fast_even,
     tso_fast_odd,
@@ -193,6 +195,36 @@ def test_gram_route_equals_dense_tso(order, data, count, log_scale, zero_share, 
     assert got.shape == (dim,) and np.isfinite(got).all()
     if eta <= 27:
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+@BOUNDED
+@given(data=st.data(), seed=seeds)
+def test_hop_unit_equals_the_public_path_per_group(data, seed):
+    # Group sizes up to capacity (0 drops an order), and a width drawn next
+    # to a route change of one group: every _route boundary gets crossed.
+    counts = [data.draw(st.sampled_from([0]) | st.integers(2, CAPACITY[r]), label=f"d{r}")
+              for r in (2, 3, 4)]
+    if not any(counts):
+        counts[0] = 2
+    etas = st.sampled_from([1, 2, 7, 64]) | st.integers(min_value=1, max_value=100)
+    params = TsoParams(eta2=data.draw(etas, label="eta2"),
+                       eta3=3 ** data.draw(st.integers(0, 3), label="k3"),
+                       eta4=data.draw(etas, label="eta4"))
+    d, r = data.draw(st.sampled_from([(c, r) for c, r in zip(counts, (2, 3, 4)) if c]))
+    eta = params.eta_for_order(r)
+    edges = [n for n in range(2, 301) if _route(d, r, eta, n) != _route(d, r, eta, n - 1)]
+    near = st.sampled_from([e - s for e in edges for s in (0, 1)]) if edges else st.nothing()
+    width = data.draw(st.integers(1, 300) | near, label="width")
+    cfg = SplitConfig(tuple(counts))
+    features = np.random.default_rng(seed).normal(size=(sum(counts), width))
+    expected, stops = [], np.cumsum(counts)
+    for order, count, stop in zip((2, 3, 4), counts, stops):  # ratios equal to counts split exactly
+        if count:
+            fm = FeatureMatrix(features[stop - count : stop])
+            t = normalize_descriptor(hotd(fm, order), fm, order)
+            expected.append(tso_super_diagonal(t, params.eta_for_order(order)))
+    expected = sigme(np.concatenate(expected), params.eta_prime)
+    assert np.max(np.abs(hop_unit(features, cfg, params) - expected)) <= 1e-12
 
 
 def _load(path, blob, reader):

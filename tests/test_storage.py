@@ -128,6 +128,26 @@ class TestContainerFormat:
             assert back[name].shape == arr.shape
             assert np.array_equal(back[name], arr)
 
+    def test_layout_bytes(self, tmp_path):
+        # a scalar is stored at rank 1, strided and big-endian arrays as
+        # contiguous little-endian float64, an empty array as its shape alone
+        path = tmp_path / "c.tnsc"
+        strided = np.arange(8.0).reshape(2, 4)[:, ::2]
+        big = np.array([1.5, -2.0], dtype=">f8")
+        write_container(path, {"s": np.float64(3.0), "m": strided, "b": big, "e": np.zeros((2, 0))})
+        expected = b"TNSC" + struct.pack("<II", 1, 4)
+        for name, shape, values in (("s", (1,), [3.0]), ("m", (2, 2), [0.0, 2.0, 4.0, 6.0]),
+                                    ("b", (2,), [1.5, -2.0]), ("e", (2, 0), [])):
+            expected += struct.pack("<I", 1) + name.encode() + struct.pack("<I", len(shape))
+            expected += struct.pack(f"<{len(shape)}I{len(values)}d", *shape, *values)
+        assert path.read_bytes() == expected
+
+    def test_unstorable_section_leaves_no_file(self, tmp_path):
+        path = tmp_path / "c.tnsc"
+        with pytest.raises(UnicodeEncodeError):
+            write_container(path, {"a": np.ones(2), "\ud800": np.ones(2)})
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.tnsc"
         path.write_bytes(b"XXXX" + bytes(8))

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm as scipy_sqrtm
 
 from oracles import maxexp_scalar_derivative, sigme_derivative, unfold
 
@@ -35,7 +34,6 @@ from tensorpool.tso import (
     nearest_power_of_3,
     odd_contraction_count,
     sigme,
-    sqrtm_diag_approx,
     tso,
     tso_fast_even,
     tso_fast_odd,
@@ -391,12 +389,17 @@ class TestFactoredRoute:
             _factored_super_diagonal(FeatureMatrix(np.ones((17, 2))), 4, 7)
 
     def test_weights_beyond_float64_raise_domain_error_without_warnings(self):
-        # |phi|**3 overflows, so the descriptor's weights are not finite
+        # |phi|**3 overflows, so the descriptor's weights are not finite: the
+        # error names the features, not the exponent
         fm = FeatureMatrix(np.full((4, 3), 1e110))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for order in (3, 4):
-                with pytest.raises(DomainError, match=f"order-{order} .* at eta 9"):
+                with pytest.raises(
+                    DomainError,
+                    match=f"order-{order} descriptor overflows float64: "
+                    r"the largest feature norm is 2e\+110",
+                ):
                     _factored_super_diagonal(fm, order, 9)
 
     def test_odd_overflow_like_the_chain(self):
@@ -483,29 +486,6 @@ class TestExtractRepresentation:
         out = represent(t, params)
         direct = sigme(super_diagonal(tso(t, 9)).values, params.eta_prime)
         np.testing.assert_array_equal(out, direct)
-
-
-class TestSqrtmDiag:
-    def test_identity(self):
-        np.testing.assert_allclose(sqrtm_diag_approx(np.eye(3)), np.ones(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            sqrtm_diag_approx(np.diag([0.25, 1.0])), [0.5, 1.0], atol=1e-14
-        )
-
-    def test_square_back_oracle(self):
-        rng = np.random.default_rng(22)
-        m = random_trace_normalized_psd(rng, 6)
-        independent = np.real(scipy_sqrtm(m))
-        np.testing.assert_allclose(independent @ independent, m, atol=1e-9)
-        np.testing.assert_allclose(
-            sqrtm_diag_approx(m), np.diag(independent), atol=1e-9
-        )
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(DomainError):
-            sqrtm_diag_approx(np.diag([1.0, -0.5]))
 
 
 class TestDiffusionReversalLimit:
