@@ -23,6 +23,12 @@ DEFAULT_SIGMA = 0.5
 MIN_SIGMA = math.nextafter(math.sqrt(2.0 / sys.float_info.max), math.inf)
 
 
+def _check_heads(dim: int, heads: int) -> None:
+    """Reject a head count that does not split ``dim`` channels into equal groups."""
+    if heads < 1 or dim % heads != 0:
+        raise InvalidArgumentError(f"head count {heads} must divide the {dim} channels")
+
+
 def _check_sigma(sigma: float) -> None:
     """Reject an RBF bandwidth outside ``[MIN_SIGMA, inf)``, NaN included."""
     if not MIN_SIGMA <= sigma < math.inf:
@@ -53,8 +59,7 @@ class AttentionBundle:
         if q.shape[0] == 0 or q.shape[1] == 0 or k.shape[1] == 0:
             raise InvalidArgumentError("attention inputs must be non-empty")
         _check_sigma(self.sigma)
-        if self.heads < 1 or q.shape[0] % self.heads != 0:
-            raise InvalidArgumentError("head count must divide the channel dimension")
+        _check_heads(q.shape[0], self.heads)
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "keys", k)
         object.__setattr__(self, "values", v)
@@ -65,7 +70,7 @@ class AttentionBundle:
 
 
 def _unit_columns(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=0)
+    norms = np.linalg.norm(m, axis=-2, keepdims=True)
     if np.any(norms == 0.0):
         raise NormalizationError("cannot l2-normalize a zero column")
     return m / norms
@@ -84,18 +89,18 @@ def rbf_similarity(q, k, sigma: float) -> float:
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float, kind: str) -> np.ndarray:
-    """Attention on already validated ``d x N`` matrices, one row per query."""
+    """Attention on already validated ``(..., d, N)`` stacks, one row per query."""
     if kind == SOFTMAX:
-        scores = q.T @ k / np.sqrt(q.shape[0])
-        scores -= scores.max(axis=1, keepdims=True)
+        scores = q.swapaxes(-1, -2) @ k / np.sqrt(q.shape[-2])
+        scores -= scores.max(axis=-1, keepdims=True)
         weights = np.exp(scores)
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights /= weights.sum(axis=-1, keepdims=True)
     elif kind == RBF:
-        dist_sq = np.clip(2.0 - 2.0 * (_unit_columns(q).T @ _unit_columns(k)), 0.0, None)
-        weights = np.exp(-dist_sq / (2.0 * sigma**2))
+        cosines = _unit_columns(q).swapaxes(-1, -2) @ _unit_columns(k)
+        weights = np.exp(-np.clip(2.0 - 2.0 * cosines, 0.0, None) / (2.0 * sigma**2))
     else:
         raise InvalidArgumentError(f"unknown attention kind {kind!r}")
-    return weights @ v.T
+    return weights @ v.swapaxes(-1, -2)
 
 
 def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
@@ -115,8 +120,7 @@ def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
 
 def split_heads(m: np.ndarray, heads: int) -> list[np.ndarray]:
     """Split channels (rows) into ``heads`` equal groups."""
-    if heads < 1 or m.shape[0] % heads != 0:
-        raise InvalidArgumentError("head count must divide the channel dimension")
+    _check_heads(m.shape[0], heads)
     return np.split(m, heads, axis=0)
 
 
@@ -125,8 +129,9 @@ def multi_head(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
 
     With one head this is exactly ``attention``; each head sees its own
     ``d / T`` channels of Q, K, and V.  The bundle was validated once, on
-    construction, so the heads run on plain row slices of it.  (A single
-    stacked matmul over ``(heads, d / T, N)`` measured slower than this loop.)
+    construction, so the heads run on plain row slices of it.  A bundle is
+    one 2-D matrix per role; stacks of them (``spatial_hop_head``'s heads
+    and RoIs) go to ``_attend`` in one call instead.
     """
     step = bundle.dim // bundle.heads
     return np.hstack([

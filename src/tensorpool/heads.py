@@ -7,7 +7,8 @@ spatial head self-attends over a token matrix of ``N`` spatial fibers plus
 one first-order (FO) and one high-order (HO) summary token, after which the
 two sides' tokens are combined into relation features: spatial tokens by
 subtraction, FO/HO tokens by element-wise products.  Identical spatial
-tokens are stored once with a multiplicity (see ``TokenMatrix``).
+tokens are stored once with a multiplicity (see ``TokenMatrix``), and the
+spatial-head functions take stacks of them, each item giving its bits alone.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, multi_head
+from .attention import _attend, _check_heads, _check_sigma
 from .errors import InvalidArgumentError
 
 
@@ -80,10 +82,11 @@ class HeadWeights:
 
 @dataclass(frozen=True)
 class TokenMatrix:
-    """``d x (S + 2)`` matrix: S spatial columns, then the FO and HO tokens.
+    """``(..., d, S + 2)`` tokens: S spatial columns, then the FO and HO tokens.
 
     Each spatial column stands for ``multiplicity`` identical spatial
-    tokens, so the matrix holds ``n_spatial = S * multiplicity`` of them.
+    tokens, so each matrix holds ``n_spatial = S * multiplicity`` of them.
+    Leading axes stack matrices that share both counts.
     """
 
     tokens: np.ndarray
@@ -93,26 +96,26 @@ class TokenMatrix:
     def __post_init__(self):
         arr = np.asarray(self.tokens, dtype=np.float64)
         m, n = self.multiplicity, self.n_spatial
-        if arr.ndim != 2 or m < 1 or n < 1 or (arr.shape[1] - 2) * m != n:
+        if arr.ndim < 2 or m < 1 or n < 1 or (arr.shape[-1] - 2) * m != n:
             raise InvalidArgumentError("token matrix needs n_spatial / multiplicity + 2 columns")
         object.__setattr__(self, "tokens", arr)
 
     @property
     def dim(self) -> int:
-        return self.tokens.shape[0]
+        return self.tokens.shape[-2]
 
     @property
     def spatial(self) -> np.ndarray:
         """All ``n_spatial`` spatial tokens, each column repeated by its multiplicity."""
-        return np.repeat(self.tokens[:, :-2], self.multiplicity, axis=1)
+        return np.repeat(self.tokens[..., :-2], self.multiplicity, axis=-1)
 
     @property
     def fo(self) -> np.ndarray:
-        return self.tokens[:, -2]
+        return self.tokens[..., -2]
 
     @property
     def ho(self) -> np.ndarray:
-        return self.tokens[:, -1]
+        return self.tokens[..., -1]
 
 
 @dataclass(frozen=True)
@@ -139,18 +142,11 @@ class PooledFeatures:
 
 @dataclass(frozen=True)
 class RelationOutput:
-    """Per-RoI relation features between support and query tokens."""
+    """Relation features between support and query tokens, per RoI or stacked."""
 
-    r_spatial: np.ndarray  # d x N, support minus query spatial tokens
-    r_fo_ho: np.ndarray  # 2d, stacked FO and HO element-wise products
-    r_combined: np.ndarray  # 2d x N, spatial relations over projected FO+HO
-
-    def __post_init__(self):
-        for name in ("r_spatial", "r_fo_ho", "r_combined"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise InvalidArgumentError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
+    r_spatial: np.ndarray  # (..., d, N), support minus query spatial tokens
+    r_fo_ho: np.ndarray  # (..., 2d), stacked FO and HO element-wise products
+    r_combined: np.ndarray  # (..., 2d, N), spatial relations over projected FO+HO
 
 
 def zshot_head(
@@ -178,26 +174,27 @@ def zshot_head(
 def build_spatial_hop_tokens(
     features: np.ndarray, hop: np.ndarray, weights: HeadWeights, multiplicity: int = 1
 ) -> TokenMatrix:
-    """Assemble the token matrix from a stacked feature map and a HOP vector.
+    """Assemble token matrices from stacked feature maps and HOP vectors.
 
-    ``features`` is ``2d x S``, each column standing for ``multiplicity``
-    identical positions; its first (lower) half supplies the spatial
-    tokens, the spatial average of its second (upper) half is the FO token,
-    and the projected ``hop`` vector is the HO token.
+    ``features`` is ``(..., 2d, S)``, each column standing for
+    ``multiplicity`` identical positions, and ``hop`` is ``(..., d)`` with
+    the same leading shape; the first (lower) half of a map supplies the
+    spatial tokens, the spatial average of its second (upper) half is the
+    FO token, and the projected HOP vector is the HO token.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] % 2 != 0:
+    if features.ndim < 2 or features.shape[-2] % 2 != 0:
         raise InvalidArgumentError("feature map must have an even channel count")
-    d = features.shape[0] // 2
-    hop = np.asarray(hop, dtype=np.float64).reshape(-1)
-    if hop.size != d:
-        raise InvalidArgumentError(f"hop vector must have length {d}")
-    lower, upper = features[:d], features[d:]
-    fo = upper.mean(axis=1)
-    ho = weights.w_g @ hop
+    d = features.shape[-2] // 2
+    hop = np.asarray(hop, dtype=np.float64)
+    if hop.shape != (*features.shape[:-2], d):
+        raise InvalidArgumentError(f"hop must have shape {(*features.shape[:-2], d)}")
+    lower, upper = features[..., :d, :], features[..., d:, :]
+    fo = upper.mean(axis=-1)
+    ho = (weights.w_g @ hop[..., None])[..., 0]  # a stacked mat-vec: per item, w_g @ hop
     return TokenMatrix(
-        np.column_stack([lower, fo, ho]),
-        n_spatial=features.shape[1] * multiplicity,
+        np.concatenate([lower, fo[..., None], ho[..., None]], axis=-1),
+        n_spatial=features.shape[-1] * multiplicity,
         multiplicity=multiplicity,
     )
 
@@ -211,14 +208,19 @@ def spatial_hop_head(
     outputs and add ``m`` times one token's weighted value to every output:
     attending over the distinct columns, with each spatial value column
     scaled by its multiplicity, is exact and costs O(S**2), not O(n_spatial**2).
+    Every head of every stacked matrix runs in one ``_attend`` call, with the
+    bits of ``multi_head`` on each matrix alone.
     """
-    counts = np.ones(tokens.tokens.shape[1])
+    t = tokens.tokens
+    _check_sigma(sigma)
+    _check_heads(tokens.dim, heads)
+    counts = np.ones(t.shape[-1])
     counts[:-2] = tokens.multiplicity
-    bundle = AttentionBundle(
-        tokens.tokens, tokens.tokens, tokens.tokens * counts, sigma=sigma, heads=heads
-    )
-    mixed = multi_head(bundle, RBF)
-    return TokenMatrix(mixed.T, n_spatial=tokens.n_spatial, multiplicity=tokens.multiplicity)
+    split = (*t.shape[:-2], heads, tokens.dim // heads, t.shape[-1])
+    q = t.reshape(split)
+    mixed = _attend(q, q, (t * counts).reshape(split), sigma, RBF)  # (..., heads, S + 2, d/heads)
+    out = mixed.swapaxes(-1, -2).reshape(t.shape)
+    return TokenMatrix(out, n_spatial=tokens.n_spatial, multiplicity=tokens.multiplicity)
 
 
 def compute_relations(
@@ -231,7 +233,9 @@ def compute_relations(
     Spatial tokens relate by subtraction (support minus query), FO and HO
     tokens by element-wise products; the combined output stacks the spatial
     relations over the projected FO+HO vector broadcast along the spatial
-    mode.
+    mode.  Stacks broadcast: one support matrix relates to a stack of
+    queries, item ``i`` of the result to query item ``i``.  The result is
+    checked finite once per stack.
     """
     if support_tokens.n_spatial != query_tokens.n_spatial:
         raise InvalidArgumentError("token counts must match")
@@ -239,11 +243,15 @@ def compute_relations(
         raise InvalidArgumentError("token widths must match")
     r_spatial = support_tokens.spatial - query_tokens.spatial
     r_fo_ho = np.concatenate(
-        [support_tokens.fo * query_tokens.fo, support_tokens.ho * query_tokens.ho]
+        [support_tokens.fo * query_tokens.fo, support_tokens.ho * query_tokens.ho], axis=-1
     )
-    projected = weights.w_u @ r_fo_ho
-    n = support_tokens.n_spatial
-    r_combined = np.vstack([r_spatial, np.tile(projected[:, None], (1, n))])
+    projected = weights.w_u @ r_fo_ho[..., None]  # a stacked mat-vec: per item, w_u @ r_fo_ho
+    r_combined = np.concatenate(
+        [r_spatial, np.broadcast_to(projected, (*projected.shape[:-1], r_spatial.shape[-1]))],
+        axis=-2,
+    )
+    if not (np.all(np.isfinite(r_fo_ho)) and np.all(np.isfinite(r_combined))):
+        raise InvalidArgumentError("relations must be finite")  # r_combined holds r_spatial
     return RelationOutput(r_spatial, r_fo_ho, r_combined)
 
 

@@ -3,8 +3,9 @@
 An episode holds ``Z`` support feature maps, one query feature map, and
 ``B`` proposal boxes (column ranges over the query grid).  The forward pass
 pools every map into a multi-order HOP vector, modulates the query map by
-cross-attending it over the support HOP vectors, and runs the two relation
-heads per box.
+cross-attending it over the support HOP vectors, and runs the spatial head
+and the relations once per distinct box width, on the stack of that
+width's RoIs.
 
 Support crops influence the episode output only through spatially orderless
 reductions (HOP vectors and spatial means), so permuting the columns of any
@@ -18,6 +19,7 @@ relations.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +119,17 @@ def plan(dim: int, width: int, cfg: SplitConfig, params: TsoParams) -> tuple[Gro
     return tuple(groups)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` (or one value) as ints; each must be a real number of integral value."""
+    values = tuple(values) if np.iterable(values) else (values,)
+    if not all(
+        isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer()
+        for v in values
+    ):
+        raise InvalidArgumentError(f"{what} must be integers; got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class EpisodeBatch:
     """Z support maps, one query map, and B boxes over the query grid."""
@@ -130,19 +143,20 @@ class EpisodeBatch:
         supports = tuple(np.asarray(m, dtype=np.float64) for m in self.support_maps)
         if len(supports) < 1:
             raise InvalidArgumentError("episode needs at least one support map")
-        if len({m.shape[0] for m in supports}) != 1:
-            raise InvalidArgumentError("support maps must share the channel count")
         query = np.asarray(self.query_map, dtype=np.float64)
-        if query.ndim != 2 or query.shape[0] != supports[0].shape[0]:
-            raise InvalidArgumentError("query map must match the support channels")
-        boxes = tuple((int(a), int(b)) for a, b in self.boxes)
+        for m in (*supports, query):
+            if m.ndim != 2 or m.size == 0 or not np.all(np.isfinite(m)):
+                raise InvalidArgumentError("feature maps must be non-empty, 2-D and finite")
+        if len({m.shape[0] for m in (*supports, query)}) != 1:
+            raise InvalidArgumentError("support and query maps must share the channel count")
+        boxes = tuple(_integers(box, "box ends") for box in self.boxes)
         if len(boxes) < 1:
             raise InvalidArgumentError("episode needs at least one box")
         grid = query.shape[1]
-        for a, b in boxes:
-            if not (0 <= a < b <= grid):
-                raise InvalidArgumentError(f"box ({a}, {b}) outside grid of {grid}")
-        labels = None if self.labels is None else tuple(int(c) for c in self.labels)
+        for box in boxes:
+            if len(box) != 2 or not (0 <= box[0] < box[1] <= grid):
+                raise InvalidArgumentError(f"box {box} is no (start, stop) range in grid {grid}")
+        labels = None if self.labels is None else _integers(self.labels, "labels")
         if labels is not None and len(labels) != len(boxes):
             raise InvalidArgumentError("one label per box required")
         object.__setattr__(self, "support_maps", supports)
@@ -241,10 +255,12 @@ def forward_episode(
     """Run the full synthetic pipeline on one episode.
 
     Pools supports and query RoI crops with ``hop_unit``, modulates the
-    query map over the support HOP vectors, then runs the shot head, and the
-    spatial head per box on the query side and once per distinct box width
-    on the support side, and combines their tokens into relation outputs.
-    Deterministic for fixed inputs.
+    query map over the support HOP vectors, then runs the shot head and, per
+    distinct box width, one spatial-head call on the support side, one on
+    the stack of that width's query RoIs and one ``compute_relations``.
+    Each RoI's relations are views of its width's stacked output, bit for
+    bit what the three calls give on that RoI alone.  Deterministic for
+    fixed inputs.
     """
     if weights.dim != episode.dim:
         raise InvalidArgumentError("head weights do not match the episode width")
@@ -273,25 +289,25 @@ def forward_episode(
     )
 
     # The support side depends on the box only through its width.
-    support_tokens = {
-        width: spatial_hop_head(
+    widths = [crop.shape[1] for crop in crops]
+    relations = [None] * len(crops)
+    for width in dict.fromkeys(widths):
+        rois = [b for b, w in enumerate(widths) if w == width]
+        support_tokens = spatial_hop_head(
             build_spatial_hop_tokens(
                 pooled_support_mean[:, None], pooled_support_hop, weights, width
             ),
             heads=heads,
             sigma=sigma,
         )
-        for width in {crop.shape[1] for crop in crops}
-    }
-    relations = []
-    for b, crop in enumerate(crops):
-        width = crop.shape[1]
         query_tokens = spatial_hop_head(
-            build_spatial_hop_tokens(roi_mean2d[:, b : b + 1], roi_hop[:, b], weights, width),
+            build_spatial_hop_tokens(roi_mean2d.T[rois, :, None], roi_hop.T[rois], weights, width),
             heads=heads,
             sigma=sigma,
         )
-        relations.append(compute_relations(support_tokens[width], query_tokens, weights))
+        rel = compute_relations(support_tokens, query_tokens, weights)
+        for i, b in enumerate(rois):
+            relations[b] = RelationOutput(rel.r_spatial[i], rel.r_fo_ho[i], rel.r_combined[i])
     return EpisodeResult(
         relations=tuple(relations),
         zshot_output=zshot,

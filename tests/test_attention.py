@@ -11,6 +11,7 @@ from tensorpool.attention import (
     RBF,
     SOFTMAX,
     AttentionBundle,
+    _attend,
     attention,
     multi_head,
     rbf_similarity,
@@ -216,6 +217,26 @@ class TestMultiHead:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(InvalidArgumentError):
             AttentionBundle(np.ones((5, 2)), np.ones((5, 2)), np.ones((5, 2)), heads=2)
+
+    @pytest.mark.parametrize("kind", [SOFTMAX, RBF])
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_stack_equals_its_slices_bit_for_bit(self, kind, d):
+        rng = np.random.default_rng(d)
+        q = rng.normal(size=(2, 3, d, 5))
+        k, v = rng.normal(size=(2, 3, d, 4)), rng.normal(size=(2, 3, d, 4))
+        out = _attend(q, k, v, 0.7, kind)
+        assert out.shape == (2, 3, 5, d)
+        for i in np.ndindex(2, 3):
+            alone = attention(AttentionBundle(q[i], k[i], v[i], sigma=0.7), kind)
+            assert np.array_equal(out[i], alone)
+
+    def test_one_head_count_check(self):
+        q = np.ones((6, 2))
+        for heads in (0, 4, 7):
+            for check in (lambda: AttentionBundle(q, q, q, heads=heads),
+                          lambda: split_heads(q, heads)):
+                with pytest.raises(InvalidArgumentError, match=f"head count {heads} must divide"):
+                    check()
 
     def test_head_split_round_trip_bit_exact(self):
         rng = np.random.default_rng(11)

@@ -149,6 +149,35 @@ class TestBuildTokens:
         )
         np.testing.assert_array_equal(tokens.spatial, features[:d])
 
+    def test_hop_leading_shape_must_match_features(self):
+        w = HeadWeights.seeded(2, seed=3)
+        for features, hop in ((np.ones((3, 4, 1)), np.ones((2, 2))),
+                              (np.ones((3, 4, 1)), np.ones(2)),
+                              (np.ones((4, 1)), np.ones((1, 2))),
+                              (np.ones((4, 1)), np.ones(3))):
+            with pytest.raises(InvalidArgumentError, match="hop must have shape"):
+                build_spatial_hop_tokens(features, hop, w)
+
+    def test_stack_equals_its_items_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        d, items, width = 8, 5, 7
+        w = HeadWeights.seeded(d, seed=14)
+        features, hop = rng.normal(size=(items, 2 * d, 2)), rng.normal(size=(items, d))
+        support = spatial_hop_head(
+            build_spatial_hop_tokens(features[0], hop[0], w, width), heads=4
+        )
+        stacked = spatial_hop_head(build_spatial_hop_tokens(features, hop, w, width), heads=4)
+        rel = compute_relations(support, stacked, w)
+        assert stacked.tokens.shape == (items, d, 4) and rel.r_combined.shape == (items, 2 * d, 14)
+        for i in range(items):
+            alone = spatial_hop_head(
+                build_spatial_hop_tokens(features[i], hop[i], w, width), heads=4
+            )
+            assert np.array_equal(stacked.tokens[i], alone.tokens)
+            expected = compute_relations(support, alone, w)
+            for name in ("r_spatial", "r_fo_ho", "r_combined"):
+                assert np.array_equal(getattr(rel, name)[i], getattr(expected, name))
+
     def test_odd_channels_rejected(self):
         w = identity_weights(2)
         with pytest.raises(InvalidArgumentError):

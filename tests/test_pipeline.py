@@ -64,6 +64,27 @@ def tiled_relations(episode, cfg, params, weights, heads):
     return relations
 
 
+def per_roi_relations(episode, cfg, params, weights, heads):
+    """Relations by one 2-D call of each relation function per RoI, support side included."""
+    def stacked_mean(m):
+        return np.concatenate([m.mean(axis=1)] * 2)
+
+    pooled_mean = np.mean([stacked_mean(m) for m in episode.support_maps], axis=0)
+    pooled_hop = np.mean([hop_unit(m, cfg, params) for m in episode.support_maps], axis=0)
+    relations = []
+    for a, b in episode.boxes:
+        crop = episode.query_map[:, a:b]
+        support = build_spatial_hop_tokens(pooled_mean[:, None], pooled_hop, weights, b - a)
+        query = build_spatial_hop_tokens(
+            stacked_mean(crop)[:, None], hop_unit(crop, cfg, params), weights, b - a
+        )
+        assert support.tokens.ndim == query.tokens.ndim == 2
+        relations.append(compute_relations(
+            spatial_hop_head(support, heads=heads), spatial_hop_head(query, heads=heads), weights
+        ))
+    return relations
+
+
 def worst_relation_gap(got, expected):
     """Largest deviation over all relation arrays, relative to their largest magnitude."""
     pairs = [
@@ -327,6 +348,40 @@ class TestEpisodeBatch:
         with pytest.raises(InvalidArgumentError):
             EpisodeBatch((np.ones((4, 3)),), np.ones((4, 6)), ((3, 3),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_column_outside_boxes_rejected(self, bad):
+        # The column lies outside every box but still enters the modulated map.
+        query = np.ones((4, 6))
+        query[:, 5] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            EpisodeBatch((np.ones((4, 3)),), query, ((0, 2),))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            EpisodeBatch((query,), np.ones((4, 6)), ((0, 2),))
+
+    @pytest.mark.parametrize("support", [np.ones(4), np.ones((4, 3, 1)), np.ones((4, 0))])
+    def test_support_map_must_be_a_non_empty_matrix(self, support):
+        with pytest.raises(InvalidArgumentError, match="2-D"):
+            EpisodeBatch((support,), np.ones((4, 6)), ((0, 2),))
+
+    @pytest.mark.parametrize("boxes", [((0.5, 3.7),), ((0, 3, 5),), ((2,),), (3,), (("0", "3"),),
+                                       ((0, np.nan),), ((0, np.inf),)])
+    def test_box_ends_must_be_integer_pairs(self, boxes):
+        with pytest.raises(InvalidArgumentError, match="box"):
+            EpisodeBatch((np.ones((4, 3)),), np.ones((4, 6)), boxes)
+
+    def test_labels_must_be_integers(self):
+        for labels in (("cat",), (0.5,), (None,)):
+            with pytest.raises(InvalidArgumentError, match="labels"):
+                EpisodeBatch((np.ones((4, 3)),), np.ones((4, 6)), ((0, 2),), labels)
+
+    def test_integral_values_of_any_number_type_accepted(self):
+        # A container stores boxes and labels as float64; read back, they still build.
+        episode = EpisodeBatch(
+            (np.ones((4, 3)),), np.ones((4, 6)), ((0.0, np.int64(2)), (np.float64(2), 6)), (1.0, 0)
+        )
+        assert episode.boxes == ((0, 2), (2, 6)) and episode.labels == (1, 0)
+        assert all(type(v) is int for box in episode.boxes for v in (*box, *episode.labels))
+
     def test_container_round_trip(self, tmp_path):
         episode = synth_episode(5, 2, 3, 8, 4, 2.0)
         path = tmp_path / "episode.tnsc"
@@ -434,8 +489,8 @@ class TestForwardEpisode:
 
         monkeypatch.setattr(pipeline, "spatial_hop_head", counted)
         result = forward_episode(episode, cfg, params, weights, heads=2)
-        # Four query-side calls, one per box, and three support-side ones.
-        assert sorted(widths) == [3, 3, 5, 5, 5, 9, 9]
+        # One support-side and one query-side call per distinct width.
+        assert sorted(widths) == [3, 3, 5, 5, 9, 9]
 
         # Per RoI, both sides recomputed from scratch.
         def stacked_mean(m):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import outer_power, tensor_inner
-from test_pipeline import tiled_relations, worst_relation_gap
+from test_pipeline import per_roi_relations, tiled_relations, worst_relation_gap
 
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
 from tensorpool.errors import DomainError, FileFormatError, InvalidArgumentError
@@ -341,3 +341,27 @@ def test_relations_are_tiled_and_orderless(dim, shots, support_grid, widths, see
             for name in ("r_spatial", "r_fo_ho", "r_combined"):
                 ref, got = getattr(x, name), getattr(y, name)
                 assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@BOUNDED
+@given(dim=st.sampled_from([8, 16]), heads=st.sampled_from([1, 2, 4]),
+       widths=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+       seed=seeds)
+def test_stacked_relations_are_the_per_roi_calls(dim, heads, widths, seed):
+    # forward_episode runs one stack per distinct width; every RoI's relations
+    # must be the bits of the three relation functions called on that RoI
+    # alone, in any order of widths, with width 1 and a repeated width in each.
+    rng = np.random.default_rng(seed)
+    widths = [int(w) for w in rng.permutation([1, *widths, widths[0]])]
+    cfg, params = SplitConfig((2, 1, 1)), TsoParams()
+    weights = HeadWeights.seeded(dim, seed=seed % 1000)
+    starts = np.cumsum([0, *widths])
+    supports = tuple(rng.normal(size=(dim, 5)) for _ in range(2))
+    episode = EpisodeBatch(supports, rng.normal(size=(dim, starts[-1])),
+                           tuple(zip(starts[:-1], starts[1:])))
+    got = forward_episode(episode, cfg, params, weights, heads=heads).relations
+    for rel, expected in zip(got, per_roi_relations(episode, cfg, params, weights, heads),
+                             strict=True):
+        for name in ("r_spatial", "r_fo_ho", "r_combined"):
+            assert np.array_equal(getattr(rel, name), getattr(expected, name))
+    assert worst_relation_gap(got, tiled_relations(episode, cfg, params, weights, heads)) <= 1e-12
