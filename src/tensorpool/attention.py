@@ -118,23 +118,24 @@ def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
     return _attend(bundle.queries, bundle.keys, bundle.values, bundle.sigma, kind)
 
 
-def split_heads(m: np.ndarray, heads: int) -> list[np.ndarray]:
-    """Split channels (rows) into ``heads`` equal groups."""
-    _check_heads(m.shape[0], heads)
-    return np.split(m, heads, axis=0)
+def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, sigma: float, kind: str):
+    """``_attend`` on validated ``(..., d, N)`` stacks split into ``heads`` channel groups.
+
+    One ``_attend`` call runs every head on ``(..., heads, d / heads, N)``
+    views; head ``h`` fills channels ``h d / heads`` to ``(h + 1) d / heads``
+    of the ``(..., N_q, d)`` result.
+    """
+    step = q.shape[-2] // heads
+    q, k, v = (m.reshape(*m.shape[:-2], heads, step, m.shape[-1]) for m in (q, k, v))
+    mixed = _attend(q, k, v, sigma, kind)  # (..., heads, N_q, step)
+    return mixed.swapaxes(-2, -3).reshape(*mixed.shape[:-3], mixed.shape[-2], heads * step)
 
 
 def multi_head(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
     """Run attention per channel group and concatenate the outputs.
 
     With one head this is exactly ``attention``; each head sees its own
-    ``d / T`` channels of Q, K, and V.  The bundle was validated once, on
-    construction, so the heads run on plain row slices of it.  A bundle is
-    one 2-D matrix per role; stacks of them (``spatial_hop_head``'s heads
-    and RoIs) go to ``_attend`` in one call instead.
+    ``d / T`` channels of Q, K, and V, and all heads run in one ``_heads``
+    call on the bundle, validated once, on construction.
     """
-    step = bundle.dim // bundle.heads
-    return np.hstack([
-        _attend(bundle.queries[s], bundle.keys[s], bundle.values[s], bundle.sigma, kind)
-        for s in (slice(i, i + step) for i in range(0, bundle.dim, step))
-    ])
+    return _heads(bundle.queries, bundle.keys, bundle.values, bundle.heads, bundle.sigma, kind)

@@ -71,7 +71,7 @@ def random_normalized_descriptor(order: int, dim: int, seed: int = 0) -> DenseTe
     """Well-conditioned normalized descriptor for benchmarking and suites."""
     rng = np.random.default_rng(seed)
     fm = FeatureMatrix(rng.normal(size=(dim, max(2 * dim, 8))))
-    return normalize_descriptor(hotd(fm, order), fm, order)
+    return normalize_descriptor(hotd(fm, order), fm)
 
 
 def naive_contraction_count(order: int, eta: int) -> int:

@@ -33,13 +33,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _seed(text: str) -> int:
     """``--seed`` value: NumPy's generators take only non-negative integers."""
     try:
@@ -58,10 +51,8 @@ def _cmd_run_suite(args) -> int:
     report = suites.run_suite(args.suite, seed=args.seed)
     sys.stdout.write(suites.report_to_text(report))
     if args.out:
-        if args.format == "csv":
-            _write_or_print(suites.report_to_csv(report), args.out)
-        else:
-            _write_or_print(suites.report_to_json(report), args.out)
+        render = suites.report_to_csv if args.format == "csv" else suites.report_to_json
+        Path(args.out).write_text(render(report))
     return EXIT_OK if report["passed"] else EXIT_FAILURE
 
 
@@ -94,7 +85,7 @@ def _cmd_bench(args) -> int:
         else bench_mod.records_to_json(records)
     )
     if args.out:
-        _write_or_print(payload, args.out)
+        Path(args.out).write_text(payload)
     return EXIT_OK
 
 

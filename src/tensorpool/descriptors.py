@@ -107,7 +107,12 @@ def _features_overflow(f: FeatureMatrix, r: int) -> DomainError:
     )
 
 
-def normalize_descriptor(t: DenseTensor, f: FeatureMatrix, r: int) -> DenseTensor:
-    """Scale ``t = hotd(f, r)`` by ``1 / (epsilon + descriptor_norm_sum)``."""
-    denom = EPSILON + descriptor_norm_sum(f, r)
+def normalize_descriptor(t: DenseTensor, f: FeatureMatrix) -> DenseTensor:
+    """Scale ``t = hotd(f, t.order)`` by ``1 / (epsilon + descriptor_norm_sum)``.
+
+    The order is read from ``t``, and ``f`` must have ``t``'s dimension.
+    """
+    if f.dim != t.dim:
+        raise InvalidArgumentError(f"dimension mismatch: descriptor {t.dim} vs features {f.dim}")
+    denom = EPSILON + descriptor_norm_sum(f, t.order)
     return DenseTensor._from_owned(t.order, t.dim, t.data / denom)

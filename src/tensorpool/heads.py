@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, multi_head
-from .attention import _attend, _check_heads, _check_sigma
+from .attention import _check_heads, _check_sigma, _heads
 from .errors import InvalidArgumentError
 
 
@@ -40,7 +40,7 @@ class HeadWeights:
     w_u: np.ndarray
 
     def __post_init__(self):
-        d = self.w_g.shape[0] if self.w_g.ndim == 2 else 0
+        d = np.shape(self.w_g)[0] if np.ndim(self.w_g) == 2 else 0  # w_g may be a nested list
         expected = {
             "w_q": (2 * d, 2 * d),
             "w_k": (2 * d, 2 * d),
@@ -84,25 +84,30 @@ class HeadWeights:
 class TokenMatrix:
     """``(..., d, S + 2)`` tokens: S spatial columns, then the FO and HO tokens.
 
-    Each spatial column stands for ``multiplicity`` identical spatial
-    tokens, so each matrix holds ``n_spatial = S * multiplicity`` of them.
-    Leading axes stack matrices that share both counts.
+    Each spatial column stands for ``multiplicity`` (an integer >= 1)
+    identical spatial tokens, so each matrix holds ``n_spatial = S *
+    multiplicity`` of them.  Leading axes stack matrices that share both.
     """
 
     tokens: np.ndarray
-    n_spatial: int
     multiplicity: int = 1
 
     def __post_init__(self):
         arr = np.asarray(self.tokens, dtype=np.float64)
-        m, n = self.multiplicity, self.n_spatial
-        if arr.ndim < 2 or m < 1 or n < 1 or (arr.shape[-1] - 2) * m != n:
-            raise InvalidArgumentError("token matrix needs n_spatial / multiplicity + 2 columns")
+        m = self.multiplicity
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise InvalidArgumentError(f"multiplicity must be an integer >= 1, got {m!r}")
+        if arr.ndim < 2 or arr.shape[-1] < 3:
+            raise InvalidArgumentError("token matrix needs a spatial, an FO and an HO column")
         object.__setattr__(self, "tokens", arr)
 
     @property
     def dim(self) -> int:
         return self.tokens.shape[-2]
+
+    @property
+    def n_spatial(self) -> int:
+        return (self.tokens.shape[-1] - 2) * self.multiplicity
 
     @property
     def spatial(self) -> np.ndarray:
@@ -193,9 +198,7 @@ def build_spatial_hop_tokens(
     fo = upper.mean(axis=-1)
     ho = (weights.w_g @ hop[..., None])[..., 0]  # a stacked mat-vec: per item, w_g @ hop
     return TokenMatrix(
-        np.concatenate([lower, fo[..., None], ho[..., None]], axis=-1),
-        n_spatial=features.shape[-1] * multiplicity,
-        multiplicity=multiplicity,
+        np.concatenate([lower, fo[..., None], ho[..., None]], axis=-1), multiplicity
     )
 
 
@@ -208,19 +211,16 @@ def spatial_hop_head(
     outputs and add ``m`` times one token's weighted value to every output:
     attending over the distinct columns, with each spatial value column
     scaled by its multiplicity, is exact and costs O(S**2), not O(n_spatial**2).
-    Every head of every stacked matrix runs in one ``_attend`` call, with the
-    bits of ``multi_head`` on each matrix alone.
+    Every head of every stacked matrix runs in one ``_heads`` call, the one
+    ``multi_head`` makes, so each matrix gets the bits it would get alone.
     """
     t = tokens.tokens
     _check_sigma(sigma)
     _check_heads(tokens.dim, heads)
     counts = np.ones(t.shape[-1])
     counts[:-2] = tokens.multiplicity
-    split = (*t.shape[:-2], heads, tokens.dim // heads, t.shape[-1])
-    q = t.reshape(split)
-    mixed = _attend(q, q, (t * counts).reshape(split), sigma, RBF)  # (..., heads, S + 2, d/heads)
-    out = mixed.swapaxes(-1, -2).reshape(t.shape)
-    return TokenMatrix(out, n_spatial=tokens.n_spatial, multiplicity=tokens.multiplicity)
+    mixed = _heads(t, t, t * counts, heads, sigma, RBF)  # (..., S + 2, d)
+    return TokenMatrix(mixed.swapaxes(-1, -2), tokens.multiplicity)
 
 
 def compute_relations(

@@ -200,7 +200,7 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
         if group.route == "gram":
             diagonals.append(_factored_super_diagonal(fm, group.order, group.eta))
         else:
-            descriptor = normalize_descriptor(hotd(fm, group.order), fm, group.order)
+            descriptor = normalize_descriptor(hotd(fm, group.order), fm)
             diagonals.append(_shrunk_super_diagonal(descriptor, group.eta, group.route))
     return sigme(np.concatenate(diagonals), params.eta_prime)
 

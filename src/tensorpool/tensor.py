@@ -33,6 +33,16 @@ def check_capacity(dim: int, order: int) -> None:
         raise CapacityError(f"dim {dim} exceeds the order-{order} limit {limit}")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, screened by its squared norm.
+
+    A NaN or infinity makes the squared norm non-finite (its terms cannot
+    cancel); the exact scan runs only then, so a squared norm that merely
+    overflows rejects nothing.  ``np.vdot`` warns on no overflow.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.all(np.isfinite(a)))
+
+
 class DenseTensor:
     """Immutable order-``r`` cubic tensor over dimension ``d``.
 
@@ -68,16 +78,11 @@ class DenseTensor:
         """Wrap a freshly computed, contiguous float64 buffer without copying.
 
         Internal fast path for operations that own their result arrays; the
-        finiteness invariant is still enforced.  The tripwire is the squared
-        norm: any NaN or infinity makes it non-finite (the terms are
-        non-negative, so nothing can cancel), and the exact scan runs only
-        when it fires, so a merely overflowing squared norm cannot cause a
-        false rejection.  ``np.vdot``, unlike ``dot``, raises no floating-point
-        warning when that sum overflows.
+        finiteness invariant is still enforced, by ``_all_finite``.
         """
         obj = object.__new__(cls)
         flat = flat.ravel()
-        if not math.isfinite(np.vdot(flat, flat)) and not np.all(np.isfinite(flat)):
+        if not _all_finite(flat):
             raise InvalidArgumentError("tensor coefficients must be finite")
         flat.flags.writeable = False
         object.__setattr__(obj, "order", order)

@@ -21,14 +21,13 @@ multiply-add count, between that Gram route and the dense ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, descriptor_norm_sum
 from .errors import DomainError, InvalidArgumentError
-from .tensor import DenseTensor, asymmetry, check_capacity, identity_tensor, symmetrize
+from .tensor import DenseTensor, _all_finite, asymmetry, check_capacity, identity_tensor, symmetrize
 
 _SYM_REPAIR = 1e-10  # asymmetry above this is repaired by symmetrizing
 _SYM_REJECT = 1e-6  # asymmetry above this is an error
@@ -44,8 +43,8 @@ class SpectrumVector:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if self.normalized:
-            if vals.min(initial=0.0) < -1e-12:
-                raise DomainError("normalized spectrum has a negative entry")
+            if not vals.min(initial=0.0) >= -1e-12:  # also rejects NaN
+                raise DomainError("normalized spectrum has a negative or NaN entry")
             if vals.sum() > 1.0 + 1e-9:
                 raise DomainError("normalized spectrum sums above 1")
         vals = vals.copy()
@@ -124,7 +123,7 @@ def maxexp_scalar(lam: float, eta: int) -> float:
     """Spectral shrinkage map ``1 - (1 - lam)**eta`` on [0, 1]."""
     if eta < 1:
         raise InvalidArgumentError("eta must be >= 1")
-    if lam < -1e-12 or lam > 1.0 + 1e-12:
+    if not -1e-12 <= lam <= 1.0 + 1e-12:  # also rejects NaN
         raise DomainError(f"lambda {lam} outside [0, 1]")
     lam = min(max(lam, 0.0), 1.0)
     if eta == 1:
@@ -149,28 +148,25 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
     """Matrix shrinkage ``I - (I - M)**eta`` for trace-normalized PSD ``M``.
 
     Shares eigenvectors with ``M``; its eigenvalues are ``maxexp_scalar`` of
-    the eigenvalues of ``M``.  Computed by exponentiation by squaring, never
-    through an eigendecomposition, so spectral tests are an independent
-    check.
+    the eigenvalues of ``M``.  Past its matrix checks it is ``tso_fast_even``
+    on the order-2 tensor (integer ``eta >= 1``, a read-only result): never an
+    eigendecomposition, so spectral tests are an independent check.
     """
-    if eta < 1:
-        raise InvalidArgumentError("eta must be >= 1")
     m = np.asarray(m, dtype=np.float64)
+    if not np.all(np.isfinite(m)):
+        raise InvalidArgumentError("matrix entries must be finite")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("expected a square matrix")
-    if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-        raise DomainError("matrix is not symmetric within tolerance")
-    m = 0.5 * (m + m.T)
-    tr = float(np.trace(m))
-    if tr <= 0.0 or tr > 1.0 + 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail a check below
+        if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+            raise DomainError("matrix is not symmetric within tolerance")
+        m = 0.5 * (m + m.T)
+        tr = float(np.trace(m))
+    if not 0.0 < tr <= 1.0 + 1e-9:  # also rejects a NaN trace
         raise DomainError(f"matrix must be trace-normalized into (0, 1], trace={tr}")
     if float(np.linalg.eigvalsh(m)[0]) < -1e-8:
         raise DomainError("matrix is not positive semi-definite")
-    eye = np.eye(m.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _binary_power(eye - m, eta, np.matmul)
-    _check_power_finite(g, 2, eta)
-    return eye - g
+    return tso_fast_even(DenseTensor._from_owned(2, m.shape[0], m), eta).array
 
 
 def _binary_power(base: np.ndarray, eta: int, multiply):
@@ -253,15 +249,8 @@ def _overflow(r: int, eta: int) -> DomainError:
 
 
 def _check_power_finite(m: np.ndarray, r: int, eta: int) -> None:
-    if not math.isfinite(np.vdot(m, m)) and not np.isfinite(m).all():  # as in _from_owned
+    if not _all_finite(m):
         raise _overflow(r, eta)
-
-
-def _check_even(t: DenseTensor, eta: int) -> None:
-    if t.order % 2 != 0:
-        raise InvalidArgumentError("even fast path requires an even order")
-    if not isinstance(eta, (int, np.integer)) or eta < 1:
-        raise InvalidArgumentError("eta must be an integer >= 1")
 
 
 # An overflow surfaces as the DomainError below.  A decorator with all= is the
@@ -273,7 +262,9 @@ def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
     Identical to the naive repeated contraction but needs only
     ``floor(log2(eta)) + popcount(eta) - 1`` contractions.
     """
-    _check_even(t, eta)
+    if t.order % 2:
+        raise InvalidArgumentError("even fast path requires an even order")
+    eta = _check_eta(t.order, eta)
     p = _identity_unfolding(t.dim, t.order)
     side = p.shape[0]
     a = p - t.data.reshape(side, side)
@@ -283,12 +274,6 @@ def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
         return DenseTensor._from_owned(t.order, t.dim, g)
     except InvalidArgumentError:
         raise _overflow(t.order, eta) from None
-
-
-def _check_odd(t: DenseTensor, eta: int) -> int:
-    if t.order % 2 != 1:
-        raise InvalidArgumentError("odd fast path requires an odd order")
-    return _log3(_check_eta(t.order, eta))
 
 
 def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
@@ -301,7 +286,9 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     unfoldings is only ``d**floor(r/2)`` square, so at order 3 a step costs
     ``2 d**4`` multiply-adds instead of ``2 d**5``.
     """
-    steps = _check_odd(t, eta)
+    if t.order % 2 == 0:
+        raise InvalidArgumentError("odd fast path requires an odd order")
+    steps = _log3(_check_eta(t.order, eta))
     r, d = t.order, t.dim
     eye = _identity_unfolding(d, r)
     rows, cols = eye.shape
@@ -322,20 +309,20 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
     defined for it.
     """
     if t.order % 2 == 0:
-        _check_even(t, eta)
+        eta = _check_eta(t.order, eta)
         p = _identity_unfolding(t.dim, t.order)
         side = p.shape[0]
         a = p - t.data.reshape(side, side)
         g = a
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(int(eta) - 1):
+            for _ in range(eta - 1):
                 g = g @ a
         _check_power_finite(g, t.order, eta)
         np.subtract(p, g, out=g)
         return DenseTensor._from_owned(t.order, t.dim, g)
     if t.order != 3:
         raise InvalidArgumentError(f"naive odd path supports order 3 only, got {t.order}")
-    steps = _check_odd(t, eta)
+    steps = _log3(_check_eta(3, eta))
     eye = identity_tensor(t.dim, 3).array
     m = eye - t.array
     with np.errstate(over="ignore", invalid="ignore"):
@@ -461,7 +448,7 @@ def _shrunk_super_diagonal(t: DenseTensor, eta: int, route: str) -> np.ndarray:
 
 
 def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
-    """Super-diagonal of ``normalize_descriptor(hotd(f, r), f, r)`` shrunk at ``eta``, r 3 or 4.
+    """Super-diagonal of ``normalize_descriptor(hotd(f, r), f)`` shrunk at ``eta``, r 3 or 4.
 
     With ``rho_n = |phi_n|``, unit columns ``x_n = phi_n / rho_n`` (0 where
     ``rho_n = 0``) and ``w_n = rho_n**r / (N (EPSILON + mean rho**r))``, the

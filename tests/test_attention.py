@@ -12,10 +12,10 @@ from tensorpool.attention import (
     SOFTMAX,
     AttentionBundle,
     _attend,
+    _heads,
     attention,
     multi_head,
     rbf_similarity,
-    split_heads,
 )
 from tensorpool.errors import InvalidArgumentError, NormalizationError
 
@@ -187,15 +187,17 @@ class TestMultiHead:
             assert np.array_equal(multi_head(bundle, kind), attention(bundle, kind))
 
     def test_two_heads_match_per_half_attention(self):
+        # Two and four heads, both kinds: each head is attention on its own rows, bit for bit.
         rng = np.random.default_rng(9)
-        q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
-        out = multi_head(AttentionBundle(q, k, v, sigma=0.5, heads=2), RBF)
-        for h in range(2):
-            rows = slice(3 * h, 3 * (h + 1))
-            half = attention(
-                AttentionBundle(q[rows], k[rows], v[rows], sigma=0.5), RBF
-            )
-            np.testing.assert_allclose(out[:, rows], half, atol=1e-14)
+        q, k, v = (rng.normal(size=(12, 4)) for _ in range(3))
+        for heads in (2, 4):
+            step = 12 // heads
+            for kind in (SOFTMAX, RBF):
+                out = multi_head(AttentionBundle(q, k, v, sigma=0.5, heads=heads), kind)
+                for h in range(heads):
+                    rows = slice(step * h, step * (h + 1))
+                    alone = attention(AttentionBundle(q[rows], k[rows], v[rows], sigma=0.5), kind)
+                    assert np.array_equal(out[:, rows], alone)
 
     def test_four_heads_shape_and_finite(self):
         rng = np.random.default_rng(10)
@@ -229,17 +231,16 @@ class TestMultiHead:
         for i in np.ndindex(2, 3):
             alone = attention(AttentionBundle(q[i], k[i], v[i], sigma=0.7), kind)
             assert np.array_equal(out[i], alone)
+        for heads in (h for h in (1, 3, 4) if d % h == 0):
+            out = _heads(q, k, v, heads, 0.7, kind)
+            assert out.shape == (2, 3, 5, d)
+            for i in np.ndindex(2, 3):
+                bundle = AttentionBundle(q[i], k[i], v[i], sigma=0.7, heads=heads)
+                assert np.array_equal(out[i], multi_head(bundle, kind))
 
     def test_one_head_count_check(self):
         q = np.ones((6, 2))
         for heads in (0, 4, 7):
-            for check in (lambda: AttentionBundle(q, q, q, heads=heads),
-                          lambda: split_heads(q, heads)):
-                with pytest.raises(InvalidArgumentError, match=f"head count {heads} must divide"):
-                    check()
-
-    def test_head_split_round_trip_bit_exact(self):
-        rng = np.random.default_rng(11)
-        q = rng.normal(size=(8, 3))
-        assert np.array_equal(np.vstack(split_heads(q, 4)), q)
+            with pytest.raises(InvalidArgumentError, match=f"head count {heads} must divide"):
+                AttentionBundle(q, q, q, heads=heads)
 

@@ -146,21 +146,35 @@ class TestNormalizeDescriptor:
         fm = FeatureMatrix(col)
         t = hotd(fm, 2)
         assert np.trace(t.array) == pytest.approx(5.0)
-        out = normalize_descriptor(t, fm, 2)
+        out = normalize_descriptor(t, fm)
         assert np.trace(out.array) == pytest.approx(5.0 / (5.0 + EPSILON), rel=1e-15)
 
     def test_unit_column_r4(self):
         fm = FeatureMatrix(np.array([[1.0], [0.0]]))
         t = hotd(fm, 4)
-        out = normalize_descriptor(t, fm, 4)
+        out = normalize_descriptor(t, fm)
         np.testing.assert_allclose(out.data, t.data / (1.0 + EPSILON), atol=0)
 
     def test_unfolding_trace_near_one(self):
         rng = np.random.default_rng(17)
         fm = FeatureMatrix(rng.normal(size=(5, 7)))
-        out = normalize_descriptor(hotd(fm, 4), fm, 4)
+        out = normalize_descriptor(hotd(fm, 4), fm)
         trace = np.trace(unfold(out, 2))
         assert 1.0 - 1e-5 < trace <= 1.0
+
+    def test_order_is_read_from_the_descriptor(self):
+        rng = np.random.default_rng(18)
+        fm = FeatureMatrix(rng.normal(size=(3, 6)))
+        for r in (2, 3, 4):
+            t = hotd(fm, r)
+            out = normalize_descriptor(t, fm)
+            assert np.array_equal(out.data, t.data / (EPSILON + descriptor_norm_sum(fm, r)))
+
+    def test_features_of_another_dimension_rejected(self):
+        rng = np.random.default_rng(20)
+        t = hotd(FeatureMatrix(rng.normal(size=(3, 6))), 2)
+        with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+            normalize_descriptor(t, FeatureMatrix(rng.normal(size=(4, 6))))
 
     def test_norm_sum_equals_unfolding_trace_for_even_orders(self):
         rng = np.random.default_rng(19)
@@ -188,7 +202,7 @@ class TestFeatureOverflow:
             warnings.simplefilter("error")
             t = hotd(fm, 4)
             with pytest.raises(DomainError, match="^order-4 descriptor overflows float64"):
-                normalize_descriptor(t, fm, 4)
+                normalize_descriptor(t, fm)
             with pytest.raises(DomainError, match="largest feature norm is 1.41e\\+77$"):
                 descriptor_norm_sum(FeatureMatrix(np.full((2, 3), 1e77)), 4)
 

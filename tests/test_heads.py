@@ -42,6 +42,17 @@ class TestHeadWeights:
         for arr in (w.w_q, w.w_k, w.w_v, w.w_p, w.w_g, w.w_u):
             assert np.all(np.abs(arr) <= bound)
 
+    def test_nested_lists_are_converted(self):
+        w = HeadWeights.seeded(3, seed=2)
+        names = ("w_q", "w_k", "w_v", "w_p", "w_g", "w_u")
+        listed = HeadWeights(**{name: getattr(w, name).tolist() for name in names})
+        assert listed.dim == 3
+        for name in names:
+            assert np.array_equal(getattr(listed, name), getattr(w, name))
+        with pytest.raises(InvalidArgumentError, match="must have shape"):
+            HeadWeights(**{name: getattr(w, name).tolist() for name in names[:4]},
+                        w_g=[1.0, 2.0, 3.0], w_u=w.w_u.tolist())
+
     def test_shapes_enforced(self):
         with pytest.raises(InvalidArgumentError):
             HeadWeights(
@@ -187,7 +198,7 @@ class TestBuildTokens:
 class TestSpatialHopHead:
     def test_uniform_tokens_uniform_output(self):
         token = np.array([1.0, -2.0])
-        tokens = TokenMatrix(np.tile(token[:, None], (1, 6)), n_spatial=4)
+        tokens = TokenMatrix(np.tile(token[:, None], (1, 6)))
         out = spatial_hop_head(tokens)
         for col in range(6):
             np.testing.assert_allclose(out.tokens[:, col], out.tokens[:, 0], atol=0)
@@ -196,7 +207,7 @@ class TestSpatialHopHead:
         rng = np.random.default_rng(4)
         d, n = 2, 2
         mat = rng.normal(size=(d, n + 2))
-        tokens = TokenMatrix(mat, n_spatial=n)
+        tokens = TokenMatrix(mat)
         sigma = 0.5
         out = spatial_hop_head(tokens, sigma=sigma)
         expected = np.zeros((d, n + 2))
@@ -218,14 +229,14 @@ class TestSpatialHopHead:
 
     def test_preserves_shape_and_positions(self):
         rng = np.random.default_rng(6)
-        tokens = TokenMatrix(rng.normal(size=(4, 7)), n_spatial=5)
+        tokens = TokenMatrix(rng.normal(size=(4, 7)))
         out = spatial_hop_head(tokens, heads=2)
         assert out.tokens.shape == (4, 7)
         assert out.n_spatial == 5
 
     def test_distinct_tokens_bit_identical_to_plain_attention(self):
         mat = np.random.default_rng(12).normal(size=(4, 7))
-        out = spatial_hop_head(TokenMatrix(mat, n_spatial=5), heads=2, sigma=0.7)
+        out = spatial_hop_head(TokenMatrix(mat), heads=2, sigma=0.7)
         plain = multi_head(AttentionBundle(mat, mat, mat, sigma=0.7, heads=2), RBF).T
         assert np.array_equal(out.tokens, plain)
 
@@ -233,9 +244,9 @@ class TestSpatialHopHead:
     def test_multiplicity_equals_repeated_columns(self, heads):
         rng = np.random.default_rng(13)
         distinct, fo_ho = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-        collapsed = TokenMatrix(np.column_stack([distinct, fo_ho]), n_spatial=6, multiplicity=3)
+        collapsed = TokenMatrix(np.column_stack([distinct, fo_ho]), multiplicity=3)
         repeated = TokenMatrix(
-            np.column_stack([np.repeat(distinct, 3, axis=1), fo_ho]), n_spatial=6
+            np.column_stack([np.repeat(distinct, 3, axis=1), fo_ho])
         )
         np.testing.assert_array_equal(collapsed.spatial, repeated.spatial)
         out = spatial_hop_head(collapsed, heads=heads)
@@ -247,20 +258,26 @@ class TestSpatialHopHead:
         np.testing.assert_allclose(out.ho, expected.ho, rtol=1e-13)
 
     def test_multiplicity_must_match_columns(self):
-        with pytest.raises(InvalidArgumentError):
-            TokenMatrix(np.ones((2, 3)), n_spatial=4, multiplicity=3)
-        with pytest.raises(InvalidArgumentError):
-            TokenMatrix(np.ones((2, 3)), n_spatial=0, multiplicity=0)
-        assert TokenMatrix(np.ones((2, 3)), n_spatial=4, multiplicity=4).spatial.shape == (2, 4)
+        # n_spatial is derived from the columns, so a mismatch cannot be stated;
+        # what is left to reject is a multiplicity or a column count that means nothing.
+        tokens = TokenMatrix(np.ones((2, 3)), multiplicity=4)
+        assert tokens.n_spatial == 4 and tokens.spatial.shape == (2, 4)
+        assert TokenMatrix(np.ones((5, 2, 6)), multiplicity=np.int64(2)).n_spatial == 8
+        for multiplicity in (0, -1, 1.25, 2.0, "2"):
+            with pytest.raises(InvalidArgumentError, match="multiplicity must be an integer"):
+                TokenMatrix(np.ones((3, 4)), multiplicity=multiplicity)
+        for shape in ((2, 2), (2, 0), (4,)):
+            with pytest.raises(InvalidArgumentError, match="spatial, an FO and an HO column"):
+                TokenMatrix(np.ones(shape))
 
     def test_spatial_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         d, n = 3, 6
         mat = rng.normal(size=(d, n + 2))
         perm = rng.permutation(n)
-        base = spatial_hop_head(TokenMatrix(mat, n_spatial=n))
+        base = spatial_hop_head(TokenMatrix(mat))
         permuted_in = np.column_stack([mat[:, :n][:, perm], mat[:, n], mat[:, n + 1]])
-        permuted = spatial_hop_head(TokenMatrix(permuted_in, n_spatial=n))
+        permuted = spatial_hop_head(TokenMatrix(permuted_in))
         np.testing.assert_allclose(
             permuted.spatial, base.spatial[:, perm], atol=1e-12
         )
@@ -272,7 +289,7 @@ class TestComputeRelations:
     def test_identical_tokens_zero_spatial(self):
         rng = np.random.default_rng(8)
         w = HeadWeights.seeded(3, seed=8)
-        tokens = TokenMatrix(rng.normal(size=(3, 6)), n_spatial=4)
+        tokens = TokenMatrix(rng.normal(size=(3, 6)))
         rel = compute_relations(tokens, tokens, w)
         np.testing.assert_array_equal(rel.r_spatial, np.zeros((3, 4)))
         np.testing.assert_allclose(rel.r_fo_ho[:3], tokens.fo**2, atol=0)
@@ -283,8 +300,8 @@ class TestComputeRelations:
         w = HeadWeights.seeded(2, seed=9)
         mat = rng.normal(size=(2, 5))
         mat[:, -1] = 0.0  # HO token
-        a = TokenMatrix(mat, n_spatial=3)
-        b = TokenMatrix(rng.normal(size=(2, 5)), n_spatial=3)
+        a = TokenMatrix(mat)
+        b = TokenMatrix(rng.normal(size=(2, 5)))
         rel = compute_relations(a, b, w)
         np.testing.assert_array_equal(rel.r_fo_ho[2:], np.zeros(2))
 
@@ -292,10 +309,10 @@ class TestComputeRelations:
         d, n = 2, 2
         w = identity_weights(d)
         support = TokenMatrix(
-            np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), n_spatial=n
+            np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
         )
         query = TokenMatrix(
-            np.array([[0.5, 1.0, 1.5, 2.0], [2.5, 3.0, 3.5, 4.0]]), n_spatial=n
+            np.array([[0.5, 1.0, 1.5, 2.0], [2.5, 3.0, 3.5, 4.0]])
         )
         rel = compute_relations(support, query, w)
         np.testing.assert_array_equal(
@@ -311,16 +328,16 @@ class TestComputeRelations:
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(10)
         w = HeadWeights.seeded(3, seed=10)
-        a = TokenMatrix(rng.normal(size=(3, 7)), n_spatial=5)
-        b = TokenMatrix(rng.normal(size=(3, 7)), n_spatial=5)
+        a = TokenMatrix(rng.normal(size=(3, 7)))
+        b = TokenMatrix(rng.normal(size=(3, 7)))
         forward = compute_relations(a, b, w)
         backward = compute_relations(b, a, w)
         np.testing.assert_array_equal(forward.r_spatial, -backward.r_spatial)
 
     def test_token_count_mismatch(self):
         w = HeadWeights.seeded(2, seed=11)
-        a = TokenMatrix(np.ones((2, 5)), n_spatial=3)
-        b = TokenMatrix(np.ones((2, 6)), n_spatial=4)
+        a = TokenMatrix(np.ones((2, 5)))
+        b = TokenMatrix(np.ones((2, 6)))
         with pytest.raises(InvalidArgumentError):
             compute_relations(a, b, w)
 

@@ -177,7 +177,7 @@ class TestHopUnit:
         for count, order in zip(counts, (2, 3, 4)):
             segment = features[offset : offset + count]
             fm = FeatureMatrix(segment)
-            desc = normalize_descriptor(hotd(fm, order), fm, order)
+            desc = normalize_descriptor(hotd(fm, order), fm)
             diag = super_diagonal(tso(desc, params.eta_for_order(order))).values
             expected = sigme(diag, params.eta_prime)
             np.testing.assert_allclose(
@@ -208,7 +208,7 @@ class TestHopUnit:
         diagonals = []
         for segment, order in zip(np.split(features, np.cumsum(counts)[:-1]), (2, 3, 4)):
             fm = FeatureMatrix(segment)
-            desc = normalize_descriptor(hotd(fm, order), fm, order)
+            desc = normalize_descriptor(hotd(fm, order), fm)
             diagonals.append(tso_super_diagonal(desc, params.eta_for_order(order)))
         expected = sigme(np.concatenate(diagonals), params.eta_prime)
         got = hop_unit(features, cfg, params)
@@ -273,7 +273,7 @@ class TestHopUnit:
         params = TsoParams()
         fm = FeatureMatrix(features)
         expected = sigme(
-            tso_super_diagonal(normalize_descriptor(hotd(fm, 2), fm, 2), params.eta2),
+            tso_super_diagonal(normalize_descriptor(hotd(fm, 2), fm), params.eta2),
             params.eta_prime,
         )
         assert np.array_equal(hop_unit(features, SplitConfig((5, 0, 0)), params), expected)

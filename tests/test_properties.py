@@ -90,7 +90,7 @@ def test_normalized_descriptor_is_symmetric_far_below_the_repair_threshold(
     dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[order]), label="dim")
     rng = np.random.default_rng(seed)
     fm = FeatureMatrix(10.0**log_scale * rng.normal(size=(dim, count)))
-    t = normalize_descriptor(hotd(fm, order), fm, order)
+    t = normalize_descriptor(hotd(fm, order), fm)
     assert asymmetry(t) <= 1e-13 * max(1.0, np.max(np.abs(t.data)))
 
 
@@ -142,7 +142,7 @@ def test_super_diagonal_path_equals_dense_tso(order, data, count, drift, seed):
                         label="eta")
     rng = np.random.default_rng(seed)
     fm = FeatureMatrix(rng.normal(size=(dim, count)))
-    t = normalize_descriptor(hotd(fm, order), fm, order)
+    t = normalize_descriptor(hotd(fm, order), fm)
     repaired = False
     if DRIFTS[drift] is not None:
         size = 10.0 ** data.draw(st.floats(*DRIFTS[drift]), label="log_size")
@@ -183,7 +183,7 @@ def test_gram_route_equals_dense_tso(order, data, count, log_scale, zero_share, 
     columns = 10.0**log_scale * rng.normal(size=(dim, count))
     columns[:, rng.random(count) < zero_share] = 0.0
     fm = FeatureMatrix(columns)
-    t = normalize_descriptor(hotd(fm, order), fm, order)
+    t = normalize_descriptor(hotd(fm, order), fm)
     try:
         expected = super_diagonal(tso(t, eta)).values
     except DomainError as dense_error:
@@ -221,7 +221,7 @@ def test_hop_unit_equals_the_public_path_per_group(data, seed):
     for order, count, stop in zip((2, 3, 4), counts, stops):  # ratios equal to counts split exactly
         if count:
             fm = FeatureMatrix(features[stop - count : stop])
-            t = normalize_descriptor(hotd(fm, order), fm, order)
+            t = normalize_descriptor(hotd(fm, order), fm)
             expected.append(tso_super_diagonal(t, params.eta_for_order(order)))
     expected = sigme(np.concatenate(expected), params.eta_prime)
     assert np.max(np.abs(hop_unit(features, cfg, params) - expected)) <= 1e-12

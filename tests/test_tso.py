@@ -45,7 +45,7 @@ from tensorpool.tso import (
 def normalized_descriptor(order, dim, seed, count=None):
     rng = np.random.default_rng(seed)
     fm = FeatureMatrix(rng.normal(size=(dim, count or 2 * dim)))
-    return normalize_descriptor(hotd(fm, order), fm, order)
+    return normalize_descriptor(hotd(fm, order), fm)
 
 
 def einsum_odd_chain(arr, eta):
@@ -85,6 +85,10 @@ class TestMaxExpScalar:
             maxexp_scalar(1.01, 2)
         with pytest.raises(InvalidArgumentError):
             maxexp_scalar(0.5, 0)
+
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(DomainError, match="outside"):
+            maxexp_scalar(float("nan"), 3)
 
     def test_monotone_in_lambda_and_eta(self):
         grid = np.linspace(0.0, 1.0, 21)
@@ -140,6 +144,38 @@ class TestMaxExpF:
             for eta in (2, 7, 64):
                 lam = np.linalg.eigvalsh(maxexp_f(m, eta))
                 assert lam[0] >= -1e-12 and lam[-1] <= 1.0 + 1e-12
+
+    def test_non_integer_eta_rejected(self):
+        # maxexp_scalar takes the real power; the matrix form takes integers only.
+        m = random_trace_normalized_psd(np.random.default_rng(3), 4)
+        for eta in (2.5, 2.0, 0, None):
+            with pytest.raises(InvalidArgumentError, match="eta must be an integer >= 1"):
+                maxexp_f(m, eta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected_first_without_warnings(self, bad):
+        m = 0.25 * np.eye(4)
+        m[1, 2] = m[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+                maxexp_f(m, 2)
+            with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+                maxexp_f(np.full((2, 3), bad), 2)  # before the shape check
+
+    def test_huge_finite_entries_rejected_without_warnings(self):
+        for m in ([[0.5, 1.5e308], [-1.5e308, 0.5]], [[1e308, 1e308], [1e308, 1e308]],
+                  [[1e308, 0.0], [0.0, -1.79e308]], [[1.7e308, 0.0], [0.0, -1.7e308]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    maxexp_f(np.array(m), 2)
+
+    def test_equals_tso_fast_even_bit_for_bit(self):
+        m = random_trace_normalized_psd(np.random.default_rng(4), 6)
+        for eta in (1, 2, 7, 64):
+            expected = tso_fast_even(DenseTensor(2, 6, m), eta).array
+            assert np.array_equal(maxexp_f(m, eta), expected)
 
     def test_overflow_raises_domain_error_without_warnings(self):
         # rank 16 in 20 dimensions: eigenvalue 1 of I - M drifts off 1 by rounding
@@ -205,7 +241,7 @@ class TestTsoEven:
         # the descriptor's null space, rounding moves it off 1, and the power
         # leaves float64 by eta 10**20.
         fm = FeatureMatrix(np.random.default_rng(0).normal(size=(20, 16)))
-        t = normalize_descriptor(hotd(fm, 2), fm, 2)
+        t = normalize_descriptor(hotd(fm, 2), fm)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for path in (tso_fast_even, tso, tso_super_diagonal):
@@ -253,7 +289,7 @@ class TestTsoOdd:
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
         fm = FeatureMatrix(x[:, None])
-        t = normalize_descriptor(hotd(fm, 3), fm, 3)
+        t = normalize_descriptor(hotd(fm, 3), fm)
         c = 1.0 / (1.0 + 1e-6)
         s3 = float(np.sum(x**3))
         expected = (
@@ -264,7 +300,7 @@ class TestTsoOdd:
 
     def test_one_hot_matches_scalar_map(self):
         fm = FeatureMatrix(np.array([[1.0], [0.0], [0.0]]))
-        t = normalize_descriptor(hotd(fm, 3), fm, 3)
+        t = normalize_descriptor(hotd(fm, 3), fm)
         c = 1.0 / (1.0 + 1e-6)
         diag = super_diagonal(tso_fast_odd(t, 3)).values
         assert diag[0] == pytest.approx(maxexp_scalar(c, 3), rel=1e-14)
@@ -404,7 +440,7 @@ class TestFactoredRoute:
 
     def test_odd_overflow_like_the_chain(self):
         fm = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 8)))
-        t = normalize_descriptor(hotd(fm, 3), fm, 3)
+        t = normalize_descriptor(hotd(fm, 3), fm)
         for k in range(4, 14):
             try:
                 tso_fast_odd(t, 3**k)
@@ -507,6 +543,13 @@ class TestSpectrumVector:
             SpectrumVector([0.5, -0.1], normalized=True)
         with pytest.raises(DomainError):
             SpectrumVector([0.9, 0.2], normalized=True)
+
+    def test_nan_rejected_when_normalized(self):
+        for values in ([np.nan, 0.2], [0.2, np.nan], [np.nan]):
+            with pytest.raises(DomainError, match="negative or NaN entry"):
+                SpectrumVector(values, normalized=True)
+        with pytest.raises(DomainError):
+            SpectrumVector.from_raw([np.nan, 1.0])
 
 
 class TestTsoParams:
