@@ -9,7 +9,7 @@ Subcommands:
 * ``demo-episode`` runs the synthetic episode pipeline and prints per-RoI
   similarity rankings and relation norms.
 
-Reports can be written with ``--out`` as ``--format json`` or ``csv``.
+``--out`` writes a report (``--format json`` or ``csv``) or, for ``demo-episode``, a TNSC dump.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def _cmd_demo_episode(args) -> int:
             f"{np.linalg.norm(rel.r_fo_ho):11.6f}  "
             f"{np.linalg.norm(rel.r_combined):14.6f}"
         )
-    if args.dump:
-        out = args.out or "episode_dump.tnsc"
+    if args.out:
         sections = episode.to_sections()
         sections["support_hop"] = result.support_hop
         sections["roi_hop"] = result.roi_hop
@@ -136,8 +135,8 @@ def _cmd_demo_episode(args) -> int:
             sections[f"relations/{b}/spatial"] = rel.r_spatial
             sections[f"relations/{b}/fo_ho"] = rel.r_fo_ho
             sections[f"relations/{b}/combined"] = rel.r_combined
-        storage.write_container(out, sections)
-        print(f"dumped intermediates to {out}")
+        storage.write_container(args.out, sections)
+        print(f"dumped intermediates to {args.out}")
     return EXIT_OK
 
 
@@ -183,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--eta-prime", type=float, default=200.0)
     p_demo.add_argument("--sigma", type=float, default=0.5)
     p_demo.add_argument("--heads", type=int, default=1)
-    p_demo.add_argument("--dump", action="store_true", help="write all intermediates")
-    p_demo.add_argument("--out", help="dump path (with --dump)")
+    p_demo.add_argument("--out", help="write the episode and all intermediates to this TNSC path")
     p_demo.set_defaults(handler=_cmd_demo_episode)
     return parser
 

@@ -40,7 +40,10 @@ class HeadWeights:
     w_u: np.ndarray
 
     def __post_init__(self):
-        d = np.shape(self.w_g)[0] if np.ndim(self.w_g) == 2 else 0  # w_g may be a nested list
+        g_shape = np.shape(self.w_g)  # w_g may be a nested list; it sets d for the others
+        if len(g_shape) != 2 or g_shape[0] < 1:
+            raise InvalidArgumentError(f"w_g must have shape (d, d) with d >= 1, got {g_shape}")
+        d = g_shape[0]
         expected = {
             "w_q": (2 * d, 2 * d),
             "w_k": (2 * d, 2 * d),
@@ -51,7 +54,7 @@ class HeadWeights:
         }
         for name, shape in expected.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if d == 0 or arr.shape != shape:
+            if arr.shape != shape:
                 raise InvalidArgumentError(f"{name} must have shape {shape}")
             if not np.all(np.isfinite(arr)):
                 raise InvalidArgumentError(f"{name} must be finite")
@@ -64,6 +67,8 @@ class HeadWeights:
     @classmethod
     def seeded(cls, dim: int, seed: int = 0) -> "HeadWeights":
         """Deterministic weights, uniform in [-1/sqrt(d), 1/sqrt(d)]."""
+        if not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim!r}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(dim)
 

@@ -55,6 +55,17 @@ MAX_EPISODE_COLUMNS = 16_384  # grid * (shots + rois) of a synthetic episode
 MAX_EPISODE_DIM = sum(CAPACITY[r] for r in ORDERS)  # no split pools more channels
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` (or one value) as ints; each must be a real number of integral value."""
+    values = tuple(values) if np.iterable(values) else (values,)
+    if not all(
+        isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer()
+        for v in values
+    ):
+        raise InvalidArgumentError(f"{what} must be integers; got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SplitConfig:
     """Channel-split ratios for the order-2, 3, 4 descriptor groups; a 0 drops that order."""
@@ -62,7 +73,7 @@ class SplitConfig:
     ratios: tuple[int, int, int] = (5, 2, 1)
 
     def __post_init__(self):
-        ratios = tuple(int(r) for r in self.ratios)
+        ratios = _integers(self.ratios, "ratios")
         if len(ratios) != len(ORDERS) or min(ratios) < 0 or not any(ratios):
             raise InvalidArgumentError(
                 "ratios must be three non-negative integers, at least one positive"
@@ -119,17 +130,6 @@ def plan(dim: int, width: int, cfg: SplitConfig, params: TsoParams) -> tuple[Gro
     return tuple(groups)
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` (or one value) as ints; each must be a real number of integral value."""
-    values = tuple(values) if np.iterable(values) else (values,)
-    if not all(
-        isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer()
-        for v in values
-    ):
-        raise InvalidArgumentError(f"{what} must be integers; got {values!r}")
-    return tuple(int(v) for v in values)
-
-
 @dataclass(frozen=True)
 class EpisodeBatch:
     """Z support maps, one query map, and B boxes over the query grid."""
@@ -167,10 +167,6 @@ class EpisodeBatch:
     @property
     def dim(self) -> int:
         return self.query_map.shape[0]
-
-    @property
-    def shots(self) -> int:
-        return len(self.support_maps)
 
     def to_sections(self) -> dict[str, np.ndarray]:
         sections = {f"support/{z}": m for z, m in enumerate(self.support_maps)}

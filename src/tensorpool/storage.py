@@ -5,7 +5,7 @@ Two on-disk layouts are provided:
 * single-tensor ``TNSR`` files: magic ``b"TNSR"``, u32 version (=1), u32
   order, u32 dim, then ``dim**order`` little-endian float64 coefficients;
 * ``TNSC`` containers holding named sections of rectangular float64 arrays
-  (the episode and intermediates that ``demo-episode --dump`` writes),
+  (the episode and intermediates that ``demo-episode --out`` writes),
   since not every stored matrix is cubic.
 
 Both round-trip bit-exactly.  Parse failures raise ``FileFormatError``

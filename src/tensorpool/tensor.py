@@ -6,6 +6,9 @@ fastest).  Values are immutable after construction, so all operations are
 pure functions that are safe to call concurrently.  The reference outer
 power, mode contraction, unfolding and inner product that the tests check
 against live in ``tests/oracles.py``.
+The shrinkage kernels in ``tso.py`` stand on three things kept only here: the
+capacity-checked ``identity_tensor``, the super-diagonal's flat address
+``_diagonal_step``, and the check-and-freeze of a buffer, ``DenseTensor._seal``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a)) or bool(np.all(np.isfinite(a)))
 
 
+def _diagonal_step(d: int, k: int) -> int:
+    """``1 + d + ... + d**(k-1)``: the flat stride from ``(i,) * k`` to ``(i + 1,) * k``."""
+    return (d**k - 1) // (d - 1) if d > 1 else k
+
+
 class DenseTensor:
     """Immutable order-``r`` cubic tensor over dimension ``d``.
 
@@ -57,18 +65,12 @@ class DenseTensor:
             raise InvalidArgumentError("tensor order must be >= 1")
         if dim < 1:
             raise InvalidArgumentError("tensor dim must be >= 1")
-        flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
+        flat = np.array(data, dtype=np.float64, order="C").reshape(-1)  # always a copy
         if flat.size != dim**order:
             raise InvalidArgumentError(
                 f"data length {flat.size} != dim**order = {dim**order}"
             )
-        if not np.all(np.isfinite(flat)):
-            raise InvalidArgumentError("tensor coefficients must be finite")
-        flat = flat.copy()
-        flat.flags.writeable = False
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "data", flat)
+        self._seal(order, dim, flat)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
@@ -81,14 +83,18 @@ class DenseTensor:
         finiteness invariant is still enforced, by ``_all_finite``.
         """
         obj = object.__new__(cls)
+        obj._seal(order, dim, flat)
+        return obj
+
+    def _seal(self, order: int, dim: int, flat: np.ndarray) -> None:
+        """Check ``flat`` for finiteness, freeze it and set the fields."""
         flat = flat.ravel()
         if not _all_finite(flat):
             raise InvalidArgumentError("tensor coefficients must be finite")
         flat.flags.writeable = False
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "dim", dim)
-        object.__setattr__(obj, "data", flat)
-        return obj
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "data", flat)
 
     @property
     def array(self) -> np.ndarray:
@@ -118,10 +124,9 @@ class SuperDiagonal:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.shape != (self.dim,):
             raise InvalidArgumentError("super-diagonal length must equal dim")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -133,15 +138,14 @@ def identity_tensor(d: int, r: int) -> DenseTensor:
     if r < 2:
         raise InvalidArgumentError("identity_tensor requires order r >= 2")
     check_capacity(d, r)
-    arr = np.zeros((d,) * r)
-    arr[(np.arange(d),) * r] = 1.0
-    return DenseTensor(r, d, arr)
+    flat = np.zeros(d**r)
+    flat[:: _diagonal_step(d, r)] = 1.0
+    return DenseTensor._from_owned(r, d, flat)
 
 
 def super_diagonal(t: DenseTensor) -> SuperDiagonal:
     """Extract ``values[i] = t[i, i, ..., i]``."""
-    idx = (np.arange(t.dim),) * t.order
-    return SuperDiagonal(t.dim, t.array[idx])
+    return SuperDiagonal(t.dim, t.data[:: _diagonal_step(t.dim, t.order)])
 
 
 def symmetrize(t: DenseTensor) -> DenseTensor:
@@ -151,7 +155,7 @@ def symmetrize(t: DenseTensor) -> DenseTensor:
     perms = list(permutations(range(t.order)))
     for p in perms:
         acc += arr.transpose(p)
-    return DenseTensor(t.order, t.dim, acc / len(perms))
+    return DenseTensor._from_owned(t.order, t.dim, acc / len(perms))
 
 
 def asymmetry(t: DenseTensor) -> float:

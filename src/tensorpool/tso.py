@@ -17,17 +17,22 @@ orders 3 and 4 ``_factored_super_diagonal`` runs the same power on the
 ``(d + N) x (d + N)`` Gram of the unit columns and the identity's basis
 vectors, and never forms the ``d**r`` descriptor.  ``_route`` picks, from one
 multiply-add count, between that Gram route and the dense ones.
+
+Every kernel takes the identity, the super-diagonal's address and the result
+check from ``tensor.py``, so each raises ``CapacityError`` beyond ``CAPACITY``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, descriptor_norm_sum
 from .errors import DomainError, InvalidArgumentError
-from .tensor import DenseTensor, _all_finite, asymmetry, check_capacity, identity_tensor, symmetrize
+from .tensor import DenseTensor, _all_finite, _diagonal_step, asymmetry, check_capacity
+from .tensor import identity_tensor, symmetrize
 
 _SYM_REPAIR = 1e-10  # asymmetry above this is repaired by symmetrizing
 _SYM_REJECT = 1e-6  # asymmetry above this is an error
@@ -41,13 +46,12 @@ class SpectrumVector:
     normalized: bool = False
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        vals = np.array(self.values, dtype=np.float64).reshape(-1)
         if self.normalized:
             if not vals.min(initial=0.0) >= -1e-12:  # also rejects NaN
                 raise DomainError("normalized spectrum has a negative or NaN entry")
             if vals.sum() > 1.0 + 1e-9:
                 raise DomainError("normalized spectrum sums above 1")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -157,6 +161,7 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
         raise InvalidArgumentError("matrix entries must be finite")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("expected a square matrix")
+    check_capacity(m.shape[0], 2)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail a check below
         if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
             raise DomainError("matrix is not symmetric within tolerance")
@@ -194,30 +199,16 @@ def odd_contraction_count(eta: int) -> int:
     return 2 * _log3(_check_eta(3, eta))
 
 
-def _diagonal_step(d: int, k: int) -> int:
-    """``1 + d + ... + d**(k-1)``: the flat stride from ``(i,) * k`` to ``(i + 1,) * k``."""
-    return (d**k - 1) // (d - 1) if d > 1 else k
-
-
-_IDENTITY_UNFOLDINGS: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _identity_unfolding(d: int, r: int) -> np.ndarray:
-    """``d**ceil(r/2) x d**floor(r/2)`` unfolding of the order-``r`` identity.
+    """Read-only ``d**ceil(r/2) x d**floor(r/2)`` view of ``identity_tensor(d, r)``.
 
     For even ``r`` this is the square 0/1 projector onto the super-diagonal.
     Cached per (d, r): it is a frequently reused immutable constant and the
-    fast path's fixed cost must stay small next to one contraction.
+    fast path's fixed cost must stay small next to one contraction.  A shape
+    beyond ``CAPACITY`` raises ``CapacityError`` there and is never cached.
     """
-    key = (d, r)
-    cached = _IDENTITY_UNFOLDINGS.get(key)
-    if cached is None:
-        flat = np.zeros(d**r)
-        flat[:: _diagonal_step(d, r)] = 1.0
-        cached = flat.reshape(d ** ((r + 1) // 2), d ** (r // 2))
-        cached.flags.writeable = False
-        _IDENTITY_UNFOLDINGS[key] = cached
-    return cached
+    return identity_tensor(d, r).data.reshape(d ** ((r + 1) // 2), d ** (r // 2))
 
 
 def _check_eta(order: int, eta) -> int:
@@ -251,6 +242,14 @@ def _overflow(r: int, eta: int) -> DomainError:
 def _check_power_finite(m: np.ndarray, r: int, eta: int) -> None:
     if not _all_finite(m):
         raise _overflow(r, eta)
+
+
+def _power_result(r: int, d: int, eta: int, flat: np.ndarray) -> DenseTensor:
+    """Wrap a freshly computed shrinkage; a non-finite entry is ``_overflow``."""
+    try:
+        return DenseTensor._from_owned(r, d, flat)
+    except InvalidArgumentError:
+        raise _overflow(r, eta) from None
 
 
 # An overflow surfaces as the DomainError below.  A decorator with all= is the
@@ -296,8 +295,7 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             m = m @ (m.reshape(cols, rows) @ m)
-    _check_power_finite(m, r, eta)
-    return DenseTensor._from_owned(r, d, eye - m)
+    return _power_result(r, d, eta, eye - m)
 
 
 def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
@@ -317,9 +315,8 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(eta - 1):
                 g = g @ a
-        _check_power_finite(g, t.order, eta)
         np.subtract(p, g, out=g)
-        return DenseTensor._from_owned(t.order, t.dim, g)
+        return _power_result(t.order, t.dim, eta, g)
     if t.order != 3:
         raise InvalidArgumentError(f"naive odd path supports order 3 only, got {t.order}")
     steps = _log3(_check_eta(3, eta))
@@ -329,8 +326,7 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
         for _ in range(steps):
             four = np.einsum("ijk,klm->ijlm", m, m)
             m = np.einsum("ijlm,lmn->ijn", four, m)
-    _check_power_finite(m, 3, eta)
-    return DenseTensor(3, t.dim, eye - m)
+    return _power_result(3, t.dim, eta, eye - m)
 
 
 def _validated(t: DenseTensor) -> DenseTensor:

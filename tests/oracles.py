@@ -85,6 +85,18 @@ def unfold(t: DenseTensor, lead: int) -> np.ndarray:
     return t.data.reshape(rows, cols)
 
 
+def fancy_identity(d: int, r: int) -> np.ndarray:
+    """The order-``r`` identity, written through the fancy index ``(arange(d),) * r``."""
+    arr = np.zeros((d,) * r)
+    arr[(np.arange(d),) * r] = 1.0
+    return arr
+
+
+def fancy_super_diagonal(arr: np.ndarray) -> np.ndarray:
+    """``arr[i, i, ..., i]`` for every ``i``, read through the same fancy index."""
+    return arr[(np.arange(arr.shape[0]),) * arr.ndim]
+
+
 def numerical_jacobian(op, x, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a vector-to-vector map.
 

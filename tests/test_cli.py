@@ -167,12 +167,19 @@ class TestDemoEpisode:
 
     def test_dump_writes_container(self, capsys, tmp_path):
         out = tmp_path / "dump.tnsc"
-        code = main(self.BASE_ARGS + ["--dump", "--out", str(out)])
+        code = main(self.BASE_ARGS + ["--out", str(out)])
         assert code == 0
+        assert f"dumped intermediates to {out}" in capsys.readouterr().out
         sections = read_container(out)
         assert "query" in sections and "support_hop" in sections
         assert "relations/0/combined" in sections
         assert sections["support_hop"].shape == (8, 2)
+
+    def test_dump_flag_is_gone(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the old flag wrote episode_dump.tnsc to the working directory
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE_ARGS + ["--dump"])
+        assert exc.value.code == 2
 
     def test_invalid_split_exits_one(self, capsys):
         code = main(

@@ -53,6 +53,18 @@ class TestHeadWeights:
             HeadWeights(**{name: getattr(w, name).tolist() for name in names[:4]},
                         w_g=[1.0, 2.0, 3.0], w_u=w.w_u.tolist())
 
+    def test_w_g_is_checked_first_and_named(self):
+        w = HeadWeights.seeded(3, seed=2)
+        others = {name: getattr(w, name) for name in ("w_q", "w_k", "w_v", "w_p", "w_u")}
+        for w_g in ([1.0, 2.0, 3.0], np.zeros((0, 0)), np.ones((1, 3, 3))):
+            with pytest.raises(InvalidArgumentError, match="^w_g must have shape"):
+                HeadWeights(w_g=w_g, **others)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5])
+    def test_seeded_rejects_a_dim_below_one(self, dim):
+        with pytest.raises(InvalidArgumentError, match="dim must be an integer >= 1"):
+            HeadWeights.seeded(dim)
+
     def test_shapes_enforced(self):
         with pytest.raises(InvalidArgumentError):
             HeadWeights(

@@ -129,6 +129,14 @@ class TestSplitConfig:
         # 16 channels at 0:2:1 -> floor (0, 10, 5) leaves 1 for order 3
         assert SplitConfig((0, 2, 1)).channel_counts(16) == (0, 11, 5)
 
+    @pytest.mark.parametrize("ratios", [(5.7, 2, 1), "521", None, (5, 2, float("nan"))])
+    def test_non_integer_ratios_rejected(self, ratios):
+        with pytest.raises(InvalidArgumentError, match="ratios must be integers"):
+            SplitConfig(ratios)
+
+    def test_integral_floats_accepted(self):
+        assert SplitConfig((5.0, 2, np.int64(1))).ratios == (5, 2, 1)
+
     @pytest.mark.parametrize("ratios", [(0, 0, 0), (5, -1, 1), (-5, 2, 1)])
     def test_all_zero_or_negative_ratios_rejected(self, ratios):
         with pytest.raises(InvalidArgumentError, match="non-negative"):

@@ -5,10 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import contract, outer_power, tensor_inner, unfold
+from oracles import contract, fancy_identity, fancy_super_diagonal, outer_power, tensor_inner, unfold
 
 from tensorpool.errors import CapacityError, InvalidArgumentError
-from tensorpool.tensor import DenseTensor, asymmetry, identity_tensor, super_diagonal, symmetrize
+from tensorpool.tensor import (
+    CAPACITY,
+    DenseTensor,
+    asymmetry,
+    identity_tensor,
+    super_diagonal,
+    symmetrize,
+)
 
 
 class TestOuterPower:
@@ -150,6 +157,16 @@ class TestSuperDiagonal:
         assert super_diagonal(outer_power([0.5, 0.5], 4)).values[0] == 0.0625
 
 
+    def test_identity_and_super_diagonal_match_fancy_indexing_within_capacity(self):
+        rng = np.random.default_rng(11)
+        for r, limit in CAPACITY.items():
+            for d in range(1, limit + 1):
+                t = DenseTensor(r, d, rng.normal(size=d**r))
+                assert np.array_equal(super_diagonal(t).values, fancy_super_diagonal(t.array))
+                if r >= 2:
+                    assert np.array_equal(identity_tensor(d, r).array, fancy_identity(d, r))
+
+
 class TestUnfold:
     def test_all_ones(self):
         u = unfold(outer_power([1.0, 1.0], 2), 1)
@@ -197,6 +214,15 @@ class TestDenseTensorInvariants:
         assert np.array_equal(t.data, [1e200, -1e200, 1.0, 0.0])
         with pytest.raises(InvalidArgumentError):
             DenseTensor._from_owned(2, 2, np.array([1e200, np.inf, 1.0, 0.0]))
+
+    def test_constructor_copies_the_callers_array(self):
+        src = np.arange(4.0)
+        transposed = np.arange(4.0).reshape(2, 2).T  # not C-contiguous
+        t, u = DenseTensor(2, 2, src), DenseTensor(2, 2, transposed)
+        src[0] = transposed[0, 0] = 9.0
+        assert np.array_equal(t.data, [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(u.data, [0.0, 2.0, 1.0, 3.0])
+        assert src.flags.writeable and not t.data.flags.writeable
 
     def test_immutable(self):
         t = identity_tensor(2, 2)

@@ -249,6 +249,34 @@ class TestTsoEven:
                     path(t, 10**20)
 
 
+class TestCapacityAtEveryEntryPoint:
+    SIDES = {2: 129, 3: 25, 4: 17}  # one past each order's CAPACITY
+    CASES = [("tso_fast_even", 2), ("tso_fast_even", 4), ("tso_fast_odd", 3), ("maxexp_f", 2)] + [
+        (name, order)
+        for name in ("tso_naive", "tso", "tso_super_diagonal")
+        for order in (2, 3, 4)
+    ]
+
+    @staticmethod
+    def call(name, order, d):
+        eta = 3 if order == 3 else 2
+        if name == "maxexp_f":
+            return maxexp_f(np.eye(d) / d, eta)
+        return getattr(tso_module, name)(DenseTensor(order, d, np.zeros(d**order)), eta)
+
+    @pytest.mark.parametrize("name, order", CASES)
+    def test_oversized_side_raises_capacity_error(self, name, order):
+        with pytest.raises(CapacityError):
+            self.call(name, order, self.SIDES[order])
+
+    def test_identity_cache_does_not_grow_on_rejections(self):
+        cached = tso_module._identity_unfolding.cache_info().currsize
+        for name, order in self.CASES:
+            with pytest.raises(CapacityError):
+                self.call(name, order, self.SIDES[order])
+        assert tso_module._identity_unfolding.cache_info().currsize == cached
+
+
 class TestContractionCounts:
     def test_traced_counts(self):
         # trace of the squaring schedule: eta=7 needs 2 squarings + 2 products
