@@ -24,7 +24,9 @@ MIN_SIGMA = math.nextafter(math.sqrt(2.0 / sys.float_info.max), math.inf)
 
 
 def _check_heads(dim: int, heads: int) -> None:
-    """Reject a head count that does not split ``dim`` channels into equal groups."""
+    """Reject a head count that is not an integer splitting ``dim`` channels into equal groups."""
+    if not isinstance(heads, (int, np.integer)):
+        raise InvalidArgumentError(f"head count must be an integer, got {heads!r}")
     if heads < 1 or dim % heads != 0:
         raise InvalidArgumentError(f"head count {heads} must divide the {dim} channels")
 

@@ -20,8 +20,8 @@ from .descriptors import FeatureMatrix, hotd, normalize_descriptor
 from .errors import InvalidArgumentError
 from .tensor import DenseTensor, check_capacity
 from .tso import (
+    _check_eta,
     even_contraction_count,
-    is_power_of_3,
     odd_contraction_count,
     tso_fast_even,
     tso_fast_odd,
@@ -99,9 +99,7 @@ def bench_tso(
     if order < 2:
         raise InvalidArgumentError(f"order must be >= 2, got {order}")
     check_capacity(dim, order)  # before any feature matrix is drawn
-    etas = [int(e) for e in etas]
-    if order % 2 == 1 and not all(is_power_of_3(e) for e in etas):
-        raise InvalidArgumentError("odd-order grids must use powers of 3")
+    etas = [_check_eta(order, e) for e in etas]
     if order % 2 == 0 and max(etas) > MAX_EVEN_ETA:
         raise InvalidArgumentError(
             f"even-order eta must be at most {MAX_EVEN_ETA}, got {max(etas)}"

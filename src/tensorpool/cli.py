@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except TensorPoolError as exc:
+    except (TensorPoolError, OSError) as exc:  # OSError: an unreadable --input, an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

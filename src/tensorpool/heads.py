@@ -22,6 +22,22 @@ from .attention import _check_heads, _check_sigma, _heads
 from .errors import InvalidArgumentError
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array; a ragged or non-numeric one is an error naming ``name``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be a rectangular array of real numbers") from None
+
+
+def _check_width(weights: HeadWeights, d: int) -> None:
+    """Reject head weights whose half-width is not the features' ``d``."""
+    if weights.dim != d:
+        raise InvalidArgumentError(
+            f"head weights of width {weights.dim} do not fit width-{d} features"
+        )
+
+
 @dataclass(frozen=True)
 class HeadWeights:
     """Projection matrices for both heads over half-width ``d``.
@@ -40,10 +56,10 @@ class HeadWeights:
     w_u: np.ndarray
 
     def __post_init__(self):
-        g_shape = np.shape(self.w_g)  # w_g may be a nested list; it sets d for the others
-        if len(g_shape) != 2 or g_shape[0] < 1:
-            raise InvalidArgumentError(f"w_g must have shape (d, d) with d >= 1, got {g_shape}")
-        d = g_shape[0]
+        w_g = _float_array(self.w_g, "w_g")  # it sets d for the others
+        if w_g.ndim != 2 or w_g.shape[0] < 1:
+            raise InvalidArgumentError(f"w_g must have shape (d, d) with d >= 1, got {w_g.shape}")
+        d = w_g.shape[0]
         expected = {
             "w_q": (2 * d, 2 * d),
             "w_k": (2 * d, 2 * d),
@@ -53,7 +69,7 @@ class HeadWeights:
             "w_u": (d, 2 * d),
         }
         for name, shape in expected.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = w_g if name == "w_g" else _float_array(getattr(self, name), name)
             if arr.shape != shape:
                 raise InvalidArgumentError(f"{name} must have shape {shape}")
             if not np.all(np.isfinite(arr)):
@@ -174,6 +190,7 @@ def zshot_head(
     """
     if support.hop.shape[0] != query.hop.shape[0]:
         raise InvalidArgumentError("support and query embeddings disagree on width")
+    _check_width(weights, support.hop.shape[0])
     q = weights.w_q @ (query.mean_features + weights.w_p @ query.hop)
     embedded = support.mean_features + weights.w_p @ support.hop
     k, v = weights.w_k @ embedded, weights.w_v @ embedded
@@ -196,6 +213,7 @@ def build_spatial_hop_tokens(
     if features.ndim < 2 or features.shape[-2] % 2 != 0:
         raise InvalidArgumentError("feature map must have an even channel count")
     d = features.shape[-2] // 2
+    _check_width(weights, d)
     hop = np.asarray(hop, dtype=np.float64)
     if hop.shape != (*features.shape[:-2], d):
         raise InvalidArgumentError(f"hop must have shape {(*features.shape[:-2], d)}")
@@ -246,6 +264,7 @@ def compute_relations(
         raise InvalidArgumentError("token counts must match")
     if support_tokens.dim != query_tokens.dim:
         raise InvalidArgumentError("token widths must match")
+    _check_width(weights, support_tokens.dim)
     r_spatial = support_tokens.spatial - query_tokens.spatial
     r_fo_ho = np.concatenate(
         [support_tokens.fo * query_tokens.fo, support_tokens.ho * query_tokens.ho], axis=-1

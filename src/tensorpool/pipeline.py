@@ -31,6 +31,7 @@ from .heads import (
     HeadWeights,
     PooledFeatures,
     RelationOutput,
+    _check_width,
     build_spatial_hop_tokens,
     compute_relations,
     spatial_hop_head,
@@ -181,7 +182,7 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     """Multi-order pooled vector of a feature map: its ``plan``, run group by group.
 
     Each group yields the super-diagonal of its shrunk normalized descriptor,
-    what ``tso_super_diagonal`` returns without the symmetry screen that
+    ``super_diagonal(tso(...)).values`` without the symmetry screen that
     guards caller tensors (these descriptors are super-symmetric by
     construction): by ``_factored_super_diagonal`` on the ``"gram"`` route,
     else by ``hotd``, ``normalize_descriptor`` and ``_shrunk_super_diagonal``.
@@ -197,7 +198,7 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
             diagonals.append(_factored_super_diagonal(fm, group.order, group.eta))
         else:
             descriptor = normalize_descriptor(hotd(fm, group.order), fm)
-            diagonals.append(_shrunk_super_diagonal(descriptor, group.eta, group.route))
+            diagonals.append(_shrunk_super_diagonal(descriptor, group.eta))
     return sigme(np.concatenate(diagonals), params.eta_prime)
 
 
@@ -258,8 +259,7 @@ def forward_episode(
     bit what the three calls give on that RoI alone.  Deterministic for
     fixed inputs.
     """
-    if weights.dim != episode.dim:
-        raise InvalidArgumentError("head weights do not match the episode width")
+    _check_width(weights, episode.dim)
     support_hop = np.column_stack(
         [hop_unit(m, cfg, params) for m in episode.support_maps]
     )
@@ -336,6 +336,7 @@ def synth_episode(
     boxes alternate between class 0 and class 1 (recorded in ``labels``),
     each box a contiguous column range of ``grid`` columns in the query map.
     """
+    shots, rois, dim, grid = _integers((shots, rois, dim, grid), "episode sizes")
     if shots < 1 or rois < 1 or dim < 1 or grid < 1:
         raise InvalidArgumentError("episode sizes must be positive")
     if dim > MAX_EPISODE_DIM:

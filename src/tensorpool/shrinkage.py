@@ -38,14 +38,12 @@ class ShrinkageProblem:
     eta: int
 
     def __post_init__(self):
-        if not self.spectrum.normalized:
-            raise InvalidArgumentError("problem requires an l1-normalized spectrum")
         if self.dim < 2:
             raise InvalidArgumentError("problem requires dimension >= 2")
         if self.eta < 2:
             raise InvalidArgumentError("problem requires eta >= 2")
         clamped = np.clip(self.spectrum.values, 0.0, 1.0 - _CLAMP)
-        object.__setattr__(self, "spectrum", SpectrumVector(clamped, normalized=True))
+        object.__setattr__(self, "spectrum", SpectrumVector(clamped))
         if self.t <= 0 or self.delta <= 0:
             raise DomainError("degenerate problem: t and delta must be positive")
 
@@ -238,6 +236,8 @@ def verify_identity_target(dim: int, trials: int, seed: int = 0) -> IdentityTarg
     """
     if dim < 2:
         raise InvalidArgumentError("dimension must be >= 2")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvalidArgumentError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     etas = [2**k for k in range(1, 21)]
     eye = np.eye(dim)

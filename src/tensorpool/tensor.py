@@ -120,15 +120,16 @@ class DenseTensor:
 class SuperDiagonal:
     """The ``d`` entries ``T[i, i, ..., i]`` of a cubic tensor."""
 
-    dim: int
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)
-        if vals.shape != (self.dim,):
-            raise InvalidArgumentError("super-diagonal length must equal dim")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[0]
 
 
 def identity_tensor(d: int, r: int) -> DenseTensor:
@@ -145,7 +146,7 @@ def identity_tensor(d: int, r: int) -> DenseTensor:
 
 def super_diagonal(t: DenseTensor) -> SuperDiagonal:
     """Extract ``values[i] = t[i, i, ..., i]``."""
-    return SuperDiagonal(t.dim, t.data[:: _diagonal_step(t.dim, t.order)])
+    return SuperDiagonal(t.data[:: _diagonal_step(t.dim, t.order)])
 
 
 def symmetrize(t: DenseTensor) -> DenseTensor:

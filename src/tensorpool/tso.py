@@ -10,13 +10,13 @@ the identity, concentrating signal on the super-diagonal; on matrices the
 operator reduces to the spectral map ``lambda -> 1 - (1 - lambda)**eta``.
 Fast paths evaluate the power in O(log eta) contractions for even orders and
 as a ternary chain for odd orders with ``eta`` a power of three.
-``tso_super_diagonal`` computes only the super-diagonal the pooled vector reads.
 
 A descriptor built from ``N`` feature columns has rank at most ``N``, so for
 orders 3 and 4 ``_factored_super_diagonal`` runs the same power on the
 ``(d + N) x (d + N)`` Gram of the unit columns and the identity's basis
 vectors, and never forms the ``d**r`` descriptor.  ``_route`` picks, from one
-multiply-add count, between that Gram route and the dense ones.
+multiply-add count, between that Gram route and the dense one of the order's
+parity: ``tso_fast_even``'s squaring or ``tso_fast_odd``'s chain.
 
 Every kernel takes the identity, the super-diagonal's address and the result
 check from ``tensor.py``, so each raises ``CapacityError`` beyond ``CAPACITY``.
@@ -40,18 +40,16 @@ _SYM_REJECT = 1e-6  # asymmetry above this is an error
 
 @dataclass(frozen=True)
 class SpectrumVector:
-    """Eigenvalue vector, optionally l1-normalized into [0, 1]."""
+    """An l1-normalized eigenvalue vector: entries in [0, 1] summing to at most 1."""
 
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64).reshape(-1)
-        if self.normalized:
-            if not vals.min(initial=0.0) >= -1e-12:  # also rejects NaN
-                raise DomainError("normalized spectrum has a negative or NaN entry")
-            if vals.sum() > 1.0 + 1e-9:
-                raise DomainError("normalized spectrum sums above 1")
+        if not vals.min(initial=0.0) >= -1e-12:  # also rejects NaN
+            raise DomainError("normalized spectrum has a negative or NaN entry")
+        if vals.sum() > 1.0 + 1e-9:
+            raise DomainError("normalized spectrum sums above 1")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -59,7 +57,7 @@ class SpectrumVector:
     def from_raw(cls, values) -> "SpectrumVector":
         """l1-normalize raw eigenvalues: ``lam_i / (EPSILON + sum(lam))``."""
         vals = np.asarray(values, dtype=np.float64).reshape(-1)
-        return cls(vals / (EPSILON + vals.sum()), normalized=True)
+        return cls(vals / (EPSILON + vals.sum()))
 
 
 def _log3(eta: int) -> int:
@@ -174,17 +172,17 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
     return tso_fast_even(DenseTensor._from_owned(2, m.shape[0], m), eta).array
 
 
-def _binary_power(base: np.ndarray, eta: int, multiply):
-    """``base**eta`` by squaring; ``multiply`` is the composition primitive."""
+def _binary_power(base: np.ndarray, eta: int):
+    """``base**eta`` by squaring, composed with ``@``."""
     n = int(eta)
     acc = None
     while n != 0:
         if n & 1:
-            acc = base if acc is None else multiply(acc, base)
+            acc = base if acc is None else acc @ base
             n -= 1
         n //= 2
         if n > 0:
-            base = multiply(base, base)
+            base = base @ base
     return acc
 
 
@@ -267,7 +265,7 @@ def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
     p = _identity_unfolding(t.dim, t.order)
     side = p.shape[0]
     a = p - t.data.reshape(side, side)
-    g = _binary_power(a, eta, np.matmul)
+    g = _binary_power(a, eta)
     np.subtract(p, g, out=g)  # g is owned here, even when eta == 1 (g is a)
     try:  # one finiteness check on this hot path: the result's
         return DenseTensor._from_owned(t.order, t.dim, g)
@@ -369,37 +367,27 @@ def tso(t: DenseTensor, eta: int) -> DenseTensor:
     return tso_fast_odd(t, eta)
 
 
-def tso_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
-    """``super_diagonal(tso(t, eta)).values``, validated as ``tso`` validates."""
-    t = _validated(t)
-    eta = _check_eta(t.order, eta)
-    return _shrunk_super_diagonal(t, eta, _route(t.dim, t.order, eta))
+def _route(d: int, r: int, eta: int, n: int) -> str:
+    """The route to the order-``r`` super-diagonal of ``n`` columns, at a legal ``eta``.
 
-
-def _route(d: int, r: int, eta: int, n: int | None = None) -> str:
-    """The route to the order-``r`` super-diagonal at a legal ``eta`` with the fewest multiply-adds.
-
-    Dense routes shrink a built descriptor: ``"chain"`` (odd orders,
-    ``log3(eta)`` steps of ``2 d**4`` at order 3), ``"square"``
-    (``even_contraction_count(eta)`` products of the ``D x D`` half unfolding,
-    ``D = d**(r/2)``) or ``"block"`` (``eta - 1`` products of it with a
-    ``D x d`` block; never at order 2, where ``D = d``).  Given the column
-    count ``n``, orders 3 and 4 may take ``"gram"`` instead:
-    ``_factored_super_diagonal`` forms the ``m x m`` Gram (``m = d + n``,
-    ``m**2 d``), then takes ``log3(eta)`` steps of ``2 m d (m + d)`` at order
-    3, or at order 4 squares ``m x m`` matrices up to the half power and
-    applies it to ``d`` columns.  Its count is set against the dense route's
-    plus ``hotd`` (``d**r n``) and ``normalize_descriptor`` (``d**r``).
+    The route with the fewest multiply-adds wins.  The dense routes shrink a
+    built descriptor with the kernel ``tso`` dispatches to: ``"chain"`` at odd
+    orders (``log3(eta)`` steps of ``2 d**4`` at order 3) and ``"square"`` at
+    even orders (``even_contraction_count(eta)`` products of the ``D x D``
+    half unfolding, ``D = d**(r/2)``).  Orders 3 and 4 may take ``"gram"``
+    instead: ``_factored_super_diagonal`` forms the ``m x m`` Gram
+    (``m = d + n``, ``m**2 d``), then takes ``log3(eta)`` steps of
+    ``2 m d (m + d)`` at order 3, or at order 4 squares ``m x m`` matrices up
+    to the half power and applies it to ``d`` columns.  Its count is set
+    against the dense route's plus ``hotd`` (``d**r n``) and
+    ``normalize_descriptor`` (``d**r``).
     """
     if r % 2:
         steps = _log3(eta)
         route, cost = "chain", 2 * steps * d ** (r + r // 2)
     else:
-        side = d ** (r // 2)
-        square = even_contraction_count(eta) * side**3
-        block = (eta - 1) * d * side * side
-        route, cost = ("block", block) if block < square else ("square", square)
-    if n is None or r not in (3, 4):
+        route, cost = "square", even_contraction_count(eta) * d ** (3 * (r // 2))
+    if r not in (3, 4):
         return route
     m = d + n
     gram = m * m * d
@@ -414,33 +402,15 @@ def _route(d: int, r: int, eta: int, n: int | None = None) -> str:
     return "gram" if gram < cost + d**r * (n + 1) else route
 
 
-def _shrunk_super_diagonal(t: DenseTensor, eta: int, route: str) -> np.ndarray:
-    """``tso_super_diagonal`` without the screen, on the dense ``route`` ``_route`` chose.
+def _shrunk_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
+    """``super_diagonal(tso(t, eta)).values`` without the symmetry screen.
 
-    ``hop_unit`` passes descriptors that ``hotd`` built within capacity.
-    ``"chain"`` and ``"square"`` read the super-diagonal of ``tso_fast_odd``
-    and ``tso_fast_even``.  ``"block"``: with ``A = P - T`` the ``D x D`` half
-    unfolding of the complement and ``E`` the ``d`` super-diagonal columns of
-    ``P``, the entries are ``1 - rowsum((E^T A^floor(eta/2)) o (A^ceil(eta/2) E)^T)``:
-    ``eta - 2`` products of ``A`` with a ``D x d`` block, exact without any symmetry.
+    ``hop_unit`` passes descriptors that ``hotd`` built within capacity,
+    super-symmetric by construction.  The diagonal is read from
+    ``tso_fast_odd`` or ``tso_fast_even``, chosen by the order's parity.
     """
-    r, d = t.order, t.dim
-    if route != "block":
-        shrunk = tso_fast_odd(t, eta) if route == "chain" else tso_fast_even(t, eta)
-        return shrunk.data[:: _diagonal_step(d, r)].copy()
-    # _route picks "block" only for eta >= 2, so both halves hold at least one factor A.
-    side = d ** (r // 2)
-    step = _diagonal_step(d, r // 2)
-    a = _identity_unfolding(d, r) - t.data.reshape(side, side)
-    left, right = a[::step], a[:, ::step]  # E^T A and A E
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(eta // 2 - 1):
-            left = left @ a
-        for _ in range(eta - eta // 2 - 1):
-            right = a @ right
-        values = 1.0 - np.einsum("ij,ji->i", left, right)
-    _check_power_finite(values, r, eta)
-    return values
+    shrunk = tso_fast_odd(t, eta) if t.order % 2 else tso_fast_even(t, eta)
+    return shrunk.data[:: _diagonal_step(t.dim, t.order)].copy()
 
 
 def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
@@ -493,7 +463,7 @@ def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
             y = g[:, :d]
             half = (eta - 1) // 2
             if half:
-                y = _binary_power(gs, half, np.matmul) @ y
+                y = _binary_power(gs, half) @ y
             z = gs @ y if eta % 2 == 0 else y
             values = 1.0 - np.einsum("ji,ji->i", s[:, None] * y, z)
     _check_power_finite(values, r, eta)

@@ -56,6 +56,11 @@ class TestBenchTso:
         by_key = {(r.algorithm, r.eta): r for r in records}
         assert by_key[("fast", 9)].contraction_count == 4
 
+    def test_fractional_eta_rejected_before_timing(self):
+        # int() used to truncate 2.5 to 2 and record a run at eta 2
+        with pytest.raises(InvalidArgumentError, match="eta must be an integer >= 1"):
+            bench_tso(order=2, dim=4, etas=(2.5, 3, 4), repeats=9)
+
     def test_odd_grid_above_64(self):
         # the naive warm-up must use a grid exponent: 64 is not a power of 3
         records = bench_tso(order=3, dim=4, etas=(3, 9, 27, 81), repeats=9)

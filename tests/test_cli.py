@@ -51,6 +51,26 @@ def test_negative_seed_or_dim_exits_without_traceback(capsys, argv, code, messag
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-suite", "attention", "--input", "{tmp}/missing.tnsr"],
+        ["run-suite", "attention", "--input", "{tmp}"],
+        ["run-suite", "attention", "--out", "{tmp}/missing/report.json"],
+        ["bench", "--dim", "2", "--eta", "2,4,8", "--out", "{tmp}/missing/records.csv"],
+        ["demo-episode", "--dim", "16", "--out", "{tmp}/missing/episode.tnsc"],
+    ],
+    ids=["run-suite-missing-input", "run-suite-directory-input", "run-suite-out-missing-dir",
+         "bench-out-missing-dir", "demo-episode-out-missing-dir"],
+)
+def test_unusable_path_exits_one_with_one_error_line(capsys, tmp_path, argv):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 class TestRunSuite:
     def test_attention_suite_passes(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -15,6 +15,9 @@ from tensorpool.heads import (
     z_average,
     zshot_head,
 )
+from tensorpool.pipeline import attend_query_to_supports
+
+WEIGHT_NAMES = ("w_q", "w_k", "w_v", "w_p", "w_g", "w_u")
 
 
 def identity_weights(d):
@@ -59,6 +62,13 @@ class TestHeadWeights:
         for w_g in ([1.0, 2.0, 3.0], np.zeros((0, 0)), np.ones((1, 3, 3))):
             with pytest.raises(InvalidArgumentError, match="^w_g must have shape"):
                 HeadWeights(w_g=w_g, **others)
+
+    @pytest.mark.parametrize("name", WEIGHT_NAMES)
+    def test_ragged_nested_list_is_named(self, name):
+        fields = {n: getattr(HeadWeights.seeded(3, seed=2), n) for n in WEIGHT_NAMES}
+        fields[name] = [[1.0, 2.0], [3.0]]
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a rectangular array"):
+            HeadWeights(**fields)
 
     @pytest.mark.parametrize("dim", [0, -1, 2.5])
     def test_seeded_rejects_a_dim_below_one(self, dim):
@@ -378,3 +388,36 @@ class TestZAverage:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             z_average([], [])
+
+
+@pytest.mark.parametrize("call", ["build_spatial_hop_tokens", "compute_relations", "zshot_head"])
+def test_weights_of_another_width_are_named(call):
+    rng = np.random.default_rng(12)
+    d, weights = 3, HeadWeights.seeded(4, seed=12)
+    calls = {
+        "build_spatial_hop_tokens": lambda: build_spatial_hop_tokens(
+            rng.normal(size=(2 * d, 5)), rng.normal(size=d), weights
+        ),
+        "compute_relations": lambda: compute_relations(
+            TokenMatrix(rng.normal(size=(d, 7))), TokenMatrix(rng.normal(size=(d, 7))), weights
+        ),
+        "zshot_head": lambda: zshot_head(
+            PooledFeatures(rng.normal(size=(2 * d, 2)), rng.normal(size=(d, 2))),
+            PooledFeatures(rng.normal(size=(2 * d, 3)), rng.normal(size=(d, 3))),
+            weights,
+        ),
+    }
+    with pytest.raises(InvalidArgumentError, match="weights of width 4 do not fit width-3"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("call", ["multi_head", "spatial_hop_head", "attend_query_to_supports"])
+def test_non_integer_head_count_rejected(call):
+    m = np.random.default_rng(13).uniform(0.1, 1.0, size=(4, 5))
+    calls = {
+        "multi_head": lambda: multi_head(AttentionBundle(m, m, m, heads=2.0), RBF),
+        "spatial_hop_head": lambda: spatial_hop_head(TokenMatrix(m), heads=2.0),
+        "attend_query_to_supports": lambda: attend_query_to_supports(m[:, :2], m, heads=2.0),
+    }
+    with pytest.raises(InvalidArgumentError, match="head count must be an integer, got 2.0"):
+        calls[call]()

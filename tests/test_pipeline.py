@@ -32,7 +32,7 @@ from tensorpool.pipeline import (
 )
 from tensorpool.storage import read_container, write_container
 from tensorpool.tensor import CAPACITY, super_diagonal
-from tensorpool.tso import TsoParams, maxexp_scalar, sigme, tso, tso_super_diagonal
+from tensorpool.tso import TsoParams, maxexp_scalar, sigme, tso
 
 
 def tiled_relations(episode, cfg, params, weights, heads):
@@ -217,7 +217,7 @@ class TestHopUnit:
         for segment, order in zip(np.split(features, np.cumsum(counts)[:-1]), (2, 3, 4)):
             fm = FeatureMatrix(segment)
             desc = normalize_descriptor(hotd(fm, order), fm)
-            diagonals.append(tso_super_diagonal(desc, params.eta_for_order(order)))
+            diagonals.append(super_diagonal(tso(desc, params.eta_for_order(order))).values)
         expected = sigme(np.concatenate(diagonals), params.eta_prime)
         got = hop_unit(features, cfg, params)
         assert np.array_equal(got[:60], expected[:60])
@@ -235,11 +235,11 @@ class TestHopUnit:
             # episode-hop: d 60/24/12
             (96, 16, SplitConfig((5, 2, 1)), ("square", "gram", "gram")),
             # episode-wide: d 20/8/4
-            (32, 256, SplitConfig((5, 2, 1)), ("square", "chain", "block")),
+            (32, 256, SplitConfig((5, 2, 1)), ("square", "chain", "square")),
             # the benchmark's test spec: d 10/4/2
-            (16, 8, SplitConfig((5, 2, 1)), ("square", "chain", "block")),
+            (16, 8, SplitConfig((5, 2, 1)), ("square", "chain", "square")),
             # test_group_independence: d 4/2/2
-            (8, 6, SplitConfig((2, 1, 1)), ("square", "chain", "block")),
+            (8, 6, SplitConfig((2, 1, 1)), ("square", "chain", "square")),
         ],
     )
     def test_gram_route_only_where_it_counts_fewer_multiply_adds(
@@ -260,9 +260,9 @@ class TestHopUnit:
             calls.append(("gram", r))
             return gram(f, r, eta)
 
-        def record_shrink(t, eta, route):
-            calls.append((route, t.order))
-            return shrink(t, eta, route)
+        def record_shrink(t, eta):
+            calls.append(("chain" if t.order % 2 else "square", t.order))
+            return shrink(t, eta)
 
         monkeypatch.setattr(pipeline, "hotd", record_dense)
         monkeypatch.setattr(pipeline, "_factored_super_diagonal", record_gram)
@@ -281,14 +281,14 @@ class TestHopUnit:
         params = TsoParams()
         fm = FeatureMatrix(features)
         expected = sigme(
-            tso_super_diagonal(normalize_descriptor(hotd(fm, 2), fm), params.eta2),
+            super_diagonal(tso(normalize_descriptor(hotd(fm, 2), fm), params.eta2)).values,
             params.eta_prime,
         )
         assert np.array_equal(hop_unit(features, SplitConfig((5, 0, 0)), params), expected)
 
     @pytest.mark.parametrize(
         "shape, scale, route",
-        [((32, 256), 3e76, "block"), ((32, 256), 1e77, "block"), ((96, 16), 1e78, "gram")],
+        [((32, 256), 3e76, "square"), ((32, 256), 1e77, "square"), ((96, 16), 1e78, "gram")],
         ids=["dense-normalization-overflows", "dense-pooling-overflows", "gram"],
     )
     def test_feature_overflow_names_order_and_norm_on_every_route(self, shape, scale, route):
@@ -569,6 +569,17 @@ class TestSynthEpisode:
             range(40), SplitConfig((5, 2, 1)), TsoParams()
         )
         assert rate >= 0.95
+
+    @pytest.mark.parametrize("sizes", [(1.5, 2, 8, 4), (2, 2, 8, "4"), (2, 2, None, 4)])
+    def test_non_integer_sizes_rejected(self, sizes):
+        shots, rois, dim, grid = sizes
+        with pytest.raises(InvalidArgumentError, match="episode sizes must be integers"):
+            synth_episode(0, shots, rois, dim, grid, 1.0)
+
+    def test_integral_float_sizes_accepted(self):
+        a, b = synth_episode(4, 2.0, 2, 8, 2.0, 1.0), synth_episode(4, 2, 2, 8, 2, 1.0)
+        assert a.boxes == b.boxes
+        assert np.array_equal(a.query_map, b.query_map)
 
     def test_labels_alternate(self):
         episode = synth_episode(3, 1, 4, 8, 4, 1.0)

@@ -24,7 +24,7 @@ from tensorpool.tso import SpectrumVector, maxexp_f, maxexp_scalar
 
 
 def make_problem(lam, eta):
-    return ShrinkageProblem(SpectrumVector(np.asarray(lam), normalized=True), eta)
+    return ShrinkageProblem(SpectrumVector(np.asarray(lam)), eta)
 
 
 class TestProblemConstruction:
@@ -54,8 +54,10 @@ class TestProblemConstruction:
             make_problem([0.5, 0.5], 1)
 
     def test_requires_normalized_spectrum(self):
-        with pytest.raises(InvalidArgumentError):
-            ShrinkageProblem(SpectrumVector(np.array([0.5, 0.3])), 2)
+        # the spectrum type holds only l1-normalized values, so an unnormalized
+        # one cannot reach the problem
+        with pytest.raises(DomainError):
+            ShrinkageProblem(SpectrumVector(np.array([0.9, 0.3])), 2)
 
 
 class TestObjective:
@@ -237,6 +239,11 @@ class TestIdentityTarget:
         assert len(report.etas) == 20 and report.etas[-1] == 2**20
         deviations = report.max_deviation_per_eta
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_a_run_that_checks_no_matrix(self, trials):
+        with pytest.raises(InvalidArgumentError, match="trials must be an integer >= 1"):
+            verify_identity_target(6, trials=trials)
 
     def test_rank_deficient_limit_is_projector(self):
         rng = np.random.default_rng(7)

@@ -38,7 +38,6 @@ from tensorpool.tso import (
     tso_fast_even,
     tso_fast_odd,
     tso_naive,
-    tso_super_diagonal,
 )
 
 
@@ -244,7 +243,7 @@ class TestTsoEven:
         t = normalize_descriptor(hotd(fm, 2), fm)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for path in (tso_fast_even, tso, tso_super_diagonal):
+            for path in (tso_fast_even, tso):
                 with pytest.raises(DomainError, match=f"order-2 .* at eta {10**20}"):
                     path(t, 10**20)
 
@@ -253,7 +252,7 @@ class TestCapacityAtEveryEntryPoint:
     SIDES = {2: 129, 3: 25, 4: 17}  # one past each order's CAPACITY
     CASES = [("tso_fast_even", 2), ("tso_fast_even", 4), ("tso_fast_odd", 3), ("maxexp_f", 2)] + [
         (name, order)
-        for name in ("tso_naive", "tso", "tso_super_diagonal")
+        for name in ("tso_naive", "tso")
         for order in (2, 3, 4)
     ]
 
@@ -277,6 +276,16 @@ class TestCapacityAtEveryEntryPoint:
         assert tso_module._identity_unfolding.cache_info().currsize == cached
 
 
+class ProductCounter:
+    """Stands in for a matrix and counts the products composed with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self
+
+
 class TestContractionCounts:
     def test_traced_counts(self):
         # trace of the squaring schedule: eta=7 needs 2 squarings + 2 products
@@ -287,9 +296,9 @@ class TestContractionCounts:
         assert even_contraction_count(5) == 3
         # the count is the number of products the squaring schedule performs
         for eta in (1, 2, 5, 7, 64, 1000, 2**40 + 1):
-            products = []
-            _binary_power(1.0, eta, lambda acc, base: products.append(base) or acc)
-            assert len(products) == even_contraction_count(eta)
+            factor = ProductCounter()
+            _binary_power(factor, eta)
+            assert factor.products == even_contraction_count(eta)
 
     def test_closed_formula(self):
         for eta in list(range(1, 65)) + [1024]:
@@ -398,32 +407,15 @@ class TestTsoDispatch:
         for order, eta in ((2, 4), (3, 3), (4, 4)):
             arr = normalized_descriptor(order, 4, seed=16).array.copy()
             arr[(0, 1, 2, 3)[:order]] += 1e-3
-            for shrink in (tso, tso_super_diagonal):  # both public entry points
-                with pytest.raises(InvalidArgumentError, match="asymmetry"):
-                    shrink(DenseTensor(order, 4, arr), eta)
-
-    def test_super_diagonal_path_skips_the_chain_only_where_cheaper(self, monkeypatch):
-        class ChainRan(Exception):
-            pass
-
-        def chain(t, eta):
-            raise ChainRan
-
-        monkeypatch.setattr(tso_module, "tso_fast_even", chain)
-        # Order 4, d 12: 5 block products of 144 x 12 beat 4 squarings of 144 x 144.
-        t = normalized_descriptor(4, 12, seed=19)
-        got = tso_super_diagonal(t, 7)
-        np.testing.assert_allclose(got, super_diagonal(tso_naive(t, 7)).values, atol=1e-13)
-        # Order 2 unfolds to d x d, where the chain is never dearer.
-        with pytest.raises(ChainRan):
-            tso_super_diagonal(normalized_descriptor(2, 60, seed=19), 7)
+            with pytest.raises(InvalidArgumentError, match="asymmetry"):
+                tso(DenseTensor(order, 4, arr), eta)
 
     def test_super_diagonal_path_rejects_overflow_like_tso(self):
-        # tso squares, tso_super_diagonal takes the block products (d 4, eta 7)
+        # hop_unit's dense path reads the diagonal of the kernel tso dispatches to
         big = DenseTensor(4, 4, normalized_descriptor(4, 4, seed=20).data * 1e100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for shrink in (tso, tso_super_diagonal):
+            for shrink in (tso, tso_module._shrunk_super_diagonal):
                 with pytest.raises(DomainError, match="order-4 shrinkage overflows .* at eta 7"):
                     shrink(big, 7)
 
@@ -563,19 +555,18 @@ class TestDiffusionReversalLimit:
 class TestSpectrumVector:
     def test_from_raw_normalizes(self):
         sv = SpectrumVector.from_raw([3.0, 1.0])
-        assert sv.normalized
         assert sv.values.sum() == pytest.approx(4.0 / (4.0 + 1e-6), rel=1e-15)
 
     def test_invariants(self):
         with pytest.raises(DomainError):
-            SpectrumVector([0.5, -0.1], normalized=True)
+            SpectrumVector([0.5, -0.1])
         with pytest.raises(DomainError):
-            SpectrumVector([0.9, 0.2], normalized=True)
+            SpectrumVector([0.9, 0.2])
 
     def test_nan_rejected_when_normalized(self):
         for values in ([np.nan, 0.2], [0.2, np.nan], [np.nan]):
             with pytest.raises(DomainError, match="negative or NaN entry"):
-                SpectrumVector(values, normalized=True)
+                SpectrumVector(values)
         with pytest.raises(DomainError):
             SpectrumVector.from_raw([np.nan, 1.0])
 
