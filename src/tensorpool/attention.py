@@ -13,29 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NormalizationError
+from .errors import InvalidArgumentError, NormalizationError, read_array, read_int, read_real
 
 SOFTMAX = "softmax"
 RBF = "rbf"
 DEFAULT_SIGMA = 0.5
 # The smallest bandwidth at which 2 / sigma**2 is finite: below it the RBF
 # exponent of two l2-normalized tokens (squared distance up to 4) overflows.
+# Every sigma is read as ``read_real(sigma, "sigma", MIN_SIGMA)``.
 MIN_SIGMA = math.nextafter(math.sqrt(2.0 / sys.float_info.max), math.inf)
 
 
-def _check_heads(dim: int, heads: int) -> None:
-    """Reject a head count that is not an integer splitting ``dim`` channels into equal groups."""
-    if not isinstance(heads, (int, np.integer)):
-        raise InvalidArgumentError(f"head count must be an integer, got {heads!r}")
+def _check_heads(dim: int, heads: int) -> int:
+    """``heads`` read as an int, if it splits ``dim`` channels into equal groups."""
+    heads = read_int(heads, "head count")
     if heads < 1 or dim % heads != 0:
         raise InvalidArgumentError(f"head count {heads} must divide the {dim} channels")
-
-
-def _check_sigma(sigma: float) -> None:
-    """Reject an RBF bandwidth outside ``[MIN_SIGMA, inf)``, NaN included."""
-    if not MIN_SIGMA <= sigma < math.inf:
-        bound = f"{MIN_SIGMA:.4g}, where 2 / sigma**2 is finite"
-        raise InvalidArgumentError(f"sigma must be finite and >= {bound}; got {sigma}")
+    return heads
 
 
 @dataclass(frozen=True)
@@ -49,19 +43,15 @@ class AttentionBundle:
     heads: int = 1
 
     def __post_init__(self):
-        q = np.asarray(self.queries, dtype=np.float64)
-        k = np.asarray(self.keys, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-            raise InvalidArgumentError("Q, K, V must be 2-D matrices")
+        q, k, v = (read_array(getattr(self, n), n, 2) for n in ("queries", "keys", "values"))
         if q.shape[0] != k.shape[0] or q.shape[0] != v.shape[0]:
             raise InvalidArgumentError("Q, K, V must share the channel dimension")
         if k.shape[1] != v.shape[1]:
             raise InvalidArgumentError("K and V must have the same number of tokens")
         if q.shape[0] == 0 or q.shape[1] == 0 or k.shape[1] == 0:
             raise InvalidArgumentError("attention inputs must be non-empty")
-        _check_sigma(self.sigma)
-        _check_heads(q.shape[0], self.heads)
+        object.__setattr__(self, "sigma", read_real(self.sigma, "sigma", MIN_SIGMA))
+        object.__setattr__(self, "heads", _check_heads(q.shape[0], self.heads))
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "keys", k)
         object.__setattr__(self, "values", v)
@@ -80,9 +70,8 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 
 def rbf_similarity(q, k, sigma: float) -> float:
     """Gaussian similarity of l2-normalized vectors, in (0, 1]."""
-    _check_sigma(sigma)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    k = np.asarray(k, dtype=np.float64).reshape(-1)
+    sigma = read_real(sigma, "sigma", MIN_SIGMA)
+    q, k = read_array(q, "q").reshape(-1), read_array(k, "k").reshape(-1)
     nq, nk = np.linalg.norm(q), np.linalg.norm(k)
     if nq == 0.0 or nk == 0.0:
         raise NormalizationError("cannot l2-normalize a zero vector")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, read_int
 from .tensor import DenseTensor, check_capacity
 from .tso import (
     _check_eta,
@@ -69,13 +69,15 @@ def _sample_once_ns(fn, inner: int) -> float:
 
 def random_normalized_descriptor(order: int, dim: int, seed: int = 0) -> DenseTensor:
     """Well-conditioned normalized descriptor for benchmarking and suites."""
-    rng = np.random.default_rng(seed)
+    order, dim = read_int(order, "order", 2), read_int(dim, "dim")
+    check_capacity(dim, order)  # before any feature matrix is drawn
+    rng = np.random.default_rng(read_int(seed, "seed", 0))
     fm = FeatureMatrix(rng.normal(size=(dim, max(2 * dim, 8))))
     return normalize_descriptor(hotd(fm, order), fm)
 
 
 def naive_contraction_count(order: int, eta: int) -> int:
-    return int(eta) - 1 if order % 2 == 0 else odd_contraction_count(eta)
+    return read_int(eta, "eta", 1) - 1 if order % 2 == 0 else odd_contraction_count(eta)
 
 
 def fast_contraction_count(order: int, eta: int) -> int:
@@ -89,17 +91,15 @@ def bench_tso(
     repeats: int = 9,
     seed: int = 0,
 ) -> list[BenchRecord]:
-    """Time naive vs fast shrinkage over an exponent grid."""
-    if repeats < 9:
-        raise InvalidArgumentError("timing medians need at least 9 runs")
+    """Time naive vs fast shrinkage over an exponent grid, every argument checked first."""
+    order, dim = read_int(order, "order", 2), read_int(dim, "dim")
+    repeats, seed = read_int(repeats, "repeats", 9), read_int(seed, "seed", 0)
     if repeats > MAX_REPEATS:
         raise InvalidArgumentError(f"repeats must be at most {MAX_REPEATS}, got {repeats}")
-    if dim < 1:
-        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
-    if order < 2:
-        raise InvalidArgumentError(f"order must be >= 2, got {order}")
-    check_capacity(dim, order)  # before any feature matrix is drawn
+    check_capacity(dim, order)
     etas = [_check_eta(order, e) for e in etas]
+    if not etas:
+        raise InvalidArgumentError("etas must be a non-empty grid of exponents")
     if order % 2 == 0 and max(etas) > MAX_EVEN_ETA:
         raise InvalidArgumentError(
             f"even-order eta must be at most {MAX_EVEN_ETA}, got {max(etas)}"

@@ -57,12 +57,13 @@ def _cmd_run_suite(args) -> int:
 
 
 def _parse_eta_list(raw: str) -> list[int]:
+    """``--eta``'s grid, checked here so that an empty or non-positive one's error names the flag."""
     try:
         etas = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise InvalidArgumentError(f"--eta expects comma-separated integers, got {raw!r}")
+        etas = []  # reported below, like an empty grid
     if not etas or min(etas) < 1:
-        raise InvalidArgumentError(f"--eta expects one or more exponents >= 1, got {raw!r}")
+        raise InvalidArgumentError(f"--eta expects comma-separated integers >= 1, got {raw!r}")
     return etas
 
 

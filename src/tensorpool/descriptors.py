@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, read_array, read_int
 from .tensor import DenseTensor, check_capacity
 
 # Stabilizer used by every normalization in the package.
@@ -27,8 +27,8 @@ class FeatureMatrix:
     columns: np.ndarray
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=np.float64)
-        if cols.ndim != 2 or cols.shape[0] < 1 or cols.shape[1] < 1:
+        cols = read_array(self.columns, "columns", 2)
+        if cols.shape[0] < 1 or cols.shape[1] < 1:
             raise InvalidArgumentError("columns must be a d x N matrix with d >= 1 and N >= 1")
         if not np.all(np.isfinite(cols)):
             raise InvalidArgumentError("feature matrix entries must be finite")
@@ -55,8 +55,7 @@ def hotd(f: FeatureMatrix, r: int) -> DenseTensor:
     ``KR(phi, k)`` is the k-fold Kronecker power of ``phi[:, n]`` (capacity
     bounds ``r`` at 4, so neither factor exceeds ``k = 2``).
     """
-    if r < 2:
-        raise InvalidArgumentError("descriptors require order r >= 2")
+    r = read_int(r, "r", 2)
     check_capacity(f.dim, r)
     c = f.columns
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
@@ -77,8 +76,7 @@ def poly_kernel_sum(f: FeatureMatrix, g: FeatureMatrix, r: int) -> float:
     """
     if f.dim != g.dim:
         raise InvalidArgumentError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if r < 1:
-        raise InvalidArgumentError("kernel degree r must be >= 1")
+    r = read_int(r, "r", 1)
     gram = f.columns.T @ g.columns
     return float(np.sum(gram**r) / (f.count * g.count))
 
@@ -91,6 +89,7 @@ def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
     same formula is used for odd orders, where no unfolding trace exists.
     A sum beyond float64 raises ``DomainError``, on every route that pools ``f``.
     """
+    r = read_int(r, "r", 1)
     with np.errstate(over="ignore"):
         total = float((np.linalg.norm(f.columns, axis=0) ** r).sum())
     if not math.isfinite(total):

@@ -1,4 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the three readers of caller values.
+
+Every public entry point reads a caller's values with these readers, so one rule
+holds everywhere and a malformed value ends in ``InvalidArgumentError`` naming
+the argument.  ``read_int`` (``read_ints`` for a sequence) reads an integral value
+of any real type as ``int``: ``2.0`` reads as 2, while ``2.5``, ``"2"``, ``None``
+and NaN are rejected.  ``read_real`` reads a real number as ``float``, and
+``read_array`` a float64 array, of a given rank if asked; a ragged one is rejected.
+"""
+
+import numbers
+
+import numpy as np
 
 
 class TensorPoolError(Exception):
@@ -37,3 +49,45 @@ class FileFormatError(TensorPoolError, ValueError):
     def __init__(self, message, byte_offset):
         super().__init__(f"{message} (byte offset {byte_offset})")
         self.byte_offset = byte_offset
+
+
+def read_int(value, name: str, low: int | None = None) -> int:
+    """``value`` as an ``int``, if it has an integral value and is at least ``low`` (if given)."""
+    v = value
+    if type(v) is not int and (  # a plain int, the common case, is read as it is
+        isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer()
+    ):
+        v = int(v)
+    if type(v) is not int or low is not None and v < low:
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidArgumentError(f"{name} must be an integer{bound}, got {value!r}")
+    return v
+
+
+def read_ints(values, name: str) -> tuple[int, ...]:
+    """``values`` (one value counts as one) as a tuple of ints, each read by ``read_int``."""
+    values = tuple(values) if np.iterable(values) else (values,)
+    try:
+        return tuple(read_int(v, name) for v in values)
+    except InvalidArgumentError:
+        raise InvalidArgumentError(f"{name} must be integers; got {values!r}") from None
+
+
+def read_real(value, name: str, low: float | None = None) -> float:
+    """``value`` as a ``float``, if it is a real number; with ``low``, a finite one >= ``low``."""
+    if type(value) is not float and not isinstance(value, numbers.Real):  # a float needs no check
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    if low is not None and not low <= value < np.inf:  # also rejects NaN
+        raise InvalidArgumentError(f"{name} must be finite and >= {low:.4g}, got {value}")
+    return float(value)
+
+
+def read_array(value, name: str, ndim: int | None = None, copy: bool = False) -> np.ndarray:
+    """``value`` as a float64 array with ``ndim`` axes, if given: a fresh C-ordered one if ``copy``."""
+    try:
+        arr = np.array(value, np.float64, order="C") if copy else np.asarray(value, np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be a rectangular array of real numbers") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidArgumentError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    return arr

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, multi_head
-from .attention import _check_heads, _check_sigma, _heads
-from .errors import InvalidArgumentError
-
-
-def _float_array(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array; a ragged or non-numeric one is an error naming ``name``."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{name} must be a rectangular array of real numbers") from None
+from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, MIN_SIGMA, multi_head
+from .attention import _check_heads, _heads
+from .errors import InvalidArgumentError, read_array, read_int, read_real
 
 
 def _check_width(weights: HeadWeights, d: int) -> None:
@@ -56,7 +48,7 @@ class HeadWeights:
     w_u: np.ndarray
 
     def __post_init__(self):
-        w_g = _float_array(self.w_g, "w_g")  # it sets d for the others
+        w_g = read_array(self.w_g, "w_g")  # it sets d for the others
         if w_g.ndim != 2 or w_g.shape[0] < 1:
             raise InvalidArgumentError(f"w_g must have shape (d, d) with d >= 1, got {w_g.shape}")
         d = w_g.shape[0]
@@ -69,7 +61,7 @@ class HeadWeights:
             "w_u": (d, 2 * d),
         }
         for name, shape in expected.items():
-            arr = w_g if name == "w_g" else _float_array(getattr(self, name), name)
+            arr = w_g if name == "w_g" else read_array(getattr(self, name), name)
             if arr.shape != shape:
                 raise InvalidArgumentError(f"{name} must have shape {shape}")
             if not np.all(np.isfinite(arr)):
@@ -83,9 +75,8 @@ class HeadWeights:
     @classmethod
     def seeded(cls, dim: int, seed: int = 0) -> "HeadWeights":
         """Deterministic weights, uniform in [-1/sqrt(d), 1/sqrt(d)]."""
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim!r}")
-        rng = np.random.default_rng(seed)
+        dim = read_int(dim, "dim", 1)
+        rng = np.random.default_rng(read_int(seed, "seed", 0))
         bound = 1.0 / np.sqrt(dim)
 
         def draw(rows, cols):
@@ -114,10 +105,8 @@ class TokenMatrix:
     multiplicity: int = 1
 
     def __post_init__(self):
-        arr = np.asarray(self.tokens, dtype=np.float64)
-        m = self.multiplicity
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise InvalidArgumentError(f"multiplicity must be an integer >= 1, got {m!r}")
+        arr = read_array(self.tokens, "tokens")
+        object.__setattr__(self, "multiplicity", read_int(self.multiplicity, "multiplicity", 1))
         if arr.ndim < 2 or arr.shape[-1] < 3:
             raise InvalidArgumentError("token matrix needs a spatial, an FO and an HO column")
         object.__setattr__(self, "tokens", arr)
@@ -152,8 +141,7 @@ class PooledFeatures:
     hop: np.ndarray  # d x count
 
     def __post_init__(self):
-        mf = np.atleast_2d(np.asarray(self.mean_features, dtype=np.float64))
-        hp = np.atleast_2d(np.asarray(self.hop, dtype=np.float64))
+        mf, hp = read_array(self.mean_features, "mean_features", 2), read_array(self.hop, "hop", 2)
         if mf.shape[1] != hp.shape[1] or mf.shape[1] < 1:
             raise InvalidArgumentError("mean_features and hop must align per item")
         if mf.shape[0] != 2 * hp.shape[0]:
@@ -209,12 +197,12 @@ def build_spatial_hop_tokens(
     spatial tokens, the spatial average of its second (upper) half is the
     FO token, and the projected HOP vector is the HO token.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = read_array(features, "features")
     if features.ndim < 2 or features.shape[-2] % 2 != 0:
         raise InvalidArgumentError("feature map must have an even channel count")
     d = features.shape[-2] // 2
     _check_width(weights, d)
-    hop = np.asarray(hop, dtype=np.float64)
+    hop = read_array(hop, "hop")
     if hop.shape != (*features.shape[:-2], d):
         raise InvalidArgumentError(f"hop must have shape {(*features.shape[:-2], d)}")
     lower, upper = features[..., :d, :], features[..., d:, :]
@@ -238,8 +226,7 @@ def spatial_hop_head(
     ``multi_head`` makes, so each matrix gets the bits it would get alone.
     """
     t = tokens.tokens
-    _check_sigma(sigma)
-    _check_heads(tokens.dim, heads)
+    sigma, heads = read_real(sigma, "sigma", MIN_SIGMA), _check_heads(tokens.dim, heads)
     counts = np.ones(t.shape[-1])
     counts[:-2] = tokens.multiplicity
     mixed = _heads(t, t, t * counts, heads, sigma, RBF)  # (..., S + 2, d)
@@ -281,10 +268,7 @@ def compute_relations(
 
 def z_average(maps, reps) -> tuple[np.ndarray, np.ndarray]:
     """Arithmetic means of feature maps and HOP vectors over the shot index."""
-    maps = [np.asarray(m, dtype=np.float64) for m in maps]
-    reps = [np.asarray(r, dtype=np.float64) for r in reps]
-    if len(maps) == 0 or len(reps) == 0:
+    maps, reps = read_array(maps, "maps"), read_array(reps, "reps")  # unequal items are ragged
+    if not (maps.ndim and reps.ndim and len(maps) and len(reps)):
         raise InvalidArgumentError("z_average requires at least one item")
-    if len({m.shape for m in maps}) != 1 or len({r.shape for r in reps}) != 1:
-        raise InvalidArgumentError("z_average requires consistent shapes")
-    return np.mean(maps, axis=0), np.mean(reps, axis=0)
+    return maps.mean(axis=0), reps.mean(axis=0)

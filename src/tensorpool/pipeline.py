@@ -19,14 +19,13 @@ relations.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import DEFAULT_SIGMA, RBF, AttentionBundle, multi_head, rbf_similarity
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError, read_array, read_int, read_ints, read_real
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -56,17 +55,6 @@ MAX_EPISODE_COLUMNS = 16_384  # grid * (shots + rois) of a synthetic episode
 MAX_EPISODE_DIM = sum(CAPACITY[r] for r in ORDERS)  # no split pools more channels
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` (or one value) as ints; each must be a real number of integral value."""
-    values = tuple(values) if np.iterable(values) else (values,)
-    if not all(
-        isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer()
-        for v in values
-    ):
-        raise InvalidArgumentError(f"{what} must be integers; got {values!r}")
-    return tuple(int(v) for v in values)
-
-
 @dataclass(frozen=True)
 class SplitConfig:
     """Channel-split ratios for the order-2, 3, 4 descriptor groups; a 0 drops that order."""
@@ -74,7 +62,7 @@ class SplitConfig:
     ratios: tuple[int, int, int] = (5, 2, 1)
 
     def __post_init__(self):
-        ratios = _integers(self.ratios, "ratios")
+        ratios = read_ints(self.ratios, "ratios")
         if len(ratios) != len(ORDERS) or min(ratios) < 0 or not any(ratios):
             raise InvalidArgumentError(
                 "ratios must be three non-negative integers, at least one positive"
@@ -91,7 +79,7 @@ class SplitConfig:
 
     def channel_counts(self, dim: int) -> tuple[int, int, int]:
         """Channels per order; rounding remainders go to the lowest order present."""
-        total = sum(self.ratios)
+        dim, total = read_int(dim, "dim"), sum(self.ratios)
         counts = [r * dim // total for r in self.ratios]
         counts[next(i for i, r in enumerate(self.ratios) if r)] += dim - sum(counts)
         if any(c < 2 for c, r in zip(counts, self.ratios) if r):
@@ -120,11 +108,11 @@ def plan(dim: int, width: int, cfg: SplitConfig, params: TsoParams) -> tuple[Gro
     Orders with a zero ratio have no group.  Each group's channel count is
     checked against its order's capacity.
     """
-    groups, start = [], 0
+    groups, start, width = [], 0, read_int(width, "width")
     for order, count in zip(ORDERS, cfg.channel_counts(dim)):
         if count:
             check_capacity(count, order)
-            eta = int(params.eta_for_order(order))  # a NumPy integer would wrap in _route's count
+            eta = params.eta_for_order(order)
             route = _route(count, order, eta, width)
             groups.append(GroupPlan(order, slice(start, start + count), eta, route))
             start += count
@@ -141,23 +129,23 @@ class EpisodeBatch:
     labels: tuple | None = None  # synthetic class ids per box, 0 = support class
 
     def __post_init__(self):
-        supports = tuple(np.asarray(m, dtype=np.float64) for m in self.support_maps)
+        supports = tuple(read_array(m, "support_maps", 2) for m in self.support_maps)
         if len(supports) < 1:
             raise InvalidArgumentError("episode needs at least one support map")
-        query = np.asarray(self.query_map, dtype=np.float64)
+        query = read_array(self.query_map, "query_map", 2)
         for m in (*supports, query):
-            if m.ndim != 2 or m.size == 0 or not np.all(np.isfinite(m)):
+            if m.size == 0 or not np.all(np.isfinite(m)):
                 raise InvalidArgumentError("feature maps must be non-empty, 2-D and finite")
         if len({m.shape[0] for m in (*supports, query)}) != 1:
             raise InvalidArgumentError("support and query maps must share the channel count")
-        boxes = tuple(_integers(box, "box ends") for box in self.boxes)
+        boxes = tuple(read_ints(box, "box ends") for box in self.boxes)
         if len(boxes) < 1:
             raise InvalidArgumentError("episode needs at least one box")
         grid = query.shape[1]
         for box in boxes:
             if len(box) != 2 or not (0 <= box[0] < box[1] <= grid):
                 raise InvalidArgumentError(f"box {box} is no (start, stop) range in grid {grid}")
-        labels = None if self.labels is None else _integers(self.labels, "labels")
+        labels = None if self.labels is None else read_ints(self.labels, "labels")
         if labels is not None and len(labels) != len(boxes):
             raise InvalidArgumentError("one label per box required")
         object.__setattr__(self, "support_maps", supports)
@@ -188,9 +176,7 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     else by ``hotd``, ``normalize_descriptor`` and ``_shrunk_super_diagonal``.
     The groups are concatenated and squashed by ``sigme`` with the shared slope.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise InvalidArgumentError("hop_unit expects a d x N feature map")
+    features = read_array(features, "features", 2)
     diagonals = []
     for group in plan(*features.shape, cfg, params):
         fm = FeatureMatrix(features[group.channels])
@@ -213,13 +199,7 @@ def attend_query_to_supports(
     ``hop_vectors`` is ``d x Z``; the output feature map has the query map's
     shape, each column a support-conditioned mixture.
     """
-    hop_vectors = np.atleast_2d(np.asarray(hop_vectors, dtype=np.float64))
-    query_map = np.asarray(query_map, dtype=np.float64)
-    if hop_vectors.shape[0] != query_map.shape[0]:
-        raise InvalidArgumentError("HOP vectors must match the query channels")
-    bundle = AttentionBundle(
-        query_map, hop_vectors, hop_vectors, sigma=sigma, heads=heads
-    )
+    bundle = AttentionBundle(query_map, hop_vectors, hop_vectors, sigma=sigma, heads=heads)
     return multi_head(bundle, RBF).T
 
 
@@ -237,7 +217,7 @@ class EpisodeResult:
 
 def _stack_mean(map_like: np.ndarray) -> np.ndarray:
     """Duplicate a map's column mean into the stacked 2d embedding space."""
-    mean = np.asarray(map_like, dtype=np.float64).mean(axis=1)
+    mean = map_like.mean(axis=1)
     return np.concatenate([mean, mean])
 
 
@@ -336,7 +316,8 @@ def synth_episode(
     boxes alternate between class 0 and class 1 (recorded in ``labels``),
     each box a contiguous column range of ``grid`` columns in the query map.
     """
-    shots, rois, dim, grid = _integers((shots, rois, dim, grid), "episode sizes")
+    shots, rois, dim, grid = read_ints((shots, rois, dim, grid), "episode sizes")
+    seed, separation = read_int(seed, "seed", 0), read_real(separation, "separation")
     if shots < 1 or rois < 1 or dim < 1 or grid < 1:
         raise InvalidArgumentError("episode sizes must be positive")
     if dim > MAX_EPISODE_DIM:

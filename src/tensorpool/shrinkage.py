@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, read_array, read_int
 from .tso import SpectrumVector, maxexp_f
 
 _CLAMP = 1e-9  # spectra are clamped into [0, 1 - _CLAMP] before complements
@@ -78,7 +78,7 @@ class ShrinkageProblem:
 
 
 def _complements(prob: ShrinkageProblem, lam_prime: np.ndarray):
-    lam_prime = np.asarray(lam_prime, dtype=np.float64)
+    lam_prime = read_array(lam_prime, "lam_prime")
     if lam_prime.shape != (prob.dim,):
         raise InvalidArgumentError("candidate spectrum has wrong length")
     if np.any(lam_prime < 0.0) or np.any(lam_prime >= 1.0):
@@ -202,8 +202,7 @@ def random_trace_normalized_psd(rng: np.random.Generator, dim: int) -> np.ndarra
     between numerical zero and the 1e-6 acceptance band, so deviation
     sequences stay strictly decreasing.
     """
-    if dim < 2:
-        raise InvalidArgumentError("dimension must be >= 2")
+    dim = read_int(dim, "dim", 2)
     lam_min = float(rng.uniform(2e-5, 1e-4))
     rest = rng.uniform(0.5, 1.0, size=dim - 1)
     rest *= (1.0 - lam_min) / rest.sum()
@@ -234,11 +233,8 @@ def verify_identity_target(dim: int, trials: int, seed: int = 0) -> IdentityTarg
     doubles (strictly while above the floating-point floor) and reach 1e-6
     by ``eta = 2**20``.  Eigenvector orthogonality is checked on the way.
     """
-    if dim < 2:
-        raise InvalidArgumentError("dimension must be >= 2")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise InvalidArgumentError(f"trials must be an integer >= 1, got {trials!r}")
-    rng = np.random.default_rng(seed)
+    dim, trials = read_int(dim, "dim", 2), read_int(trials, "trials", 1)
+    rng = np.random.default_rng(read_int(seed, "seed", 0))
     etas = [2**k for k in range(1, 21)]
     eye = np.eye(dim)
     worst = np.zeros(len(etas))

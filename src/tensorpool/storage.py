@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, read_array
 from .tensor import CAPACITY, MAX_ORDER, DenseTensor
 
 TNSR_MAGIC = b"TNSR"
@@ -84,7 +84,7 @@ def write_container(path, sections: dict[str, np.ndarray]) -> None:
     # Convert every section before opening the file: one that fails leaves no file.
     parts = [TNSC_MAGIC + _U32.pack(VERSION) + _U32.pack(len(sections))]
     for name, arr in sections.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        arr = np.ascontiguousarray(read_array(arr, f"section {name!r}"), dtype="<f8")
         if arr.ndim < 1:
             arr = arr.reshape(1)
         encoded = name.encode("utf-8")

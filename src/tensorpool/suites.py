@@ -15,7 +15,7 @@ import numpy as np
 from . import shrinkage
 from .attention import RBF, SOFTMAX, AttentionBundle, attention, multi_head
 from .descriptors import FeatureMatrix, hotd, poly_kernel_sum
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, read_int
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -325,6 +325,7 @@ _SUITES = {
 
 def run_suite(name: str, seed: int = 0) -> dict:
     """Execute one named suite (or ``all``) and return a JSON-ready report."""
+    seed = read_int(seed, "seed", 0)
     if name == "all":
         sub = [run_suite(sub_name, seed=seed) for sub_name in SUITE_NAMES]
         return {

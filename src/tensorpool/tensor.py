@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError, read_array, read_int
 
 # Desk-scale size bounds: large enough for meaningful experiments, small
 # enough that brute-force oracles run in seconds.
@@ -28,9 +28,12 @@ MAX_ORDER = 4
 
 
 def check_capacity(dim: int, order: int) -> None:
-    """Reject (dim, order) combinations outside the supported envelope."""
+    """Reject (dim, order) outside the supported envelope: ``1 <= dim <= CAPACITY[order]``."""
+    order, dim = read_int(order, "order", 1), read_int(dim, "dim")
     if order > MAX_ORDER:
         raise CapacityError(f"order {order} exceeds the supported maximum {MAX_ORDER}")
+    if dim < 1:
+        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     limit = CAPACITY[order]
     if dim > limit:
         raise CapacityError(f"dim {dim} exceeds the order-{order} limit {limit}")
@@ -61,11 +64,8 @@ class DenseTensor:
     __slots__ = ("order", "dim", "data")
 
     def __init__(self, order: int, dim: int, data):
-        if order < 1:
-            raise InvalidArgumentError("tensor order must be >= 1")
-        if dim < 1:
-            raise InvalidArgumentError("tensor dim must be >= 1")
-        flat = np.array(data, dtype=np.float64, order="C").reshape(-1)  # always a copy
+        order, dim = read_int(order, "order", 1), read_int(dim, "dim", 1)
+        flat = read_array(data, "data", copy=True).reshape(-1)
         if flat.size != dim**order:
             raise InvalidArgumentError(
                 f"data length {flat.size} != dim**order = {dim**order}"
@@ -123,7 +123,7 @@ class SuperDiagonal:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
+        vals = read_array(self.values, "values", 1, copy=True)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -134,10 +134,7 @@ class SuperDiagonal:
 
 def identity_tensor(d: int, r: int) -> DenseTensor:
     """Tensor with ones exactly where all ``r`` indices coincide."""
-    if d < 1:
-        raise InvalidArgumentError("identity_tensor requires d >= 1")
-    if r < 2:
-        raise InvalidArgumentError("identity_tensor requires order r >= 2")
+    d, r = read_int(d, "d", 1), read_int(r, "r", 2)
     check_capacity(d, r)
     flat = np.zeros(d**r)
     flat[:: _diagonal_step(d, r)] = 1.0

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, descriptor_norm_sum
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, read_array, read_int, read_real
 from .tensor import DenseTensor, _all_finite, _diagonal_step, asymmetry, check_capacity
 from .tensor import identity_tensor, symmetrize
 
@@ -45,7 +45,7 @@ class SpectrumVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64).reshape(-1)
+        vals = read_array(self.values, "values", copy=True).reshape(-1)
         if not vals.min(initial=0.0) >= -1e-12:  # also rejects NaN
             raise DomainError("normalized spectrum has a negative or NaN entry")
         if vals.sum() > 1.0 + 1e-9:
@@ -56,7 +56,7 @@ class SpectrumVector:
     @classmethod
     def from_raw(cls, values) -> "SpectrumVector":
         """l1-normalize raw eigenvalues: ``lam_i / (EPSILON + sum(lam))``."""
-        vals = np.asarray(values, dtype=np.float64).reshape(-1)
+        vals = read_array(values, "values").reshape(-1)
         return cls(vals / (EPSILON + vals.sum()))
 
 
@@ -75,8 +75,7 @@ def _log3(eta: int) -> int:
 
 def nearest_power_of_3(eta: int) -> int:
     """Closest power of three to ``eta`` (ties round up)."""
-    if eta < 1:
-        raise InvalidArgumentError("eta must be >= 1")
+    eta = read_int(eta, "eta", 1)
     low = 3 ** _log3(eta)
     return low if eta - low < 3 * low - eta else 3 * low
 
@@ -102,11 +101,8 @@ class TsoParams:
 
     def __post_init__(self):
         for name in ("eta2", "eta3", "eta4"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidArgumentError(f"{name} must be an integer >= 1")
-        if not 1 <= self.eta_prime < np.inf:  # also rejects NaN
-            raise InvalidArgumentError(f"eta_prime must be finite and >= 1, got {self.eta_prime}")
+            object.__setattr__(self, name, read_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "eta_prime", read_real(self.eta_prime, "eta_prime", 1))
 
     def eta_for_order(self, order: int) -> int:
         """Effective exponent for ``order``, applying odd-order rounding."""
@@ -122,8 +118,9 @@ class TsoParams:
 
 
 def maxexp_scalar(lam: float, eta: int) -> float:
-    """Spectral shrinkage map ``1 - (1 - lam)**eta`` on [0, 1]."""
-    if eta < 1:
+    """Spectral shrinkage map ``1 - (1 - lam)**eta`` on [0, 1], for any real ``eta >= 1``."""
+    lam, eta = read_real(lam, "lam"), read_real(eta, "eta")
+    if not eta >= 1:  # also rejects NaN
         raise InvalidArgumentError("eta must be >= 1")
     if not -1e-12 <= lam <= 1.0 + 1e-12:  # also rejects NaN
         raise DomainError(f"lambda {lam} outside [0, 1]")
@@ -140,9 +137,7 @@ def sigme(p, eta_prime: float):
     overflow for large arguments.  Odd, ranges in (-1, 1), slope ``eta'/2``
     at zero.
     """
-    if not 1 <= eta_prime < np.inf:
-        raise InvalidArgumentError(f"eta_prime must be finite and >= 1, got {eta_prime}")
-    out = np.tanh(0.5 * eta_prime * np.asarray(p, dtype=np.float64))
+    out = np.tanh(0.5 * read_real(eta_prime, "eta_prime", 1) * read_array(p, "p"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -154,10 +149,10 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
     on the order-2 tensor (integer ``eta >= 1``, a read-only result): never an
     eigendecomposition, so spectral tests are an independent check.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = read_array(m, "m", 2)
     if not np.all(np.isfinite(m)):
         raise InvalidArgumentError("matrix entries must be finite")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("expected a square matrix")
     check_capacity(m.shape[0], 2)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail a check below
@@ -188,7 +183,7 @@ def _binary_power(base: np.ndarray, eta: int):
 
 def even_contraction_count(eta: int) -> int:
     """Products ``_binary_power`` takes for ``eta >= 1``: squarings plus accumulations."""
-    eta = int(eta)
+    eta = read_int(eta, "eta", 1)
     return eta.bit_length() + eta.bit_count() - 2
 
 
@@ -210,21 +205,20 @@ def _identity_unfolding(d: int, r: int) -> np.ndarray:
 
 
 def _check_eta(order: int, eta) -> int:
-    """``eta`` as an int, if it is a legal exponent for ``order``.
+    """``eta`` read as an int, if it is a legal exponent for ``order``.
 
     Even orders take any integer >= 1; odd orders only powers of three, and
     the error then carries the nearest one.
     """
     if order % 2 == 0:
-        if not isinstance(eta, (int, np.integer)) or eta < 1:
-            raise InvalidArgumentError("eta must be an integer >= 1")
-    elif not isinstance(eta, (int, np.integer)) or not is_power_of_3(int(eta)):
+        return read_int(eta, "eta", 1)
+    eta = read_int(eta, "eta")
+    if not is_power_of_3(eta):
         raise InvalidArgumentError(
             f"odd-order eta must be a power of 3, got {eta}",
-            nearest_eta=nearest_power_of_3(max(int(eta), 1)),
+            nearest_eta=nearest_power_of_3(max(eta, 1)),
         )
-    return int(eta)
-
+    return eta
 
 def _overflow(r: int, eta: int) -> DomainError:
     """The error for a power that left float64.
@@ -235,11 +229,6 @@ def _overflow(r: int, eta: int) -> DomainError:
     return DomainError(
         f"order-{r} shrinkage overflows float64 at eta {eta}: the power is not finite"
     )
-
-
-def _check_power_finite(m: np.ndarray, r: int, eta: int) -> None:
-    if not _all_finite(m):
-        raise _overflow(r, eta)
 
 
 def _power_result(r: int, d: int, eta: int, flat: np.ndarray) -> DenseTensor:
@@ -466,5 +455,6 @@ def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
                 y = _binary_power(gs, half) @ y
             z = gs @ y if eta % 2 == 0 else y
             values = 1.0 - np.einsum("ji,ji->i", s[:, None] * y, z)
-    _check_power_finite(values, r, eta)
+    if not _all_finite(values):
+        raise _overflow(r, eta)
     return values

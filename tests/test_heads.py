@@ -285,9 +285,11 @@ class TestSpatialHopHead:
         tokens = TokenMatrix(np.ones((2, 3)), multiplicity=4)
         assert tokens.n_spatial == 4 and tokens.spatial.shape == (2, 4)
         assert TokenMatrix(np.ones((5, 2, 6)), multiplicity=np.int64(2)).n_spatial == 8
-        for multiplicity in (0, -1, 1.25, 2.0, "2"):
+        for multiplicity in (0, -1, 1.25, 2.5, "2", None):
             with pytest.raises(InvalidArgumentError, match="multiplicity must be an integer"):
                 TokenMatrix(np.ones((3, 4)), multiplicity=multiplicity)
+        assert TokenMatrix(np.ones((3, 4)), multiplicity=2.0).multiplicity == 2
+        assert type(TokenMatrix(np.ones((3, 4)), multiplicity=2.0).multiplicity) is int
         for shape in ((2, 2), (2, 0), (4,)):
             with pytest.raises(InvalidArgumentError, match="spatial, an FO and an HO column"):
                 TokenMatrix(np.ones(shape))
@@ -415,9 +417,11 @@ def test_weights_of_another_width_are_named(call):
 def test_non_integer_head_count_rejected(call):
     m = np.random.default_rng(13).uniform(0.1, 1.0, size=(4, 5))
     calls = {
-        "multi_head": lambda: multi_head(AttentionBundle(m, m, m, heads=2.0), RBF),
-        "spatial_hop_head": lambda: spatial_hop_head(TokenMatrix(m), heads=2.0),
-        "attend_query_to_supports": lambda: attend_query_to_supports(m[:, :2], m, heads=2.0),
+        "multi_head": lambda h: multi_head(AttentionBundle(m, m, m, heads=h), RBF),
+        "spatial_hop_head": lambda h: spatial_hop_head(TokenMatrix(m), heads=h).tokens,
+        "attend_query_to_supports": lambda h: attend_query_to_supports(m[:, :2], m, heads=h),
     }
-    with pytest.raises(InvalidArgumentError, match="head count must be an integer, got 2.0"):
-        calls[call]()
+    assert np.array_equal(calls[call](2.0), calls[call](2))  # 2.0 reads as 2
+    for heads in (2.5, "2", None):
+        with pytest.raises(InvalidArgumentError, match=f"head count must be an integer, got {heads!r}"):
+            calls[call](heads)

@@ -145,11 +145,12 @@ class TestMaxExpF:
                 assert lam[0] >= -1e-12 and lam[-1] <= 1.0 + 1e-12
 
     def test_non_integer_eta_rejected(self):
-        # maxexp_scalar takes the real power; the matrix form takes integers only.
+        # maxexp_scalar takes the real power; the matrix form takes integral values only.
         m = random_trace_normalized_psd(np.random.default_rng(3), 4)
-        for eta in (2.5, 2.0, 0, None):
+        for eta in (2.5, 0, None, "2"):
             with pytest.raises(InvalidArgumentError, match="eta must be an integer >= 1"):
                 maxexp_f(m, eta)
+        assert np.array_equal(maxexp_f(m, 2.0), maxexp_f(m, 2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected_first_without_warnings(self, bad):
