@@ -3,9 +3,9 @@
 Core layers, each imported from its own submodule (the package re-exports
 nothing, so importing one layer loads only what it uses):
 
-* ``errors``: the typed errors, and the readers (``read_int``, ``read_ints``,
-  ``read_real``, ``read_array``) through which every entry point reads a
-  caller's integers, reals and arrays;
+* ``errors``: the typed errors, the finiteness screen, and the readers (``read_int``,
+  ``read_ints``, ``read_items``, ``read_real``, ``read_array``) through which every
+  entry point reads a caller's integers, containers, reals and finite arrays;
 * ``tensor``: dense cubic tensors, capacity bounds, super-diagonals;
 * ``descriptors``: outer-power descriptors of feature matrices;
 * ``tso``: spectral and tensorial shrinkage with fast even/odd paths;

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
-from .errors import InvalidArgumentError, read_int
+from .errors import InvalidArgumentError, read_int, read_items
 from .tensor import DenseTensor, check_capacity
 from .tso import (
     _check_eta,
@@ -97,9 +97,7 @@ def bench_tso(
     if repeats > MAX_REPEATS:
         raise InvalidArgumentError(f"repeats must be at most {MAX_REPEATS}, got {repeats}")
     check_capacity(dim, order)
-    etas = [_check_eta(order, e) for e in etas]
-    if not etas:
-        raise InvalidArgumentError("etas must be a non-empty grid of exponents")
+    etas = [_check_eta(order, e) for e in read_items(etas, "etas")]
     if order % 2 == 0 and max(etas) > MAX_EVEN_ETA:
         raise InvalidArgumentError(
             f"even-order eta must be at most {MAX_EVEN_ETA}, got {max(etas)}"

@@ -30,8 +30,6 @@ class FeatureMatrix:
         cols = read_array(self.columns, "columns", 2)
         if cols.shape[0] < 1 or cols.shape[1] < 1:
             raise InvalidArgumentError("columns must be a d x N matrix with d >= 1 and N >= 1")
-        if not np.all(np.isfinite(cols)):
-            raise InvalidArgumentError("feature matrix entries must be finite")
         object.__setattr__(self, "columns", cols)
 
     @property

@@ -1,13 +1,15 @@
-"""Exception hierarchy shared across the package, and the three readers of caller values.
+"""Exception hierarchy, the readers of caller values and the one finiteness screen.
 
 Every public entry point reads a caller's values with these readers, so one rule
 holds everywhere and a malformed value ends in ``InvalidArgumentError`` naming
 the argument.  ``read_int`` (``read_ints`` for a sequence) reads an integral value
 of any real type as ``int``: ``2.0`` reads as 2, while ``2.5``, ``"2"``, ``None``
-and NaN are rejected.  ``read_real`` reads a real number as ``float``, and
-``read_array`` a float64 array, of a given rank if asked; a ragged one is rejected.
+and NaN are rejected.  ``read_real`` reads a real number as ``float``, ``read_items``
+a non-empty container as a tuple, and ``read_array`` a float64 array, of a given rank
+if asked; a ragged array, or one with a NaN or an infinity (``_all_finite``), is rejected.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -73,6 +75,14 @@ def read_ints(values, name: str) -> tuple[int, ...]:
         raise InvalidArgumentError(f"{name} must be integers; got {values!r}") from None
 
 
+def read_items(values, name: str) -> tuple:
+    """``values`` as a tuple, if it is a container holding at least one item."""
+    items = tuple(values) if np.iterable(values) else ()
+    if not items:
+        raise InvalidArgumentError(f"{name} must be a non-empty sequence, got {values!r}")
+    return items
+
+
 def read_real(value, name: str, low: float | None = None) -> float:
     """``value`` as a ``float``, if it is a real number; with ``low``, a finite one >= ``low``."""
     if type(value) is not float and not isinstance(value, numbers.Real):  # a float needs no check
@@ -82,12 +92,24 @@ def read_real(value, name: str, low: float | None = None) -> float:
     return float(value)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, screened by its squared norm.
+
+    A NaN or infinity makes the squared norm non-finite (its terms cannot
+    cancel); the exact scan runs only then, so a squared norm that merely
+    overflows rejects nothing.  ``np.vdot`` warns on no overflow.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def read_array(value, name: str, ndim: int | None = None, copy: bool = False) -> np.ndarray:
-    """``value`` as a float64 array with ``ndim`` axes, if given: a fresh C-ordered one if ``copy``."""
+    """``value`` as a finite float64 array (``ndim``-D if given); fresh, C-ordered if ``copy``."""
     try:
         arr = np.array(value, np.float64, order="C") if copy else np.asarray(value, np.float64)
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"{name} must be a rectangular array of real numbers") from None
     if ndim is not None and arr.ndim != ndim:
         raise InvalidArgumentError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    if not _all_finite(arr):
+        raise InvalidArgumentError(f"{name} must be finite")
     return arr

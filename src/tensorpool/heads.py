@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, MIN_SIGMA, multi_head
 from .attention import _check_heads, _heads
-from .errors import InvalidArgumentError, read_array, read_int, read_real
+from .errors import InvalidArgumentError, _all_finite, read_array, read_int, read_real
 
 
 def _check_width(weights: HeadWeights, d: int) -> None:
@@ -64,8 +64,6 @@ class HeadWeights:
             arr = w_g if name == "w_g" else read_array(getattr(self, name), name)
             if arr.shape != shape:
                 raise InvalidArgumentError(f"{name} must have shape {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidArgumentError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
 
     @property
@@ -261,7 +259,7 @@ def compute_relations(
         [r_spatial, np.broadcast_to(projected, (*projected.shape[:-1], r_spatial.shape[-1]))],
         axis=-2,
     )
-    if not (np.all(np.isfinite(r_fo_ho)) and np.all(np.isfinite(r_combined))):
+    if not (_all_finite(r_fo_ho) and _all_finite(r_combined)):
         raise InvalidArgumentError("relations must be finite")  # r_combined holds r_spatial
     return RelationOutput(r_spatial, r_fo_ho, r_combined)
 

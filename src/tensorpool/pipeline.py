@@ -25,7 +25,8 @@ import numpy as np
 
 from .attention import DEFAULT_SIGMA, RBF, AttentionBundle, multi_head, rbf_similarity
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
-from .errors import CapacityError, InvalidArgumentError, read_array, read_int, read_ints, read_real
+from .errors import CapacityError, InvalidArgumentError, read_array, read_int, read_ints
+from .errors import read_items, read_real
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -129,18 +130,14 @@ class EpisodeBatch:
     labels: tuple | None = None  # synthetic class ids per box, 0 = support class
 
     def __post_init__(self):
-        supports = tuple(read_array(m, "support_maps", 2) for m in self.support_maps)
-        if len(supports) < 1:
-            raise InvalidArgumentError("episode needs at least one support map")
+        supports = read_items(self.support_maps, "support_maps")
+        supports = tuple(read_array(m, "support_maps", 2) for m in supports)
         query = read_array(self.query_map, "query_map", 2)
-        for m in (*supports, query):
-            if m.size == 0 or not np.all(np.isfinite(m)):
-                raise InvalidArgumentError("feature maps must be non-empty, 2-D and finite")
+        if any(m.size == 0 for m in (*supports, query)):
+            raise InvalidArgumentError("feature maps must be non-empty 2-D matrices")
         if len({m.shape[0] for m in (*supports, query)}) != 1:
             raise InvalidArgumentError("support and query maps must share the channel count")
-        boxes = tuple(read_ints(box, "box ends") for box in self.boxes)
-        if len(boxes) < 1:
-            raise InvalidArgumentError("episode needs at least one box")
+        boxes = tuple(read_ints(box, "box ends") for box in read_items(self.boxes, "boxes"))
         grid = query.shape[1]
         for box in boxes:
             if len(box) != 2 or not (0 <= box[0] < box[1] <= grid):

@@ -38,10 +38,11 @@ class ShrinkageProblem:
     eta: int
 
     def __post_init__(self):
+        if not isinstance(self.spectrum, SpectrumVector):
+            raise InvalidArgumentError(f"spectrum must be a SpectrumVector, got {self.spectrum!r}")
+        object.__setattr__(self, "eta", read_int(self.eta, "eta", 2))
         if self.dim < 2:
             raise InvalidArgumentError("problem requires dimension >= 2")
-        if self.eta < 2:
-            raise InvalidArgumentError("problem requires eta >= 2")
         clamped = np.clip(self.spectrum.values, 0.0, 1.0 - _CLAMP)
         object.__setattr__(self, "spectrum", SpectrumVector(clamped))
         if self.t <= 0 or self.delta <= 0:

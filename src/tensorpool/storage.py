@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, read_array
+from .errors import FileFormatError, InvalidArgumentError, read_array
 from .tensor import CAPACITY, MAX_ORDER, DenseTensor
 
 TNSR_MAGIC = b"TNSR"
@@ -72,11 +72,12 @@ def read_tensor(path) -> DenseTensor:
         )
     if len(raw) > expected:
         raise FileFormatError("trailing bytes after payload", expected)
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=16)
-    finite = np.isfinite(data)
-    if not finite.all():
-        raise FileFormatError("non-finite coefficient", 16 + 8 * int(np.argmin(finite)))
-    return DenseTensor._from_owned(order, dim, data.astype(np.float64))
+    data = np.frombuffer(raw, "<f8", count, 16).astype(np.float64, copy=False)  # a view if LE
+    try:
+        return DenseTensor._from_owned(order, dim, data)
+    except InvalidArgumentError:  # the screen failed: only now locate the first non-finite entry
+        bad = int(np.argmin(np.isfinite(data)))
+        raise FileFormatError("non-finite coefficient", 16 + 8 * bad) from None
 
 
 def write_container(path, sections: dict[str, np.ndarray]) -> None:
@@ -84,9 +85,7 @@ def write_container(path, sections: dict[str, np.ndarray]) -> None:
     # Convert every section before opening the file: one that fails leaves no file.
     parts = [TNSC_MAGIC + _U32.pack(VERSION) + _U32.pack(len(sections))]
     for name, arr in sections.items():
-        arr = np.ascontiguousarray(read_array(arr, f"section {name!r}"), dtype="<f8")
-        if arr.ndim < 1:
-            arr = arr.reshape(1)
+        arr = np.ascontiguousarray(read_array(arr, f"section {name!r}"), dtype="<f8")  # >= 1-D
         encoded = name.encode("utf-8")
         shape = b"".join(_U32.pack(extent) for extent in arr.shape)
         parts += [_U32.pack(len(encoded)) + encoded + _U32.pack(arr.ndim) + shape, memoryview(arr)]

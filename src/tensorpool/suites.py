@@ -15,7 +15,7 @@ import numpy as np
 from . import shrinkage
 from .attention import RBF, SOFTMAX, AttentionBundle, attention, multi_head
 from .descriptors import FeatureMatrix, hotd, poly_kernel_sum
-from .errors import InvalidArgumentError, read_int
+from .errors import InvalidArgumentError, _all_finite, read_int
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -248,8 +248,7 @@ def suite_heads(seed: int = 0) -> list[CheckResult]:
     antisym = float(np.max(np.abs(forward.r_spatial + backward.r_spatial)))
 
     finite = all(
-        np.all(np.isfinite(arr))
-        for arr in (forward.r_spatial, forward.r_fo_ho, forward.r_combined, out)
+        _all_finite(arr) for arr in (forward.r_spatial, forward.r_fo_ho, forward.r_combined, out)
     )
     return [
         _check("shot_permutation_invariance", z_invariance, 1e-12),

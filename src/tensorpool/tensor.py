@@ -8,18 +8,19 @@ power, mode contraction, unfolding and inner product that the tests check
 against live in ``tests/oracles.py``.
 The shrinkage kernels in ``tso.py`` stand on three things kept only here: the
 capacity-checked ``identity_tensor``, the super-diagonal's flat address
-``_diagonal_step``, and the check-and-freeze of a buffer, ``DenseTensor._seal``.
+``_diagonal_step``, and ``DenseTensor._from_owned``, which screens a buffer the package
+computes (a descriptor, a shrunk tensor, a file's payload) with ``errors._all_finite``
+and freezes it.  A caller's ``data`` is screened once too, by ``read_array``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError, read_array, read_int
+from .errors import CapacityError, InvalidArgumentError, _all_finite, read_array, read_int
 
 # Desk-scale size bounds: large enough for meaningful experiments, small
 # enough that brute-force oracles run in seconds.
@@ -37,16 +38,6 @@ def check_capacity(dim: int, order: int) -> None:
     limit = CAPACITY[order]
     if dim > limit:
         raise CapacityError(f"dim {dim} exceeds the order-{order} limit {limit}")
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite, screened by its squared norm.
-
-    A NaN or infinity makes the squared norm non-finite (its terms cannot
-    cancel); the exact scan runs only then, so a squared norm that merely
-    overflows rejects nothing.  ``np.vdot`` warns on no overflow.
-    """
-    return math.isfinite(np.vdot(a, a)) or bool(np.all(np.isfinite(a)))
 
 
 def _diagonal_step(d: int, k: int) -> int:
@@ -67,9 +58,7 @@ class DenseTensor:
         order, dim = read_int(order, "order", 1), read_int(dim, "dim", 1)
         flat = read_array(data, "data", copy=True).reshape(-1)
         if flat.size != dim**order:
-            raise InvalidArgumentError(
-                f"data length {flat.size} != dim**order = {dim**order}"
-            )
+            raise InvalidArgumentError(f"data length {flat.size} != dim**order = {dim**order}")
         self._seal(order, dim, flat)
 
     def __setattr__(self, name, value):
@@ -82,15 +71,15 @@ class DenseTensor:
         Internal fast path for operations that own their result arrays; the
         finiteness invariant is still enforced, by ``_all_finite``.
         """
+        if not _all_finite(flat):
+            raise InvalidArgumentError("tensor coefficients must be finite")
         obj = object.__new__(cls)
         obj._seal(order, dim, flat)
         return obj
 
     def _seal(self, order: int, dim: int, flat: np.ndarray) -> None:
-        """Check ``flat`` for finiteness, freeze it and set the fields."""
+        """Freeze ``flat``, already screened finite, and set the fields."""
         flat = flat.ravel()
-        if not _all_finite(flat):
-            raise InvalidArgumentError("tensor coefficients must be finite")
         flat.flags.writeable = False
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "dim", dim)

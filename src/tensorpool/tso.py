@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, descriptor_norm_sum
-from .errors import DomainError, InvalidArgumentError, read_array, read_int, read_real
-from .tensor import DenseTensor, _all_finite, _diagonal_step, asymmetry, check_capacity
+from .errors import DomainError, InvalidArgumentError, _all_finite, read_array, read_int, read_real
+from .tensor import DenseTensor, _diagonal_step, asymmetry, check_capacity
 from .tensor import identity_tensor, symmetrize
 
 _SYM_REPAIR = 1e-10  # asymmetry above this is repaired by symmetrizing
@@ -46,8 +46,8 @@ class SpectrumVector:
 
     def __post_init__(self):
         vals = read_array(self.values, "values", copy=True).reshape(-1)
-        if not vals.min(initial=0.0) >= -1e-12:  # also rejects NaN
-            raise DomainError("normalized spectrum has a negative or NaN entry")
+        if vals.min(initial=0.0) < -1e-12:
+            raise DomainError("normalized spectrum has a negative entry")
         if vals.sum() > 1.0 + 1e-9:
             raise DomainError("normalized spectrum sums above 1")
         vals.flags.writeable = False
@@ -150,8 +150,6 @@ def maxexp_f(m: np.ndarray, eta: int) -> np.ndarray:
     eigendecomposition, so spectral tests are an independent check.
     """
     m = read_array(m, "m", 2)
-    if not np.all(np.isfinite(m)):
-        raise InvalidArgumentError("matrix entries must be finite")
     if m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("expected a square matrix")
     check_capacity(m.shape[0], 2)

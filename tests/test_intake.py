@@ -1,8 +1,9 @@
 """How every public entry point reads a caller's integers, reals and arrays.
 
 One rule, in ``errors.py``: an integral value of any real type reads as an
-``int`` (``2.0`` reads as 2), and anything else, a ragged array included,
-ends in a ``TensorPoolError`` whose message starts with the argument's name.
+``int`` (``2.0`` reads as 2), and anything else, a ragged or non-finite array
+and a non-iterable or empty container included, ends in a ``TensorPoolError``
+whose message starts with the argument's name.
 """
 
 import ast
@@ -16,18 +17,21 @@ from tensorpool import bench
 from tensorpool.attention import AttentionBundle, rbf_similarity
 from tensorpool.bench import random_normalized_descriptor
 from tensorpool.descriptors import FeatureMatrix, poly_kernel_sum
-from tensorpool.errors import TensorPoolError
-from tensorpool.heads import HeadWeights, PooledFeatures, TokenMatrix
-from tensorpool.pipeline import EpisodeBatch, SplitConfig, hop_unit, synth_episode
-from tensorpool.shrinkage import verify_identity_target
+from tensorpool.errors import InvalidArgumentError, TensorPoolError
+from tensorpool.heads import HeadWeights, PooledFeatures, TokenMatrix, build_spatial_hop_tokens
+from tensorpool.heads import z_average
+from tensorpool.pipeline import EpisodeBatch, SplitConfig, attend_query_to_supports, hop_unit
+from tensorpool.pipeline import synth_episode
+from tensorpool.shrinkage import ShrinkageProblem, objective, verify_identity_target
 from tensorpool.storage import write_container
 from tensorpool.suites import run_suite
-from tensorpool.tensor import DenseTensor, check_capacity, identity_tensor
+from tensorpool.tensor import DenseTensor, SuperDiagonal, check_capacity, identity_tensor
 from tensorpool.tso import SpectrumVector, TsoParams, maxexp_f, maxexp_scalar, sigme
 
 RAGGED = [[1.0, 2.0], [3.0]]
 M = np.eye(2) / 2
 F = FeatureMatrix(np.ones((2, 3)))
+SPECTRUM = SpectrumVector([0.2, 0.3])
 
 CASES = {
     # ragged arrays
@@ -59,6 +63,15 @@ CASES = {
     "bench_tso-order": (lambda: bench.bench_tso(order=2.5, dim=4, etas=(2,)), "order"),
     "bench_tso-etas-even": (lambda: bench.bench_tso(order=2, dim=4, etas=()), "etas"),
     "bench_tso-etas-odd": (lambda: bench.bench_tso(order=3, dim=4, etas=()), "etas"),
+    # containers that are not iterable
+    "bench_tso-etas-scalar": (lambda: bench.bench_tso(dim=4, etas=5), "etas"),
+    "EpisodeBatch-support_maps": (lambda: EpisodeBatch(5, M, ((0, 1),)), "support_maps"),
+    "EpisodeBatch-boxes": (lambda: EpisodeBatch((M,), M, 3), "boxes"),
+    # the penalized KL problem: a SpectrumVector and an integer exponent >= 2
+    "ShrinkageProblem-spectrum": (lambda: ShrinkageProblem([0.2, 0.3], 3), "spectrum"),
+    "ShrinkageProblem-eta-str": (lambda: ShrinkageProblem(SPECTRUM, "x"), "eta"),
+    "ShrinkageProblem-eta-fraction": (lambda: ShrinkageProblem(SPECTRUM, 2.5), "eta"),
+    "ShrinkageProblem-eta-low": (lambda: ShrinkageProblem(SPECTRUM, 1), "eta"),
 }
 SEEDED = {
     "synth_episode": lambda seed: synth_episode(seed, 1, 2, 8, 4, 1.0),
@@ -71,6 +84,61 @@ SEEDED = {
 for _name, _call in SEEDED.items():
     for _seed in (-1, 1.5):
         CASES[f"{_name}-seed={_seed}"] = (lambda call=_call, seed=_seed: call(seed), "seed")
+
+
+def _filled(shape, bad, at=0):
+    """Ones of ``shape`` with flat entry ``at`` set to ``bad``."""
+    arr = np.ones(shape)
+    arr.flat[at] = bad
+    return arr
+
+
+def _head_weights_of_nonfinite_width(bad):
+    """Width-2 weights whose ``w_g`` is a non-finite 1 x 1: screened before its width is used."""
+    fields = {name: np.asarray(w) for name, w in vars(HeadWeights.seeded(2)).items()}
+    return HeadWeights(**{**fields, "w_g": np.full((1, 1), bad)})
+
+
+# One door per entry: each reads its arrays with read_array, so a NaN or an
+# infinity anywhere in them ends in "<argument> must be finite".
+NON_FINITE = {
+    "FeatureMatrix": (lambda bad: FeatureMatrix(_filled((2, 3), bad, 4)), "columns"),
+    "DenseTensor": (lambda bad: DenseTensor(2, 2, _filled(4, bad, 3)), "data"),
+    "SuperDiagonal": (lambda bad: SuperDiagonal(_filled(3, bad)), "values"),
+    "SpectrumVector": (lambda bad: SpectrumVector(_filled(2, bad)), "values"),
+    "maxexp_f": (lambda bad: maxexp_f(_filled((2, 2), bad, 1), 2), "m"),
+    "sigme": (lambda bad: sigme(bad, 200.0), "p"),
+    "hop_unit": (
+        lambda bad: hop_unit(_filled((8, 4), bad, 5), SplitConfig(), TsoParams()),
+        "features",
+    ),
+    "EpisodeBatch-support": (
+        lambda bad: EpisodeBatch((_filled((2, 2), bad),), M, ((0, 1),)),
+        "support_maps",
+    ),
+    "EpisodeBatch-query": (
+        lambda bad: EpisodeBatch((M,), _filled((2, 2), bad), ((0, 1),)),
+        "query_map",
+    ),
+    "AttentionBundle": (lambda bad: AttentionBundle(_filled((2, 2), bad), M, M), "queries"),
+    "attend_query_to_supports": (
+        lambda bad: attend_query_to_supports(_filled((2, 3), bad), M),
+        "keys",
+    ),
+    "rbf_similarity": (lambda bad: rbf_similarity(_filled(2, bad), [1.0, 0.0], 0.5), "q"),
+    "PooledFeatures": (lambda bad: PooledFeatures(np.ones((4, 1)), _filled((2, 1), bad)), "hop"),
+    "TokenMatrix": (lambda bad: TokenMatrix(_filled((2, 3), bad, 2)), "tokens"),
+    "build_spatial_hop_tokens": (
+        lambda bad: build_spatial_hop_tokens(
+            _filled((4, 3), bad), np.ones(2), HeadWeights.seeded(2)
+        ),
+        "features",
+    ),
+    "z_average": (lambda bad: z_average([np.ones(2), _filled(2, bad)], [np.ones(2)] * 2), "maps"),
+    "objective": (lambda bad: objective(ShrinkageProblem(SPECTRUM, 2), [0.5, bad]), "lam_prime"),
+    "HeadWeights": (_head_weights_of_nonfinite_width, "w_g"),
+}
+BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +155,21 @@ def no_drawing(monkeypatch):
 def test_malformed_value_is_a_typed_error_naming_the_argument(call, name):
     with pytest.raises(TensorPoolError, match=f"^{name} must be "):
         call()
+
+
+@pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+@pytest.mark.parametrize("call, name", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_array_is_a_typed_error_naming_the_argument(call, name, bad):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+def test_non_finite_section_is_named_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "out.tnsc"
+    with pytest.raises(InvalidArgumentError, match="^section 'b' must be finite"):
+        write_container(path, {"a": M, "b": _filled((2, 2), bad)})
+    assert not path.exists()
 
 
 def test_ragged_section_is_named_and_writes_nothing(tmp_path):
@@ -106,6 +189,8 @@ def test_integral_values_of_any_real_type_read_as_int():
     params = TsoParams(eta2=7.0, eta3=np.int32(9))
     assert (params.eta2, params.eta3) == (7, 9) and type(params.eta2) is int
     assert poly_kernel_sum(F, F, 2.0) == poly_kernel_sum(F, F, 2)
+    problem = ShrinkageProblem(SPECTRUM, 3.0)
+    assert problem.eta == 3 and type(problem.eta) is int
 
 
 def test_a_d_vector_is_not_read_as_a_one_row_matrix():
@@ -114,6 +199,8 @@ def test_a_d_vector_is_not_read_as_a_one_row_matrix():
 
 
 INTEGER_CHECKS = {"numbers.Integral", "np.integer"}
+# read_tensor locates the first non-finite coefficient once the screen has failed
+FINITENESS_SCANS = {"storage.py": 1}
 
 
 def _try_wrapped_array_readers(tree: ast.AST) -> list[int]:
@@ -139,5 +226,7 @@ def test_caller_values_are_read_only_in_errors_py():
         text = path.read_text()
         for token in INTEGER_CHECKS:
             assert token not in text, f"{path.name} reads integers itself ({token})"
+        scans = text.count("np.isfinite")
+        assert scans == FINITENESS_SCANS.get(path.name, 0), f"{path.name} scans for finiteness"
         lines = _try_wrapped_array_readers(ast.parse(text))
         assert not lines, f"{path.name} reads arrays itself at lines {lines}"

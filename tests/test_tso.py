@@ -158,9 +158,9 @@ class TestMaxExpF:
         m[1, 2] = m[2, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            with pytest.raises(InvalidArgumentError, match="^m must be finite"):
                 maxexp_f(m, 2)
-            with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            with pytest.raises(InvalidArgumentError, match="^m must be finite"):
                 maxexp_f(np.full((2, 3), bad), 2)  # before the shape check
 
     def test_huge_finite_entries_rejected_without_warnings(self):
@@ -566,9 +566,9 @@ class TestSpectrumVector:
 
     def test_nan_rejected_when_normalized(self):
         for values in ([np.nan, 0.2], [0.2, np.nan], [np.nan]):
-            with pytest.raises(DomainError, match="negative or NaN entry"):
+            with pytest.raises(InvalidArgumentError, match="^values must be finite"):
                 SpectrumVector(values)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidArgumentError, match="^values must be finite"):
             SpectrumVector.from_raw([np.nan, 1.0])
 
 
