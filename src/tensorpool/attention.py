@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NormalizationError, read_array, read_int, read_real
+from .errors import DomainError, InvalidArgumentError, NormalizationError, check_finite
+from .errors import read_array, read_int, read_real
 
 SOFTMAX = "softmax"
 RBF = "rbf"
@@ -62,23 +63,27 @@ class AttentionBundle:
 
 
 def _unit_columns(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=-2, keepdims=True)
+    norms = np.linalg.norm(m, axis=-2, keepdims=True)  # under _attend's errstate
+    check_finite(norms, lambda: DomainError("token norms overflow float64"))
     if np.any(norms == 0.0):
         raise NormalizationError("cannot l2-normalize a zero column")
     return m / norms
 
 
+@np.errstate(over="ignore")
 def rbf_similarity(q, k, sigma: float) -> float:
     """Gaussian similarity of l2-normalized vectors, in (0, 1]."""
     sigma = read_real(sigma, "sigma", MIN_SIGMA)
     q, k = read_array(q, "q").reshape(-1), read_array(k, "k").reshape(-1)
     nq, nk = np.linalg.norm(q), np.linalg.norm(k)
+    check_finite(np.array((nq, nk)), lambda: DomainError("vector norms overflow float64"))
     if nq == 0.0 or nk == 0.0:
         raise NormalizationError("cannot l2-normalize a zero vector")
     dist_sq = float(np.sum((q / nq - k / nk) ** 2))
     return float(np.exp(-dist_sq / (2.0 * sigma**2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError below
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float, kind: str) -> np.ndarray:
     """Attention on already validated ``(..., d, N)`` stacks, one row per query."""
     if kind == SOFTMAX:
@@ -91,7 +96,8 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float, kind: str
         weights = np.exp(-np.clip(2.0 - 2.0 * cosines, 0.0, None) / (2.0 * sigma**2))
     else:
         raise InvalidArgumentError(f"unknown attention kind {kind!r}")
-    return weights @ v.swapaxes(-1, -2)
+    mixed = weights @ v.swapaxes(-1, -2)
+    return check_finite(mixed, lambda: DomainError("attention overflows float64"))
 
 
 def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:

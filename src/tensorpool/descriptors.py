@@ -8,12 +8,11 @@ degree-``r`` polynomial kernel sum, which the tests exploit as an oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, read_array, read_int
+from .errors import DomainError, InvalidArgumentError, check_finite, read_array, read_int
 from .tensor import DenseTensor, check_capacity
 
 # Stabilizer used by every normalization in the package.
@@ -60,10 +59,7 @@ def hotd(f: FeatureMatrix, r: int) -> DenseTensor:
         lead = (c[:, None, :] * c[None, :, :]).reshape(-1, f.count) if r > 2 else c
         trail = lead if r % 2 == 0 else c
         acc = (lead * (1.0 / f.count)) @ trail.T
-    try:
-        return DenseTensor._from_owned(r, f.dim, acc)
-    except InvalidArgumentError:
-        raise _features_overflow(f, r) from None
+    return DenseTensor._from_owned(r, f.dim, acc, lambda: _features_overflow(f, r))
 
 
 def poly_kernel_sum(f: FeatureMatrix, g: FeatureMatrix, r: int) -> float:
@@ -75,8 +71,9 @@ def poly_kernel_sum(f: FeatureMatrix, g: FeatureMatrix, r: int) -> float:
     if f.dim != g.dim:
         raise InvalidArgumentError(f"dimension mismatch: {f.dim} vs {g.dim}")
     r = read_int(r, "r", 1)
-    gram = f.columns.T @ g.columns
-    return float(np.sum(gram**r) / (f.count * g.count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum((f.columns.T @ g.columns) ** r) / (f.count * g.count))
+    return check_finite(total, lambda: DomainError(f"order-{r} kernel sum overflows float64"))
 
 
 def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
@@ -90,9 +87,7 @@ def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
     r = read_int(r, "r", 1)
     with np.errstate(over="ignore"):
         total = float((np.linalg.norm(f.columns, axis=0) ** r).sum())
-    if not math.isfinite(total):
-        raise _features_overflow(f, r)
-    return total / f.count
+    return check_finite(total, lambda: _features_overflow(f, r)) / f.count
 
 
 def _features_overflow(f: FeatureMatrix, r: int) -> DomainError:

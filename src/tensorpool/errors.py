@@ -7,6 +7,7 @@ of any real type as ``int``: ``2.0`` reads as 2, while ``2.5``, ``"2"``, ``None`
 and NaN are rejected.  ``read_real`` reads a real number as ``float``, ``read_items``
 a non-empty container as a tuple, and ``read_array`` a float64 array, of a given rank
 if asked; a ragged array, or one with a NaN or an infinity (``_all_finite``), is rejected.
+A value the package computes is screened by ``check_finite``, which raises the error named.
 """
 
 import math
@@ -97,9 +98,19 @@ def _all_finite(a: np.ndarray) -> bool:
 
     A NaN or infinity makes the squared norm non-finite (its terms cannot
     cancel); the exact scan runs only then, so a squared norm that merely
-    overflows rejects nothing.  ``np.vdot`` warns on no overflow.
+    overflows rejects nothing.  ``np.vdot`` warns on no overflow.  A float
+    (NumPy's float64 included) is read directly: ``vdot`` costs 20 times more.
     """
+    if isinstance(a, float):
+        return math.isfinite(a)
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
+def check_finite(value, error):
+    """``value``, if ``_all_finite(value)``; otherwise ``raise error()``."""
+    if _all_finite(value):
+        return value
+    raise error()
 
 
 def read_array(value, name: str, ndim: int | None = None, copy: bool = False) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, MIN_SIGMA, multi_head
 from .attention import _check_heads, _heads
-from .errors import InvalidArgumentError, _all_finite, read_array, read_int, read_real
+from .errors import DomainError, InvalidArgumentError, check_finite, read_array, read_int
+from .errors import read_real
 
 
 def _check_width(weights: HeadWeights, d: int) -> None:
@@ -161,6 +162,7 @@ class RelationOutput:
     r_combined: np.ndarray  # (..., 2d, N), spatial relations over projected FO+HO
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError below
 def zshot_head(
     support: PooledFeatures,
     query: PooledFeatures,
@@ -180,10 +182,13 @@ def zshot_head(
     q = weights.w_q @ (query.mean_features + weights.w_p @ query.hop)
     embedded = support.mean_features + weights.w_p @ support.hop
     k, v = weights.w_k @ embedded, weights.w_v @ embedded
+    for m in (q, k, v):
+        check_finite(m, lambda: DomainError("shot-head embeddings overflow float64"))
     bundle = AttentionBundle(q, k, v, sigma=sigma, heads=heads)
     return multi_head(bundle, RBF)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError below
 def build_spatial_hop_tokens(
     features: np.ndarray, hop: np.ndarray, weights: HeadWeights, multiplicity: int = 1
 ) -> TokenMatrix:
@@ -206,11 +211,14 @@ def build_spatial_hop_tokens(
     lower, upper = features[..., :d, :], features[..., d:, :]
     fo = upper.mean(axis=-1)
     ho = (weights.w_g @ hop[..., None])[..., 0]  # a stacked mat-vec: per item, w_g @ hop
+    for token in (fo, ho):  # the spatial tokens are the caller's, screened on reading
+        check_finite(token, lambda: DomainError("FO and HO tokens overflow float64"))
     return TokenMatrix(
         np.concatenate([lower, fo[..., None], ho[..., None]], axis=-1), multiplicity
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError in _heads
 def spatial_hop_head(
     tokens: TokenMatrix, heads: int = 1, sigma: float = DEFAULT_SIGMA
 ) -> TokenMatrix:
@@ -231,6 +239,7 @@ def spatial_hop_head(
     return TokenMatrix(mixed.swapaxes(-1, -2), tokens.multiplicity)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError below
 def compute_relations(
     support_tokens: TokenMatrix,
     query_tokens: TokenMatrix,
@@ -243,7 +252,7 @@ def compute_relations(
     relations over the projected FO+HO vector broadcast along the spatial
     mode.  Stacks broadcast: one support matrix relates to a stack of
     queries, item ``i`` of the result to query item ``i``.  The result is
-    checked finite once per stack.
+    checked finite once per stack: an overflow raises ``DomainError``.
     """
     if support_tokens.n_spatial != query_tokens.n_spatial:
         raise InvalidArgumentError("token counts must match")
@@ -259,14 +268,16 @@ def compute_relations(
         [r_spatial, np.broadcast_to(projected, (*projected.shape[:-1], r_spatial.shape[-1]))],
         axis=-2,
     )
-    if not (_all_finite(r_fo_ho) and _all_finite(r_combined)):
-        raise InvalidArgumentError("relations must be finite")  # r_combined holds r_spatial
+    for part in (r_fo_ho, r_combined):  # r_combined holds r_spatial
+        check_finite(part, lambda: DomainError("relations overflow float64"))
     return RelationOutput(r_spatial, r_fo_ho, r_combined)
 
 
+@np.errstate(over="ignore")  # an overflow raises DomainError below
 def z_average(maps, reps) -> tuple[np.ndarray, np.ndarray]:
     """Arithmetic means of feature maps and HOP vectors over the shot index."""
     maps, reps = read_array(maps, "maps"), read_array(reps, "reps")  # unequal items are ragged
     if not (maps.ndim and reps.ndim and len(maps) and len(reps)):
         raise InvalidArgumentError("z_average requires at least one item")
-    return maps.mean(axis=0), reps.mean(axis=0)
+    means = maps.mean(axis=0), reps.mean(axis=0)
+    return tuple(check_finite(m, lambda: DomainError("means overflow float64")) for m in means)

@@ -41,6 +41,8 @@ class ShrinkageProblem:
         if not isinstance(self.spectrum, SpectrumVector):
             raise InvalidArgumentError(f"spectrum must be a SpectrumVector, got {self.spectrum!r}")
         object.__setattr__(self, "eta", read_int(self.eta, "eta", 2))
+        if self.eta.bit_length() > 1023:  # the properties below compute in float64
+            raise InvalidArgumentError("eta must be below 2**1023 to compute in float64")
         if self.dim < 2:
             raise InvalidArgumentError("problem requires dimension >= 2")
         clamped = np.clip(self.spectrum.values, 0.0, 1.0 - _CLAMP)

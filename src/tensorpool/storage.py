@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidArgumentError, read_array
+from .errors import FileFormatError, read_array
 from .tensor import CAPACITY, MAX_ORDER, DenseTensor
 
 TNSR_MAGIC = b"TNSR"
@@ -73,11 +73,8 @@ def read_tensor(path) -> DenseTensor:
     if len(raw) > expected:
         raise FileFormatError("trailing bytes after payload", expected)
     data = np.frombuffer(raw, "<f8", count, 16).astype(np.float64, copy=False)  # a view if LE
-    try:
-        return DenseTensor._from_owned(order, dim, data)
-    except InvalidArgumentError:  # the screen failed: only now locate the first non-finite entry
-        bad = int(np.argmin(np.isfinite(data)))
-        raise FileFormatError("non-finite coefficient", 16 + 8 * bad) from None
+    return DenseTensor._from_owned(order, dim, data, lambda: FileFormatError(  # located on failure
+        "non-finite coefficient", 16 + 8 * int(np.argmin(np.isfinite(data)))))
 
 
 def write_container(path, sections: dict[str, np.ndarray]) -> None:

@@ -9,7 +9,7 @@ against live in ``tests/oracles.py``.
 The shrinkage kernels in ``tso.py`` stand on three things kept only here: the
 capacity-checked ``identity_tensor``, the super-diagonal's flat address
 ``_diagonal_step``, and ``DenseTensor._from_owned``, which screens a buffer the package
-computes (a descriptor, a shrunk tensor, a file's payload) with ``errors._all_finite``
+computes (a descriptor, a shrunk tensor, a file's payload) with ``errors.check_finite``
 and freezes it.  A caller's ``data`` is screened once too, by ``read_array``.
 """
 
@@ -20,7 +20,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError, _all_finite, read_array, read_int
+from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
+from .errors import read_int
 
 # Desk-scale size bounds: large enough for meaningful experiments, small
 # enough that brute-force oracles run in seconds.
@@ -65,22 +66,23 @@ class DenseTensor:
         raise AttributeError("DenseTensor is immutable")
 
     @classmethod
-    def _from_owned(cls, order: int, dim: int, flat: np.ndarray) -> "DenseTensor":
+    def _from_owned(
+        cls, order: int, dim: int, flat: np.ndarray,
+        error=lambda: DomainError("tensor coefficients overflow float64"),
+    ) -> "DenseTensor":
         """Wrap a freshly computed, contiguous float64 buffer without copying.
 
         Internal fast path for operations that own their result arrays; the
-        finiteness invariant is still enforced, by ``_all_finite``.
+        finiteness invariant is still enforced, by ``check_finite`` raising ``error()``.
         """
-        if not _all_finite(flat):
-            raise InvalidArgumentError("tensor coefficients must be finite")
         obj = object.__new__(cls)
-        obj._seal(order, dim, flat)
+        obj._seal(order, dim, check_finite(flat, error))
         return obj
 
     def _seal(self, order: int, dim: int, flat: np.ndarray) -> None:
         """Freeze ``flat``, already screened finite, and set the fields."""
         flat = flat.ravel()
-        flat.flags.writeable = False
+        flat.setflags(write=False)  # cheaper than assigning flags.writeable
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "data", flat)
@@ -135,6 +137,7 @@ def super_diagonal(t: DenseTensor) -> SuperDiagonal:
     return SuperDiagonal(t.data[:: _diagonal_step(t.dim, t.order)])
 
 
+@np.errstate(over="ignore")  # an overflow raises _from_owned's DomainError
 def symmetrize(t: DenseTensor) -> DenseTensor:
     """Average over all index permutations of ``t``."""
     arr = t.array

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, descriptor_norm_sum
-from .errors import DomainError, InvalidArgumentError, _all_finite, read_array, read_int, read_real
+from .errors import DomainError, InvalidArgumentError, check_finite, read_array, read_int
+from .errors import read_real
 from .tensor import DenseTensor, _diagonal_step, asymmetry, check_capacity
 from .tensor import identity_tensor, symmetrize
 
@@ -57,7 +58,10 @@ class SpectrumVector:
     def from_raw(cls, values) -> "SpectrumVector":
         """l1-normalize raw eigenvalues: ``lam_i / (EPSILON + sum(lam))``."""
         vals = read_array(values, "values").reshape(-1)
-        return cls(vals / (EPSILON + vals.sum()))
+        with np.errstate(all="ignore"):  # a negative eigenvalue can cancel the sum
+            total = check_finite(vals.sum(), lambda: DomainError("spectrum sum overflows float64"))
+            scaled = vals / (EPSILON + total)
+        return cls(check_finite(scaled, lambda: DomainError("spectrum scale overflows float64")))
 
 
 def _log3(eta: int) -> int:
@@ -229,14 +233,6 @@ def _overflow(r: int, eta: int) -> DomainError:
     )
 
 
-def _power_result(r: int, d: int, eta: int, flat: np.ndarray) -> DenseTensor:
-    """Wrap a freshly computed shrinkage; a non-finite entry is ``_overflow``."""
-    try:
-        return DenseTensor._from_owned(r, d, flat)
-    except InvalidArgumentError:
-        raise _overflow(r, eta) from None
-
-
 # An overflow surfaces as the DomainError below.  A decorator with all= is the
 # cheapest way to enter the mode, which matters next to one small product.
 @np.errstate(all="ignore")
@@ -250,14 +246,9 @@ def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
         raise InvalidArgumentError("even fast path requires an even order")
     eta = _check_eta(t.order, eta)
     p = _identity_unfolding(t.dim, t.order)
-    side = p.shape[0]
-    a = p - t.data.reshape(side, side)
-    g = _binary_power(a, eta)
-    np.subtract(p, g, out=g)  # g is owned here, even when eta == 1 (g is a)
-    try:  # one finiteness check on this hot path: the result's
-        return DenseTensor._from_owned(t.order, t.dim, g)
-    except InvalidArgumentError:
-        raise _overflow(t.order, eta) from None
+    g = _binary_power(p - t.data.reshape(p.shape), eta)
+    np.subtract(p, g, out=g)  # g is owned here, even when eta == 1 (g is p - t)
+    return DenseTensor._from_owned(t.order, t.dim, g, lambda: _overflow(t.order, eta))
 
 
 def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
@@ -280,7 +271,7 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             m = m @ (m.reshape(cols, rows) @ m)
-    return _power_result(r, d, eta, eye - m)
+    return DenseTensor._from_owned(r, d, eye - m, lambda: _overflow(r, eta))
 
 
 def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
@@ -301,7 +292,7 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
             for _ in range(eta - 1):
                 g = g @ a
         np.subtract(p, g, out=g)
-        return _power_result(t.order, t.dim, eta, g)
+        return DenseTensor._from_owned(t.order, t.dim, g, lambda: _overflow(t.order, eta))
     if t.order != 3:
         raise InvalidArgumentError(f"naive odd path supports order 3 only, got {t.order}")
     steps = _log3(_check_eta(3, eta))
@@ -311,9 +302,10 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
         for _ in range(steps):
             four = np.einsum("ijk,klm->ijlm", m, m)
             m = np.einsum("ijlm,lmn->ijn", four, m)
-    return _power_result(3, t.dim, eta, eye - m)
+    return DenseTensor._from_owned(3, t.dim, eye - m, lambda: _overflow(3, eta))
 
 
+@np.errstate(over="ignore")  # an overflowing swap reads as drift, checked below
 def _validated(t: DenseTensor) -> DenseTensor:
     """Check order and capacity, then screen for asymmetry: repair drift, reject more.
 
@@ -453,6 +445,4 @@ def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
                 y = _binary_power(gs, half) @ y
             z = gs @ y if eta % 2 == 0 else y
             values = 1.0 - np.einsum("ji,ji->i", s[:, None] * y, z)
-    if not _all_finite(values):
-        raise _overflow(r, eta)
-    return values
+    return check_finite(values, lambda: _overflow(r, eta))

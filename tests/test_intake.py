@@ -3,10 +3,13 @@
 One rule, in ``errors.py``: an integral value of any real type reads as an
 ``int`` (``2.0`` reads as 2), and anything else, a ragged or non-finite array
 and a non-iterable or empty container included, ends in a ``TensorPoolError``
-whose message starts with the argument's name.
+whose message starts with the argument's name.  A value the package computes
+from finite input and that leaves float64 ends in a ``DomainError`` naming
+what overflowed, through ``errors.check_finite``, and warns on nothing.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,19 +17,20 @@ import pytest
 
 import tensorpool
 from tensorpool import bench
-from tensorpool.attention import AttentionBundle, rbf_similarity
+from tensorpool.attention import RBF, AttentionBundle, attention, rbf_similarity
 from tensorpool.bench import random_normalized_descriptor
 from tensorpool.descriptors import FeatureMatrix, poly_kernel_sum
-from tensorpool.errors import InvalidArgumentError, TensorPoolError
+from tensorpool.errors import DomainError, InvalidArgumentError, TensorPoolError
 from tensorpool.heads import HeadWeights, PooledFeatures, TokenMatrix, build_spatial_hop_tokens
-from tensorpool.heads import z_average
+from tensorpool.heads import compute_relations, spatial_hop_head, z_average, zshot_head
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, attend_query_to_supports, hop_unit
 from tensorpool.pipeline import synth_episode
 from tensorpool.shrinkage import ShrinkageProblem, objective, verify_identity_target
 from tensorpool.storage import write_container
 from tensorpool.suites import run_suite
-from tensorpool.tensor import DenseTensor, SuperDiagonal, check_capacity, identity_tensor
-from tensorpool.tso import SpectrumVector, TsoParams, maxexp_f, maxexp_scalar, sigme
+from tensorpool.tensor import DenseTensor, SuperDiagonal, asymmetry, check_capacity
+from tensorpool.tensor import identity_tensor, symmetrize
+from tensorpool.tso import SpectrumVector, TsoParams, maxexp_f, maxexp_scalar, sigme, tso
 
 RAGGED = [[1.0, 2.0], [3.0]]
 M = np.eye(2) / 2
@@ -72,6 +76,7 @@ CASES = {
     "ShrinkageProblem-eta-str": (lambda: ShrinkageProblem(SPECTRUM, "x"), "eta"),
     "ShrinkageProblem-eta-fraction": (lambda: ShrinkageProblem(SPECTRUM, 2.5), "eta"),
     "ShrinkageProblem-eta-low": (lambda: ShrinkageProblem(SPECTRUM, 1), "eta"),
+    "ShrinkageProblem-eta-huge": (lambda: ShrinkageProblem(SPECTRUM, 10**400), "eta"),
 }
 SEEDED = {
     "synth_episode": lambda seed: synth_episode(seed, 1, 2, 8, 4, 1.0),
@@ -164,6 +169,65 @@ def test_non_finite_array_is_a_typed_error_naming_the_argument(call, name, bad):
         call(bad)
 
 
+def _pooled(value, count):
+    """Width-2 pooled features of ``count`` items, every entry ``value``."""
+    return PooledFeatures(np.full((4, count), value), np.full((2, count), value))
+
+
+def _weights_with(**fields):
+    """Seeded width-2 head weights with ``fields`` replaced."""
+    return HeadWeights(**{**vars(HeadWeights.seeded(2)), **fields})
+
+
+HUGE = np.full((2, 2), 1e200)  # finite, but a column norm overflows
+# A tensor whose symmetrization overflows: its (0, 0) entry, 1.7e308, is summed twice.
+LOPSIDED = DenseTensor(2, 2, [1.7e308, -1.7e308, 1.7e308, 0.0])
+# One door per entry: finite, large input that leaves float64 inside the door.
+OVERFLOW = {
+    # attention
+    "attention-softmax": lambda: attention(AttentionBundle(HUGE, HUGE, np.ones((2, 2)))),
+    "attention-rbf": lambda: attention(AttentionBundle(HUGE, HUGE, np.ones((2, 2))), RBF),
+    "rbf_similarity": lambda: rbf_similarity([1e200, 1e200], [1e200, -1e200], 0.5),
+    "spatial_hop_head-norms": lambda: spatial_hop_head(TokenMatrix(np.full((2, 3), 1e200))),
+    "zshot_head-norms": lambda: zshot_head(
+        _pooled(1e160, 2), _pooled(1e160, 1), HeadWeights.seeded(2)
+    ),
+    # heads
+    "build_spatial_hop_tokens": lambda: build_spatial_hop_tokens(
+        np.full((4, 3), 1e308), np.ones(2), HeadWeights.seeded(2)
+    ),
+    "spatial_hop_head-multiplicity": lambda: spatial_hop_head(
+        TokenMatrix(np.full((2, 3), 1e150), 10**200)
+    ),
+    "compute_relations": lambda: compute_relations(
+        TokenMatrix(np.full((2, 3), 1e308)), TokenMatrix(np.full((2, 3), -1e308)),
+        HeadWeights.seeded(2),
+    ),
+    "zshot_head-embeddings": lambda: zshot_head(
+        _pooled(1e10, 2), _pooled(1e10, 1), _weights_with(w_q=np.full((4, 4), 1e300))
+    ),
+    # sums and the tso guard
+    "z_average": lambda: z_average([np.full(2, 1e308)] * 2, [np.ones(2)] * 2),
+    "SpectrumVector.from_raw-sum": lambda: SpectrumVector.from_raw([1e308, 1e308]),
+    "SpectrumVector.from_raw-scale": lambda: SpectrumVector.from_raw([1e308, -1e308]),
+    "poly_kernel_sum": lambda: poly_kernel_sum(
+        FeatureMatrix(np.full((2, 2), 1e100)), FeatureMatrix(np.full((2, 2), 1e100)), 4
+    ),
+    "symmetrize": lambda: symmetrize(LOPSIDED),
+    "asymmetry": lambda: asymmetry(LOPSIDED),
+    "tso": lambda: tso(LOPSIDED, 2),
+    "maxexp_f": lambda: maxexp_f([[0.5, 1e308], [1e308, 0.5]], 2),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOW.values(), ids=OVERFLOW.keys())
+def test_computed_overflow_is_a_domain_error_without_warnings(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows? float64"):
+            call()
+
+
 @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
 def test_non_finite_section_is_named_and_writes_nothing(tmp_path, bad):
     path = tmp_path / "out.tnsc"
@@ -216,6 +280,52 @@ def _try_wrapped_array_readers(tree: ast.AST) -> list[int]:
                 ):
                     lines.append(inner.lineno)
     return lines
+
+
+def _names(node: ast.AST | None) -> set[str]:
+    """Every bare and attribute name under ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node or ast.Pass())
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _raises_on_finiteness(tree: ast.AST) -> list[int]:
+    """Lines of ``if`` statements that test ``_all_finite`` or ``isfinite`` and raise."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and _names(node.test) & {"_all_finite", "isfinite"}
+        and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+    ]
+
+
+def _from_owned_in_try(tree: ast.AST) -> list[int]:
+    """Lines of ``try`` statements that call ``_from_owned`` and catch ``InvalidArgumentError``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Try)
+        and "_from_owned" in {name for stmt in node.body for name in _names(stmt)}
+        and any("InvalidArgumentError" in _names(h.type) for h in node.handlers)
+    ]
+
+
+def test_computed_values_are_screened_only_through_check_finite():
+    package = Path(tensorpool.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        text = path.read_text()
+        assert "_power_result" not in text, f"{path.name} remaps the kernels' overflow itself"
+        tree = ast.parse(text)
+        lines = _from_owned_in_try(tree)
+        assert not lines, f"{path.name} remaps _from_owned's error at lines {lines}"
+        if path.name != "errors.py":
+            lines = _raises_on_finiteness(tree)
+            assert not lines, f"{path.name} raises on a finiteness test at lines {lines}"
 
 
 def test_caller_values_are_read_only_in_errors_py():

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import contract, fancy_identity, fancy_super_diagonal, outer_power, tensor_inner, unfold
 
-from tensorpool.errors import CapacityError, InvalidArgumentError
+from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError
 from tensorpool.tensor import (
     CAPACITY,
     DenseTensor,
@@ -212,7 +212,7 @@ class TestDenseTensorInvariants:
         big = np.array([1e200, -1e200, 1.0, 0.0])
         t = DenseTensor._from_owned(2, 2, big)  # Tier-1 turns a RuntimeWarning into an error
         assert np.array_equal(t.data, [1e200, -1e200, 1.0, 0.0])
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(DomainError, match="^tensor coefficients overflow float64"):
             DenseTensor._from_owned(2, 2, np.array([1e200, np.inf, 1.0, 0.0]))
 
     def test_constructor_copies_the_callers_array(self):
