@@ -23,6 +23,7 @@ DEFAULT_SIGMA = 0.5
 # exponent of two l2-normalized tokens (squared distance up to 4) overflows.
 # Every sigma is read as ``read_real(sigma, "sigma", MIN_SIGMA)``.
 MIN_SIGMA = math.nextafter(math.sqrt(2.0 / sys.float_info.max), math.inf)
+_TINY_NORM = math.sqrt(sys.float_info.min)  # below it, a squared norm may have underflowed
 
 
 def _check_heads(dim: int, heads: int) -> int:
@@ -62,8 +63,18 @@ class AttentionBundle:
         return self.queries.shape[0]
 
 
+def _norms(m: np.ndarray, axis: int | None) -> np.ndarray:
+    """l2 norms along ``axis`` (flat if None), keepdims; one that may have underflowed, rescaled."""
+    norms = np.linalg.norm(m, axis=axis, keepdims=True)
+    if (tiny := norms < _TINY_NORM).any():  # only then: every other norm keeps its bits
+        top = np.max(np.abs(m), axis=axis, keepdims=True)
+        top[top == 0.0] = 1.0  # a zero vector keeps norm 0
+        norms = np.where(tiny, top * np.linalg.norm(m / top, axis=axis, keepdims=True), norms)
+    return norms
+
+
 def _unit_columns(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=-2, keepdims=True)  # under _attend's errstate
+    norms = _norms(m, -2)  # under _attend's errstate
     check_finite(norms, lambda: DomainError("token norms overflow float64"))
     if np.any(norms == 0.0):
         raise NormalizationError("cannot l2-normalize a zero column")
@@ -75,7 +86,7 @@ def rbf_similarity(q, k, sigma: float) -> float:
     """Gaussian similarity of l2-normalized vectors, in (0, 1]."""
     sigma = read_real(sigma, "sigma", MIN_SIGMA)
     q, k = read_array(q, "q").reshape(-1), read_array(k, "k").reshape(-1)
-    nq, nk = np.linalg.norm(q), np.linalg.norm(k)
+    nq, nk = _norms(q, None)[0], _norms(k, None)[0]  # a flat norm: a stacked one changes bits
     check_finite(np.array((nq, nk)), lambda: DomainError("vector norms overflow float64"))
     if nq == 0.0 or nk == 0.0:
         raise NormalizationError("cannot l2-normalize a zero vector")

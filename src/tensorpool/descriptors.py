@@ -99,6 +99,7 @@ def _features_overflow(f: FeatureMatrix, r: int) -> DomainError:
     )
 
 
+@np.errstate(over="ignore")  # an overflow raises _from_owned's DomainError
 def normalize_descriptor(t: DenseTensor, f: FeatureMatrix) -> DenseTensor:
     """Scale ``t = hotd(f, t.order)`` by ``1 / (epsilon + descriptor_norm_sum)``.
 

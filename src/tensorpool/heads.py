@@ -19,8 +19,12 @@ import numpy as np
 
 from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, MIN_SIGMA, multi_head
 from .attention import _check_heads, _heads
-from .errors import DomainError, InvalidArgumentError, check_finite, read_array, read_int
-from .errors import read_real
+from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
+from .errors import read_int, read_real
+from .tensor import MAX_EPISODE_DIM
+
+# Each weight's (rows, cols) in units of d, in the order ``HeadWeights.seeded`` draws them.
+WEIGHT_SHAPES = dict(w_q=(2, 2), w_k=(2, 2), w_v=(2, 2), w_p=(2, 1), w_g=(1, 1), w_u=(1, 2))
 
 
 def _check_width(weights: HeadWeights, d: int) -> None:
@@ -33,12 +37,11 @@ def _check_width(weights: HeadWeights, d: int) -> None:
 
 @dataclass(frozen=True)
 class HeadWeights:
-    """Projection matrices for both heads over half-width ``d``.
+    """Projection matrices for both heads over half-width ``d``, shaped ``WEIGHT_SHAPES``.
 
-    query/key/value projections act in the 2d space of stacked features;
-    ``mix`` (2d x d) lifts high-order vectors into it; ``ho`` (d x d)
-    projects the HO token; ``fuse`` (d x 2d) projects concatenated FO+HO
-    relations back to d.
+    ``w_q``, ``w_k`` and ``w_v`` act in the 2d space of stacked features;
+    ``w_p`` lifts high-order vectors into it; ``w_g`` projects the HO token;
+    ``w_u`` projects concatenated FO+HO relations back to d.
     """
 
     w_q: np.ndarray
@@ -53,18 +56,10 @@ class HeadWeights:
         if w_g.ndim != 2 or w_g.shape[0] < 1:
             raise InvalidArgumentError(f"w_g must have shape (d, d) with d >= 1, got {w_g.shape}")
         d = w_g.shape[0]
-        expected = {
-            "w_q": (2 * d, 2 * d),
-            "w_k": (2 * d, 2 * d),
-            "w_v": (2 * d, 2 * d),
-            "w_p": (2 * d, d),
-            "w_g": (d, d),
-            "w_u": (d, 2 * d),
-        }
-        for name, shape in expected.items():
+        for name, (rows, cols) in WEIGHT_SHAPES.items():
             arr = w_g if name == "w_g" else read_array(getattr(self, name), name)
-            if arr.shape != shape:
-                raise InvalidArgumentError(f"{name} must have shape {shape}")
+            if arr.shape != (rows * d, cols * d):
+                raise InvalidArgumentError(f"{name} must have shape {(rows * d, cols * d)}")
             object.__setattr__(self, name, arr)
 
     @property
@@ -73,22 +68,14 @@ class HeadWeights:
 
     @classmethod
     def seeded(cls, dim: int, seed: int = 0) -> "HeadWeights":
-        """Deterministic weights, uniform in [-1/sqrt(d), 1/sqrt(d)]."""
+        """Deterministic weights, uniform in [-1/sqrt(d), 1/sqrt(d)], for d up to an episode's."""
         dim = read_int(dim, "dim", 1)
+        if dim > MAX_EPISODE_DIM:  # checked before anything is drawn
+            raise CapacityError(f"dim {dim} exceeds the episode limit {MAX_EPISODE_DIM}")
         rng = np.random.default_rng(read_int(seed, "seed", 0))
         bound = 1.0 / np.sqrt(dim)
-
-        def draw(rows, cols):
-            return rng.uniform(-bound, bound, size=(rows, cols))
-
-        return cls(
-            w_q=draw(2 * dim, 2 * dim),
-            w_k=draw(2 * dim, 2 * dim),
-            w_v=draw(2 * dim, 2 * dim),
-            w_p=draw(2 * dim, dim),
-            w_g=draw(dim, dim),
-            w_u=draw(dim, 2 * dim),
-        )
+        return cls(**{name: rng.uniform(-bound, bound, size=(rows * dim, cols * dim))
+                      for name, (rows, cols) in WEIGHT_SHAPES.items()})
 
 
 @dataclass(frozen=True)

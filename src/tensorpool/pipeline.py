@@ -4,8 +4,8 @@ An episode holds ``Z`` support feature maps, one query feature map, and
 ``B`` proposal boxes (column ranges over the query grid).  The forward pass
 pools every map into a multi-order HOP vector, modulates the query map by
 cross-attending it over the support HOP vectors, and runs the spatial head
-and the relations once per distinct box width, on the stack of that
-width's RoIs.
+and the relations once per distinct box width, on the pooled support
+stacked over that width's RoIs.
 
 Support crops influence the episode output only through spatially orderless
 reductions (HOP vectors and spatial means), so permuting the columns of any
@@ -31,6 +31,7 @@ from .heads import (
     HeadWeights,
     PooledFeatures,
     RelationOutput,
+    TokenMatrix,
     _check_width,
     build_spatial_hop_tokens,
     compute_relations,
@@ -49,11 +50,10 @@ from .tso import (  # noqa: F401
     sigme,
     tso,
 )
-from .tensor import CAPACITY, check_capacity, super_diagonal  # noqa: F401
+from .tensor import MAX_EPISODE_DIM, check_capacity, super_diagonal  # noqa: F401
 
 ORDERS = (2, 3, 4)
 MAX_EPISODE_COLUMNS = 16_384  # grid * (shots + rois) of a synthetic episode
-MAX_EPISODE_DIM = sum(CAPACITY[r] for r in ORDERS)  # no split pools more channels
 
 
 @dataclass(frozen=True)
@@ -230,11 +230,11 @@ def forward_episode(
 
     Pools supports and query RoI crops with ``hop_unit``, modulates the
     query map over the support HOP vectors, then runs the shot head and, per
-    distinct box width, one spatial-head call on the support side, one on
-    the stack of that width's query RoIs and one ``compute_relations``.
-    Each RoI's relations are views of its width's stacked output, bit for
-    bit what the three calls give on that RoI alone.  Deterministic for
-    fixed inputs.
+    distinct box width, one spatial-head pass on the stack of the pooled
+    support (item 0) over that width's query RoIs, and one
+    ``compute_relations`` of item 0 against the rest.  Each RoI's relations
+    are views of its width's stacked output, bit for bit what the same calls
+    give on the support and that RoI alone.  Deterministic for fixed inputs.
     """
     _check_width(weights, episode.dim)
     support_hop = np.column_stack(
@@ -261,24 +261,18 @@ def forward_episode(
         list(support_mean2d.T), list(support_hop.T)
     )
 
-    # The support side depends on the box only through its width.
+    # The support side depends on the box only through its width: item 0 of each width's stack.
     widths = [crop.shape[1] for crop in crops]
     relations = [None] * len(crops)
     for width in dict.fromkeys(widths):
         rois = [b for b, w in enumerate(widths) if w == width]
-        support_tokens = spatial_hop_head(
-            build_spatial_hop_tokens(
-                pooled_support_mean[:, None], pooled_support_hop, weights, width
-            ),
-            heads=heads,
-            sigma=sigma,
-        )
-        query_tokens = spatial_hop_head(
-            build_spatial_hop_tokens(roi_mean2d.T[rois, :, None], roi_hop.T[rois], weights, width),
-            heads=heads,
-            sigma=sigma,
-        )
-        rel = compute_relations(support_tokens, query_tokens, weights)
+        features = np.concatenate([pooled_support_mean[None], roi_mean2d.T[rois]])[..., None]
+        hops = np.concatenate([pooled_support_hop[None], roi_hop.T[rois]])
+        tokens = spatial_hop_head(
+            build_spatial_hop_tokens(features, hops, weights, width), heads=heads, sigma=sigma
+        ).tokens
+        support, query = TokenMatrix(tokens[0], width), TokenMatrix(tokens[1:], width)
+        rel = compute_relations(support, query, weights)
         for i, b in enumerate(rois):
             relations[b] = RelationOutput(rel.r_spatial[i], rel.r_fo_ho[i], rel.r_combined[i])
     return EpisodeResult(

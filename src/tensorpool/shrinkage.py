@@ -24,6 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, InvalidArgumentError, read_array, read_int
+from .tensor import check_capacity
 from .tso import SpectrumVector, maxexp_f
 
 _CLAMP = 1e-9  # spectra are clamped into [0, 1 - _CLAMP] before complements
@@ -206,6 +207,7 @@ def random_trace_normalized_psd(rng: np.random.Generator, dim: int) -> np.ndarra
     sequences stay strictly decreasing.
     """
     dim = read_int(dim, "dim", 2)
+    check_capacity(dim, 2)  # maxexp_f's bound, before anything is drawn
     lam_min = float(rng.uniform(2e-5, 1e-4))
     rest = rng.uniform(0.5, 1.0, size=dim - 1)
     rest *= (1.0 - lam_min) / rest.sum()
@@ -237,6 +239,7 @@ def verify_identity_target(dim: int, trials: int, seed: int = 0) -> IdentityTarg
     by ``eta = 2**20``.  Eigenvector orthogonality is checked on the way.
     """
     dim, trials = read_int(dim, "dim", 2), read_int(trials, "trials", 1)
+    check_capacity(dim, 2)  # maxexp_f's bound, before anything is allocated
     rng = np.random.default_rng(read_int(seed, "seed", 0))
     etas = [2**k for k in range(1, 21)]
     eye = np.eye(dim)

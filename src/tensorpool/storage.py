@@ -9,30 +9,35 @@ Two on-disk layouts are provided:
   since not every stored matrix is cubic.
 
 Both round-trip bit-exactly.  Parse failures raise ``FileFormatError``
-carrying the byte offset of the first offending byte.
+carrying the byte offset of the first offending byte; a payload's NaN or
+infinity is located too.  ``read_tensor`` reads at most ``TNSR_MAX_BYTES + 1``
+bytes, so a huge file or a device is rejected, never read whole.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, read_array
+from .errors import FileFormatError, check_finite, read_array
 from .tensor import CAPACITY, MAX_ORDER, DenseTensor
 
 TNSR_MAGIC = b"TNSR"
 TNSC_MAGIC = b"TNSC"
 VERSION = 1
+TNSR_MAX_BYTES = 16 + 8 * max(CAPACITY[r] ** r for r in CAPACITY)  # 524,304: order 4 at dim 16
 
 _U32 = struct.Struct("<I")
 
 
-def _read_checked(path, magic: bytes, header: int) -> bytes:
-    """The file's bytes, once its ``header``-byte header's magic and version check out."""
-    raw = Path(path).read_bytes()
+def _read_checked(path, magic: bytes, header: int, limit: int | None = None) -> bytes:
+    """The file's bytes (at most ``limit + 1``), once its header's magic and version check out."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # sizes the read; a pipe or a device reports 0
+        raw = fh.read(-1 if limit is None else min(size or limit, limit) + 1)
     kind = magic.decode()
     if len(raw) < header:
         raise FileFormatError(f"truncated {kind} header", len(raw))
@@ -44,6 +49,17 @@ def _read_checked(path, magic: bytes, header: int) -> bytes:
     return raw
 
 
+def _payload(raw: bytes, off: int, count: int, what: str = "") -> tuple:
+    """The ``count`` coefficients at ``off``, and the error that locates a non-finite one."""
+    if off + 8 * count > len(raw):  # the end of the file is the first missing byte
+        message = f"{what}payload truncated: expected {8 * count} bytes of coefficients"
+        raise FileFormatError(message, len(raw))
+    data = np.frombuffer(raw, "<f8", count, off).astype(np.float64, copy=False)  # a view if LE
+    return data, lambda: FileFormatError(
+        "non-finite coefficient", off + 8 * int(np.argmin(np.isfinite(data)))
+    )
+
+
 def write_tensor(path, t: DenseTensor) -> None:
     """Serialize one cubic tensor to ``path`` in the TNSR layout."""
     with open(path, "wb") as fh:
@@ -53,7 +69,7 @@ def write_tensor(path, t: DenseTensor) -> None:
 
 def read_tensor(path) -> DenseTensor:
     """Parse a TNSR file back into a tensor, bit-exactly."""
-    raw = _read_checked(path, TNSR_MAGIC, 16)
+    raw = _read_checked(path, TNSR_MAGIC, 16, TNSR_MAX_BYTES)
     # bound the header fields before any size arithmetic depends on them
     order = _U32.unpack_from(raw, 8)[0]
     if order < 1 or order > MAX_ORDER:
@@ -63,18 +79,10 @@ def read_tensor(path) -> DenseTensor:
         raise FileFormatError(
             f"invalid dim {dim}, the order-{order} limit is {CAPACITY[order]}", 12
         )
-    count = dim**order
-    expected = 16 + 8 * count
-    if len(raw) < expected:
-        raise FileFormatError(
-            f"payload truncated: expected {8 * count} bytes of coefficients",
-            len(raw),
-        )
-    if len(raw) > expected:
-        raise FileFormatError("trailing bytes after payload", expected)
-    data = np.frombuffer(raw, "<f8", count, 16).astype(np.float64, copy=False)  # a view if LE
-    return DenseTensor._from_owned(order, dim, data, lambda: FileFormatError(  # located on failure
-        "non-finite coefficient", 16 + 8 * int(np.argmin(np.isfinite(data)))))
+    data, located = _payload(raw, 16, dim**order)
+    if len(raw) > 16 + data.nbytes:
+        raise FileFormatError("trailing bytes after payload", 16 + data.nbytes)
+    return DenseTensor._from_owned(order, dim, data, located)
 
 
 def write_container(path, sections: dict[str, np.ndarray]) -> None:
@@ -122,16 +130,10 @@ def read_container(path) -> dict[str, np.ndarray]:
                 raise FileFormatError("truncated section shape", off)
             shape.append(_U32.unpack_from(raw, off)[0])
             off += 4
-        count = math.prod(shape)  # Python ints: a numpy product can wrap
-        nbytes = 8 * count
-        if off + nbytes > len(raw):
-            raise FileFormatError(
-                f"section '{name}' payload truncated ({nbytes} bytes expected)",
-                off,
-            )
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        sections[name] = arr.reshape(shape).copy()
-        off += nbytes
+        # a math.prod of Python ints: a numpy product can wrap
+        data, located = _payload(raw, off, math.prod(shape), f"section '{name}' ")
+        sections[name] = check_finite(data, located).reshape(shape).copy()
+        off += data.nbytes
     if off != len(raw):
         raise FileFormatError("trailing bytes after last section", off)
     return sections

@@ -27,6 +27,7 @@ from .errors import read_int
 # enough that brute-force oracles run in seconds.
 CAPACITY = {1: 128, 2: 128, 3: 24, 4: 16}
 MAX_ORDER = 4
+MAX_EPISODE_DIM = sum(CAPACITY[r] for r in (2, 3, 4))  # no split of a map pools more channels
 
 
 def check_capacity(dim: int, order: int) -> None:

@@ -16,16 +16,17 @@ import numpy as np
 import pytest
 
 import tensorpool
-from tensorpool import bench
+from tensorpool import bench, shrinkage
 from tensorpool.attention import RBF, AttentionBundle, attention, rbf_similarity
 from tensorpool.bench import random_normalized_descriptor
-from tensorpool.descriptors import FeatureMatrix, poly_kernel_sum
-from tensorpool.errors import DomainError, InvalidArgumentError, TensorPoolError
+from tensorpool.descriptors import FeatureMatrix, normalize_descriptor, poly_kernel_sum
+from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError, TensorPoolError
 from tensorpool.heads import HeadWeights, PooledFeatures, TokenMatrix, build_spatial_hop_tokens
 from tensorpool.heads import compute_relations, spatial_hop_head, z_average, zshot_head
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, attend_query_to_supports, hop_unit
-from tensorpool.pipeline import synth_episode
-from tensorpool.shrinkage import ShrinkageProblem, objective, verify_identity_target
+from tensorpool.pipeline import MAX_EPISODE_DIM, synth_episode
+from tensorpool.shrinkage import ShrinkageProblem, objective, random_trace_normalized_psd
+from tensorpool.shrinkage import verify_identity_target
 from tensorpool.storage import write_container
 from tensorpool.suites import run_suite
 from tensorpool.tensor import DenseTensor, SuperDiagonal, asymmetry, check_capacity
@@ -217,6 +218,9 @@ OVERFLOW = {
     "asymmetry": lambda: asymmetry(LOPSIDED),
     "tso": lambda: tso(LOPSIDED, 2),
     "maxexp_f": lambda: maxexp_f([[0.5, 1e308], [1e308, 0.5]], 2),
+    "normalize_descriptor": lambda: normalize_descriptor(
+        DenseTensor(2, 1, [1e303]), FeatureMatrix([[1e-10]])
+    ),
 }
 
 
@@ -226,6 +230,49 @@ def test_computed_overflow_is_a_domain_error_without_warnings(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows? float64"):
             call()
+
+
+class _NoDraws:
+    """A random generator that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew ({name}) before the capacity check")
+
+
+def _psd_not_drawn(rng, dim):
+    raise AssertionError("drew a matrix before the capacity check")
+
+
+# One door per entry and the largest dim it takes; one more used to be drawn or allocated
+# (at 10**5, a bare numpy MemoryError of 75 to 300 GiB).
+WIDEST = {
+    "HeadWeights.seeded": (lambda dim: HeadWeights.seeded(dim, 1), MAX_EPISODE_DIM),
+    "verify_identity_target": (lambda dim: verify_identity_target(dim, 1), 128),
+    "random_trace_normalized_psd": (lambda dim: random_trace_normalized_psd(_NoDraws(), dim), 128),
+}
+
+
+@pytest.mark.parametrize("excess", [1, 10**5])
+@pytest.mark.parametrize("call, limit", WIDEST.values(), ids=WIDEST.keys())
+def test_oversized_dim_is_a_capacity_error_before_drawing(monkeypatch, call, limit, excess):
+    monkeypatch.setattr(shrinkage, "random_trace_normalized_psd", _psd_not_drawn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapacityError, match=f"^dim {limit + excess} exceeds the "):
+            call(limit + excess)
+
+
+def test_nonzero_vectors_with_underflowing_squared_norms_are_normalized():
+    tiny = np.full((2, 2), 1e-170)  # each squared norm underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # exp(-(2 - sqrt 2) / 0.5): the unit vector (1, 1)/sqrt 2 against (1, 0)
+        assert rbf_similarity(tiny[0], [1.0, 0.0], 0.5) == 0.3098791564968262
+        out = attention(AttentionBundle(tiny, tiny, np.ones((2, 2))), RBF)
+    # equal unit columns: every weight is 1, up to the rounding of their cosine, as at scale 1
+    assert np.allclose(out, 2.0, rtol=1e-14, atol=0.0)
+    ones = np.ones((2, 2))
+    assert np.array_equal(out, attention(AttentionBundle(ones, ones, ones), RBF))
 
 
 @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
@@ -263,7 +310,7 @@ def test_a_d_vector_is_not_read_as_a_one_row_matrix():
 
 
 INTEGER_CHECKS = {"numbers.Integral", "np.integer"}
-# read_tensor locates the first non-finite coefficient once the screen has failed
+# storage._payload locates a file's first non-finite coefficient once the screen has failed
 FINITENESS_SCANS = {"storage.py": 1}
 
 

@@ -489,16 +489,22 @@ class TestForwardEpisode:
             ((0, 3), (3, 8), (8, 13), (13, 22)),  # widths 3, 5, 5, 9
         )
         weights = HeadWeights.seeded(8, seed=24)
-        widths = []
+        widths, built = [], []
 
         def counted(tokens, **kwargs):
             widths.append(tokens.multiplicity)
             return spatial_hop_head(tokens, **kwargs)
 
+        def counted_build(features, hop, weights, multiplicity):
+            built.append((multiplicity, len(features)))
+            return build_spatial_hop_tokens(features, hop, weights, multiplicity)
+
         monkeypatch.setattr(pipeline, "spatial_hop_head", counted)
+        monkeypatch.setattr(pipeline, "build_spatial_hop_tokens", counted_build)
         result = forward_episode(episode, cfg, params, weights, heads=2)
-        # One support-side and one query-side call per distinct width.
-        assert sorted(widths) == [3, 3, 5, 5, 9, 9]
+        # One call per distinct width, on the pooled support stacked over that width's RoIs.
+        assert sorted(widths) == [3, 5, 9]
+        assert sorted(built) == [(3, 2), (5, 3), (9, 2)]
 
         # Per RoI, both sides recomputed from scratch.
         def stacked_mean(m):

@@ -1,12 +1,18 @@
 """Serialization: TNSR tensors and TNSC containers."""
 
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tensorpool
 from tensorpool.errors import FileFormatError
 from tensorpool.storage import (
+    TNSR_MAX_BYTES,
     read_container,
     read_tensor,
     write_container,
@@ -111,6 +117,47 @@ class TestTensorFormat:
             read_tensor(tensor_path)
         assert err.value.byte_offset == 2
 
+    def test_largest_file_reads_and_a_huge_one_is_rejected_unread(self, tensor_path):
+        t = DenseTensor(4, 16, np.arange(16.0**4))
+        write_tensor(tensor_path, t)
+        assert tensor_path.stat().st_size == TNSR_MAX_BYTES
+        assert read_tensor(tensor_path) == t
+        with open(tensor_path, "r+b") as fh:
+            fh.truncate(64 << 20)  # sparse: 64 MiB reported, next to nothing on disk
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="trailing bytes after payload") as err:
+                read_tensor(tensor_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.byte_offset == TNSR_MAX_BYTES
+        assert peak < 2 * TNSR_MAX_BYTES
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_device_is_rejected_under_a_memory_cap(self):
+        pytest.importorskip("resource")
+        # A child process with a 512 MiB address-space cap and a timeout: a reader that
+        # reads the device whole fails there, not on the machine running the tests.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from tensorpool.errors import FileFormatError\n"
+            "from tensorpool.storage import read_tensor\n"
+            "try:\n"
+            "    read_tensor('/dev/zero')\n"
+            "except FileFormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tensorpool.__file__))
+        threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        env = dict(os.environ, **threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "bad magic, expected b'TNSR' (byte offset 0)"
+
 
 class TestContainerFormat:
     def test_round_trip_preserves_order_and_bits(self, tmp_path):
@@ -162,6 +209,25 @@ class TestContainerFormat:
         path.write_bytes(raw[:-4])
         with pytest.raises(FileFormatError):
             read_container(path)
+
+    def test_payload_truncated_at_the_end_of_the_file(self, tmp_path):
+        path = tmp_path / "c.tnsc"
+        write_container(path, {"a": np.ones(2), "b": np.ones((2, 2))})
+        raw = path.read_bytes()[:-12]  # inside section b's payload
+        path.write_bytes(raw)
+        match = "^section 'b' payload truncated: expected 32 bytes of coefficients"
+        with pytest.raises(FileFormatError, match=match) as err:
+            read_container(path)
+        assert err.value.byte_offset == len(raw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected_at_its_offset(self, tmp_path, bad):
+        path = tmp_path / "c.tnsc"
+        payload = np.array([1.0, bad], dtype="<f8").tobytes()
+        path.write_bytes(tnsc_one_section_header(b"a", [2]) + payload)
+        with pytest.raises(FileFormatError, match="^non-finite coefficient") as err:
+            read_container(path)
+        assert err.value.byte_offset == 12 + 4 + 1 + 4 + 4 + 8  # the second coefficient: 33
 
 
     def test_non_utf8_section_name(self, tmp_path):
