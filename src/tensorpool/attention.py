@@ -58,10 +58,6 @@ class AttentionBundle:
         object.__setattr__(self, "keys", k)
         object.__setattr__(self, "values", v)
 
-    @property
-    def dim(self) -> int:
-        return self.queries.shape[0]
-
 
 def _norms(m: np.ndarray, axis: int | None) -> np.ndarray:
     """l2 norms along ``axis`` (flat if None), keepdims; one that may have underflowed, rescaled."""
@@ -83,9 +79,11 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def rbf_similarity(q, k, sigma: float) -> float:
-    """Gaussian similarity of l2-normalized vectors, in (0, 1]."""
+    """Gaussian similarity of l2-normalized vectors of one non-zero length, in (0, 1]."""
     sigma = read_real(sigma, "sigma", MIN_SIGMA)
     q, k = read_array(q, "q").reshape(-1), read_array(k, "k").reshape(-1)
+    if q.size != k.size or q.size == 0:
+        raise InvalidArgumentError(f"q must be non-empty and as long as k: {q.size} and {k.size}")
     nq, nk = _norms(q, None)[0], _norms(k, None)[0]  # a flat norm: a stacked one changes bits
     check_finite(np.array((nq, nk)), lambda: DomainError("vector norms overflow float64"))
     if nq == 0.0 or nk == 0.0:
@@ -116,14 +114,14 @@ def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
 
     The softmax kind mixes values with rows summing to one; the RBF kind
     uses unnormalized Gaussian similarities of l2-normalized tokens, so its
-    rows do not sum to one.  A bundle built for several heads goes to
-    ``multi_head``.
+    rows do not sum to one.  It is ``multi_head`` restricted to one-head
+    bundles: a bundle built for several heads goes to ``multi_head`` itself.
     """
     if bundle.heads != 1:
         raise InvalidArgumentError(
             f"attention runs one head, the bundle has {bundle.heads}: use multi_head"
         )
-    return _attend(bundle.queries, bundle.keys, bundle.values, bundle.sigma, kind)
+    return multi_head(bundle, kind)
 
 
 def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, sigma: float, kind: str):

@@ -24,8 +24,7 @@ from . import bench as bench_mod
 from . import storage, suites
 from .errors import InvalidArgumentError, TensorPoolError
 from .heads import HeadWeights
-from .pipeline import SplitConfig, forward_episode, plan, synth_episode
-from .attention import rbf_similarity
+from .pipeline import SplitConfig, forward_episode, plan, support_similarity, synth_episode
 from .tso import TsoParams
 
 EXIT_OK = 0
@@ -105,11 +104,7 @@ def _cmd_demo_episode(args) -> int:
     for order, requested, used in result.metadata["eta_substitutions"]:
         print(f"note: order-{order} exponent rounded {requested} -> {used}")
 
-    prototype = result.support_hop.mean(axis=1)
-    sims = [
-        rbf_similarity(result.roi_hop[:, b], prototype, args.sigma)
-        for b in range(result.roi_hop.shape[1])
-    ]
+    sims = support_similarity(result.support_hop, result.roi_hop, args.sigma)
     ranking = np.argsort(sims)[::-1]
     print(f"episode seed={args.seed} shots={args.supports} rois={args.rois} "
           f"dim={args.dim} split={cfg} eta={args.eta} eta'={args.eta_prime:g} "

@@ -88,8 +88,9 @@ def read_real(value, name: str, low: float | None = None) -> float:
     """``value`` as a ``float``, if it is a real number; with ``low``, a finite one >= ``low``."""
     if type(value) is not float and not isinstance(value, numbers.Real):  # a float needs no check
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
-    if low is not None and not low <= value < np.inf:  # also rejects NaN
-        raise InvalidArgumentError(f"{name} must be finite and >= {low:.4g}, got {value}")
+    if low is not None and not (-np.inf < value < np.inf and value >= low):  # also rejects NaN
+        floor = f" and >= {low:.4g}" if low > -np.inf else ""
+        raise InvalidArgumentError(f"{name} must be finite{floor}, got {value}")
     return float(value)
 
 

@@ -135,10 +135,6 @@ class PooledFeatures:
         object.__setattr__(self, "mean_features", mf)
         object.__setattr__(self, "hop", hp)
 
-    @property
-    def count(self) -> int:
-        return self.mean_features.shape[1]
-
 
 @dataclass(frozen=True)
 class RelationOutput:

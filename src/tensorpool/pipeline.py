@@ -2,10 +2,11 @@
 
 An episode holds ``Z`` support feature maps, one query feature map, and
 ``B`` proposal boxes (column ranges over the query grid).  The forward pass
-pools every map into a multi-order HOP vector, modulates the query map by
-cross-attending it over the support HOP vectors, and runs the spatial head
-and the relations once per distinct box width, on the pooled support
-stacked over that width's RoIs.
+pools every map once, into its column mean and its multi-order HOP vector,
+cross-attends the query map over the support HOP vectors, and runs the
+spatial head and the relations once per distinct box width, on the pooled
+support stacked over that width's RoIs.  ``support_similarity`` ranks RoIs
+by the RBF similarity of their HOP vectors to the averaged support's.
 
 Support crops influence the episode output only through spatially orderless
 reductions (HOP vectors and spatial means), so permuting the columns of any
@@ -212,10 +213,26 @@ class EpisodeResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _stack_mean(map_like: np.ndarray) -> np.ndarray:
-    """Duplicate a map's column mean into the stacked 2d embedding space."""
-    mean = map_like.mean(axis=1)
-    return np.concatenate([mean, mean])
+def _pool(maps, cfg: SplitConfig, params: TsoParams) -> PooledFeatures:
+    """One column per map: its column mean stacked twice into 2d, and its ``hop_unit`` vector."""
+    return PooledFeatures(
+        np.column_stack([np.concatenate([m.mean(axis=1)] * 2) for m in maps]),
+        np.column_stack([hop_unit(m, cfg, params) for m in maps]),
+    )
+
+
+def support_similarity(support_hop, roi_hop, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
+    """Each RoI's ``rbf_similarity`` to the averaged support HOP vector, the class prototype.
+
+    ``support_hop`` is ``d x Z`` (Z >= 1), ``roi_hop`` ``d x B``; entry ``b`` scores column ``b``.
+    """
+    support_hop = read_array(support_hop, "support_hop", 2)
+    roi_hop = read_array(roi_hop, "roi_hop", 2)
+    if support_hop.shape[1] == 0 or roi_hop.shape[0] != support_hop.shape[0]:
+        raise InvalidArgumentError(f"support_hop must be d x Z (Z >= 1) and roi_hop d x B, got "
+                                   f"{support_hop.shape} and {roi_hop.shape}")
+    prototype = support_hop.mean(axis=1)
+    return np.array([rbf_similarity(roi, prototype, sigma) for roi in roi_hop.T])
 
 
 def forward_episode(
@@ -228,59 +245,43 @@ def forward_episode(
 ) -> EpisodeResult:
     """Run the full synthetic pipeline on one episode.
 
-    Pools supports and query RoI crops with ``hop_unit``, modulates the
-    query map over the support HOP vectors, then runs the shot head and, per
-    distinct box width, one spatial-head pass on the stack of the pooled
-    support (item 0) over that width's query RoIs, and one
-    ``compute_relations`` of item 0 against the rest.  Each RoI's relations
-    are views of its width's stacked output, bit for bit what the same calls
-    give on the support and that RoI alone.  Deterministic for fixed inputs.
+    Pools the supports and the query RoI crops once each with ``_pool``,
+    modulates the query map over the support HOP vectors, then runs the shot
+    head on the pooled maps and, per distinct box width, one spatial-head
+    pass on the stack of the shot-averaged support (``z_average``, item 0)
+    over that width's query RoIs, and one ``compute_relations`` of item 0
+    against the rest.  Each RoI's relations are views of its width's stacked
+    output, bit for bit what the same calls give on the support and that RoI
+    alone.  Deterministic for fixed inputs.
     """
     _check_width(weights, episode.dim)
-    support_hop = np.column_stack(
-        [hop_unit(m, cfg, params) for m in episode.support_maps]
-    )
-    support_mean2d = np.column_stack([_stack_mean(m) for m in episode.support_maps])
-    modulated = attend_query_to_supports(
-        support_hop, episode.query_map, heads=heads, sigma=sigma
-    )
-
+    shots = _pool(episode.support_maps, cfg, params)
+    modulated = attend_query_to_supports(shots.hop, episode.query_map, heads=heads, sigma=sigma)
     crops = [episode.query_map[:, a:b] for a, b in episode.boxes]
-    roi_hop = np.column_stack([hop_unit(crop, cfg, params) for crop in crops])
-    roi_mean2d = np.column_stack([_stack_mean(c) for c in crops])
-
-    zshot = zshot_head(
-        PooledFeatures(support_mean2d, support_hop),
-        PooledFeatures(roi_mean2d, roi_hop),
-        weights,
-        heads=heads,
-        sigma=sigma,
-    )
-
-    pooled_support_mean, pooled_support_hop = z_average(
-        list(support_mean2d.T), list(support_hop.T)
-    )
+    rois = _pool(crops, cfg, params)
+    zshot = zshot_head(shots, rois, weights, heads=heads, sigma=sigma)
+    support_mean, support_hop = z_average(list(shots.mean_features.T), list(shots.hop.T))
 
     # The support side depends on the box only through its width: item 0 of each width's stack.
     widths = [crop.shape[1] for crop in crops]
     relations = [None] * len(crops)
     for width in dict.fromkeys(widths):
-        rois = [b for b, w in enumerate(widths) if w == width]
-        features = np.concatenate([pooled_support_mean[None], roi_mean2d.T[rois]])[..., None]
-        hops = np.concatenate([pooled_support_hop[None], roi_hop.T[rois]])
+        items = [b for b, w in enumerate(widths) if w == width]
+        features = np.concatenate([support_mean[None], rois.mean_features.T[items]])[..., None]
+        hops = np.concatenate([support_hop[None], rois.hop.T[items]])
         tokens = spatial_hop_head(
             build_spatial_hop_tokens(features, hops, weights, width), heads=heads, sigma=sigma
         ).tokens
         support, query = TokenMatrix(tokens[0], width), TokenMatrix(tokens[1:], width)
         rel = compute_relations(support, query, weights)
-        for i, b in enumerate(rois):
+        for i, b in enumerate(items):
             relations[b] = RelationOutput(rel.r_spatial[i], rel.r_fo_ho[i], rel.r_combined[i])
     return EpisodeResult(
         relations=tuple(relations),
         zshot_output=zshot,
         modulated_map=modulated,
-        support_hop=support_hop,
-        roi_hop=roi_hop,
+        support_hop=shots.hop,
+        roi_hop=rois.hop,
         metadata={
             "eta_substitutions": [
                 sub for sub in params.substitutions() if cfg.ratios[ORDERS.index(sub[0])]
@@ -308,7 +309,7 @@ def synth_episode(
     each box a contiguous column range of ``grid`` columns in the query map.
     """
     shots, rois, dim, grid = read_ints((shots, rois, dim, grid), "episode sizes")
-    seed, separation = read_int(seed, "seed", 0), read_real(separation, "separation")
+    seed, separation = read_int(seed, "seed", 0), read_real(separation, "separation", -np.inf)
     if shots < 1 or rois < 1 or dim < 1 or grid < 1:
         raise InvalidArgumentError("episode sizes must be positive")
     if dim > MAX_EPISODE_DIM:
@@ -350,26 +351,18 @@ def matched_class_similarity_rate(
 ) -> float:
     """Fraction of (matched, mismatched) RoI pairs ranked correctly.
 
-    For every seeded episode, each matched-class RoI's HOP vector should be
-    more similar (RBF) to the pooled support HOP vector than every
-    mismatched-class RoI's.
+    For every seed (a non-empty sequence), each matched-class RoI of the
+    seeded episode should score higher in ``support_similarity`` than every
+    mismatched-class RoI.
     """
-    correct = 0
-    total = 0
-    for seed in seeds:
+    correct = total = 0
+    for seed in read_items(seeds, "seeds"):
         episode = synth_episode(seed, shots, 2, dim, grid, separation)
-        support_hop = np.column_stack(
-            [hop_unit(m, cfg, params) for m in episode.support_maps]
+        crops = [episode.query_map[:, a:b] for a, b in episode.boxes]
+        sims = support_similarity(
+            _pool(episode.support_maps, cfg, params).hop, _pool(crops, cfg, params).hop, sigma
         )
-        prototype = support_hop.mean(axis=1)
-        sims = [
-            rbf_similarity(
-                hop_unit(episode.query_map[:, a:b], cfg, params), prototype, sigma
-            )
-            for a, b in episode.boxes
-        ]
-        matched = [s for s, label in zip(sims, episode.labels) if label == 0]
-        mismatched = [s for s, label in zip(sims, episode.labels) if label != 0]
-        total += len(matched) * len(mismatched)
-        correct += sum(m > o for m in matched for o in mismatched)
-    return correct / total if total else 0.0
+        labels = np.array(episode.labels)
+        pairs = sims[labels == 0][:, None] > sims[labels != 0]  # (matched, mismatched)
+        correct, total = correct + int(pairs.sum()), total + pairs.size
+    return correct / total

@@ -10,8 +10,9 @@ Two on-disk layouts are provided:
 
 Both round-trip bit-exactly.  Parse failures raise ``FileFormatError``
 carrying the byte offset of the first offending byte; a payload's NaN or
-infinity is located too.  ``read_tensor`` reads at most ``TNSR_MAX_BYTES + 1``
-bytes, so a huge file or a device is rejected, never read whole.
+infinity is located too.  Each reader checks its header, then reads at most
+one byte past its ``*_MAX_BYTES`` bound, so a huge file or a device is
+rejected, never read whole; the writer refuses what the reader would.
 """
 
 from __future__ import annotations
@@ -22,30 +23,36 @@ import struct
 
 import numpy as np
 
-from .errors import FileFormatError, check_finite, read_array
+from .errors import CapacityError, FileFormatError, InvalidArgumentError, check_finite, read_array
 from .tensor import CAPACITY, MAX_ORDER, DenseTensor
 
 TNSR_MAGIC = b"TNSR"
 TNSC_MAGIC = b"TNSC"
 VERSION = 1
 TNSR_MAX_BYTES = 16 + 8 * max(CAPACITY[r] ** r for r in CAPACITY)  # 524,304: order 4 at dim 16
+TNSC_MAX_BYTES = 2**28  # above demo-episode's largest dump, 222,385,170 bytes
+TNSC_MAX_RANK = 8  # both bounds hold for the writer and the reader
 
 _U32 = struct.Struct("<I")
 
 
-def _read_checked(path, magic: bytes, header: int, limit: int | None = None) -> bytes:
-    """The file's bytes (at most ``limit + 1``), once its header's magic and version check out."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size  # sizes the read; a pipe or a device reports 0
-        raw = fh.read(-1 if limit is None else min(size or limit, limit) + 1)
-    kind = magic.decode()
-    if len(raw) < header:
-        raise FileFormatError(f"truncated {kind} header", len(raw))
-    if raw[:4] != magic:
-        raise FileFormatError(f"bad magic, expected {magic!r}", 0)
-    version = _U32.unpack_from(raw, 4)[0]
-    if version != VERSION:
-        raise FileFormatError(f"unsupported {kind} version {version}", 4)
+def _read_checked(path, magic: bytes, header: int, limit: int, too_long: str = "") -> bytes:
+    """At most ``limit + 1`` of the file's bytes, read once its header (the only bytes buffered)
+    checks out.  A pipe or a device reports size 0 and is read up to the bound.  With ``too_long``,
+    a file above ``limit`` ends in ``FileFormatError(too_long, limit)``, a regular one unread."""
+    with open(path, "rb", buffering=header) as fh:
+        raw, kind = fh.peek(header)[:header], magic.decode()
+        if len(raw) < header:
+            raise FileFormatError(f"truncated {kind} header", len(raw))
+        if raw[:4] != magic:
+            raise FileFormatError(f"bad magic, expected {magic!r}", 0)
+        version = _U32.unpack_from(raw, 4)[0]
+        if version != VERSION:
+            raise FileFormatError(f"unsupported {kind} version {version}", 4)
+        size = os.fstat(fh.fileno()).st_size
+        raw = b"" if too_long and size > limit else fh.read(min(size or limit, limit) + 1)
+    if too_long and max(size, len(raw)) > limit:
+        raise FileFormatError(too_long, limit)
     return raw
 
 
@@ -86,12 +93,22 @@ def read_tensor(path) -> DenseTensor:
 
 
 def write_container(path, sections: dict[str, np.ndarray]) -> None:
-    """Serialize named float64 arrays to ``path`` in the TNSC layout."""
-    # Convert every section before opening the file: one that fails leaves no file.
-    parts = [TNSC_MAGIC + _U32.pack(VERSION) + _U32.pack(len(sections))]
+    """Serialize named float64 arrays to ``path`` in the TNSC layout.
+
+    Each section is read and the container sized before the file is opened, so a section
+    that fails, has a rank above ``TNSC_MAX_RANK`` or an extent of 2**32 or more, or a
+    container above ``TNSC_MAX_BYTES`` (``CapacityError``) leaves no file.
+    """
+    parts, size = [TNSC_MAGIC + _U32.pack(VERSION) + _U32.pack(len(sections))], 12
     for name, arr in sections.items():
         arr = np.ascontiguousarray(read_array(arr, f"section {name!r}"), dtype="<f8")  # >= 1-D
+        if arr.ndim > TNSC_MAX_RANK or max(arr.shape) >= 2**32:
+            raise InvalidArgumentError(f"section {name!r} must have rank <= {TNSC_MAX_RANK} "
+                                       f"and extents below 2**32, got shape {arr.shape}")
         encoded = name.encode("utf-8")
+        size += 8 + len(encoded) + 4 * arr.ndim + arr.nbytes
+        if size > TNSC_MAX_BYTES:
+            raise CapacityError(f"container exceeds TNSC_MAX_BYTES = {TNSC_MAX_BYTES} at {name!r}")
         shape = b"".join(_U32.pack(extent) for extent in arr.shape)
         parts += [_U32.pack(len(encoded)) + encoded + _U32.pack(arr.ndim) + shape, memoryview(arr)]
     with open(path, "wb") as fh:
@@ -99,8 +116,9 @@ def write_container(path, sections: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path) -> dict[str, np.ndarray]:
-    """Parse a TNSC container, preserving section order."""
-    raw = _read_checked(path, TNSC_MAGIC, 12)
+    """Parse a TNSC container of at most ``TNSC_MAX_BYTES``, preserving section order."""
+    too_long = f"container exceeds TNSC_MAX_BYTES = {TNSC_MAX_BYTES}"
+    raw = _read_checked(path, TNSC_MAGIC, 12, TNSC_MAX_BYTES, too_long)
     n_sections = _U32.unpack_from(raw, 8)[0]
     off = 12
     sections: dict[str, np.ndarray] = {}
@@ -122,7 +140,7 @@ def read_container(path) -> dict[str, np.ndarray]:
             raise FileFormatError("truncated section rank", off)
         ndim = _U32.unpack_from(raw, off)[0]
         off += 4
-        if ndim < 1 or ndim > 8:
+        if ndim < 1 or ndim > TNSC_MAX_RANK:
             raise FileFormatError(f"implausible section rank {ndim}", off - 4)
         shape = []
         for _ in range(ndim):

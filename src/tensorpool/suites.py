@@ -8,12 +8,11 @@ lighter than the test suite: they are a field diagnostic, not the oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import shrinkage
-from .attention import RBF, SOFTMAX, AttentionBundle, attention, multi_head
+from .attention import RBF, SOFTMAX, AttentionBundle, _attend, attention, multi_head
 from .descriptors import FeatureMatrix, hotd, poly_kernel_sum
 from .errors import InvalidArgumentError, _all_finite, read_int
 from .heads import (
@@ -33,36 +32,25 @@ SUITE_NAMES = ("descriptors", "tso", "theorems", "attention", "heads", "pipeline
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    threshold: float
+def _check(name: str, residual: float, threshold: float) -> dict:
+    return {"name": name, "passed": bool(residual <= threshold), "residual": float(residual),
+            "threshold": threshold}
 
 
-def _check(name: str, residual: float, threshold: float) -> CheckResult:
-    return CheckResult(name, bool(residual <= threshold), float(residual), threshold)
-
-
-def _random_features(rng, dim, count):
-    return FeatureMatrix(rng.normal(size=(dim, count)))
-
-
-def suite_descriptors(seed: int = 0) -> list[CheckResult]:
+def suite_descriptors(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     worst_linear = 0.0
     for _ in range(30):
         r = int(rng.integers(2, 5))
         d = int(rng.integers(2, 9))
-        f = _random_features(rng, d, int(rng.integers(1, 7)))
-        g = _random_features(rng, d, int(rng.integers(1, 7)))
+        f = FeatureMatrix(rng.normal(size=(d, int(rng.integers(1, 7)))))
+        g = FeatureMatrix(rng.normal(size=(d, int(rng.integers(1, 7)))))
         kernel = poly_kernel_sum(f, g, r)
         inner = float(hotd(f, r).data @ hotd(g, r).data)
         scale = max(1.0, abs(kernel))
         worst_linear = max(worst_linear, abs(kernel - inner) / scale)
 
-    f = _random_features(rng, 6, 8)
+    f = FeatureMatrix(rng.normal(size=(6, 8)))
     perm = rng.permutation(8)
     shuffled = FeatureMatrix(f.columns[:, perm])
     worst_perm = max(
@@ -84,7 +72,7 @@ def suite_descriptors(seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def suite_tso(seed: int = 0) -> list[CheckResult]:
+def suite_tso(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     results = []
 
@@ -138,7 +126,7 @@ def suite_tso(seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def suite_theorems(seed: int = 0) -> list[CheckResult]:
+def suite_theorems(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     worst_dist = 0.0
     worst_stat = 0.0
@@ -168,7 +156,7 @@ def suite_theorems(seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def suite_attention(seed: int = 0) -> list[CheckResult]:
+def suite_attention(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     d, nq, nk = 8, 5, 7
     bundle = AttentionBundle(
@@ -193,12 +181,8 @@ def suite_attention(seed: int = 0) -> list[CheckResult]:
         for kind in (SOFTMAX, RBF)
     )
 
-    single = AttentionBundle(
-        bundle.queries, bundle.keys, bundle.values, sigma=0.5, heads=1
-    )
-    worst_t1 = float(np.max(np.abs(multi_head(single, RBF) - attention(single, RBF))))
-
     q, k, v = bundle.queries, bundle.keys, bundle.values
+    worst_t1 = float(np.max(np.abs(multi_head(bundle, RBF) - _attend(q, k, v, 0.5, RBF))))
     worst_heads = 0.0
     for step in (d // 2, d // 4):  # 2 and 4 heads, each against attention on its rows
         out = multi_head(AttentionBundle(q, k, v, heads=d // step), RBF)
@@ -214,7 +198,7 @@ def suite_attention(seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def suite_heads(seed: int = 0) -> list[CheckResult]:
+def suite_heads(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     d, z, b, n = 4, 3, 2, 5
     weights = HeadWeights.seeded(d, seed=seed)
@@ -258,7 +242,7 @@ def suite_heads(seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def suite_pipeline(seed: int = 0) -> list[CheckResult]:
+def suite_pipeline(seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     cfg = SplitConfig((2, 1, 1))
     params = TsoParams()
@@ -341,8 +325,8 @@ def run_suite(name: str, seed: int = 0) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": name,
-        "passed": all(c.passed for c in checks),
-        "checks": [asdict(c) for c in checks],
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
     }
 
 

@@ -119,10 +119,6 @@ class SuperDiagonal:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 def identity_tensor(d: int, r: int) -> DenseTensor:
     """Tensor with ones exactly where all ``r`` indices coincide."""

@@ -184,7 +184,9 @@ class TestMultiHead:
         q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
         bundle = AttentionBundle(q, k, v, sigma=0.5, heads=1)
         for kind in (SOFTMAX, RBF):
-            assert np.array_equal(multi_head(bundle, kind), attention(bundle, kind))
+            # attention() runs multi_head: hold the one-head split against the unsplit kernel
+            assert np.array_equal(multi_head(bundle, kind), _attend(q, k, v, 0.5, kind))
+            assert np.array_equal(attention(bundle, kind), _attend(q, k, v, 0.5, kind))
 
     def test_two_heads_match_per_half_attention(self):
         # Two and four heads, both kinds: each head is attention on its own rows, bit for bit.

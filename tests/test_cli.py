@@ -236,6 +236,11 @@ class TestDemoEpisode:
             err = capsys.readouterr().err
             assert err.startswith("error:") and flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_separation_is_named_before_drawing(self, capsys, value):
+        assert main(self.BASE_ARGS + [f"--separation={value}"]) == 1
+        assert capsys.readouterr().err == f"error: separation must be finite, got {float(value)}\n"
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main([])

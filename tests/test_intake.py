@@ -24,7 +24,8 @@ from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError, 
 from tensorpool.heads import HeadWeights, PooledFeatures, TokenMatrix, build_spatial_hop_tokens
 from tensorpool.heads import compute_relations, spatial_hop_head, z_average, zshot_head
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, attend_query_to_supports, hop_unit
-from tensorpool.pipeline import MAX_EPISODE_DIM, synth_episode
+from tensorpool.pipeline import MAX_EPISODE_DIM, matched_class_similarity_rate, support_similarity
+from tensorpool.pipeline import synth_episode
 from tensorpool.shrinkage import ShrinkageProblem, objective, random_trace_normalized_psd
 from tensorpool.shrinkage import verify_identity_target
 from tensorpool.storage import write_container
@@ -37,6 +38,11 @@ RAGGED = [[1.0, 2.0], [3.0]]
 M = np.eye(2) / 2
 F = FeatureMatrix(np.ones((2, 3)))
 SPECTRUM = SpectrumVector([0.2, 0.3])
+
+
+def _rate_of(seeds):
+    return matched_class_similarity_rate(seeds, SplitConfig(), TsoParams(), dim=8, grid=4)
+
 
 CASES = {
     # ragged arrays
@@ -68,10 +74,18 @@ CASES = {
     "bench_tso-order": (lambda: bench.bench_tso(order=2.5, dim=4, etas=(2,)), "order"),
     "bench_tso-etas-even": (lambda: bench.bench_tso(order=2, dim=4, etas=()), "etas"),
     "bench_tso-etas-odd": (lambda: bench.bench_tso(order=3, dim=4, etas=()), "etas"),
-    # containers that are not iterable
+    # containers that are not iterable, or empty
     "bench_tso-etas-scalar": (lambda: bench.bench_tso(dim=4, etas=5), "etas"),
     "EpisodeBatch-support_maps": (lambda: EpisodeBatch(5, M, ((0, 1),)), "support_maps"),
     "EpisodeBatch-boxes": (lambda: EpisodeBatch((M,), M, 3), "boxes"),
+    "matched_class_similarity_rate-seeds=5": (lambda: _rate_of(5), "seeds"),
+    "matched_class_similarity_rate-seeds=None": (lambda: _rate_of(None), "seeds"),
+    "matched_class_similarity_rate-seeds=[]": (lambda: _rate_of([]), "seeds"),
+    # vectors of unequal or no length, a support without shots, hop arrays of unequal d
+    "rbf_similarity-lengths": (lambda: rbf_similarity([1.0, 2.0, 3.0], [1.0, 2.0], 0.5), "q"),
+    "rbf_similarity-empty": (lambda: rbf_similarity([], [], 0.5), "q"),
+    "support_similarity-no-shots": (lambda: support_similarity(np.ones((2, 0)), M), "support_hop"),
+    "support_similarity-rows": (lambda: support_similarity(M, np.ones((3, 1))), "support_hop"),
     # the penalized KL problem: a SpectrumVector and an integer exponent >= 2
     "ShrinkageProblem-spectrum": (lambda: ShrinkageProblem([0.2, 0.3], 3), "spectrum"),
     "ShrinkageProblem-eta-str": (lambda: ShrinkageProblem(SPECTRUM, "x"), "eta"),
@@ -90,6 +104,11 @@ SEEDED = {
 for _name, _call in SEEDED.items():
     for _seed in (-1, 1.5):
         CASES[f"{_name}-seed={_seed}"] = (lambda call=_call, seed=_seed: call(seed), "seed")
+# a separation that is not finite, rejected by name before the episode is drawn
+for _bad in (np.nan, np.inf, -np.inf):
+    CASES[f"synth_episode-separation={_bad}"] = (
+        lambda bad=_bad: synth_episode(0, 1, 2, 8, 4, bad), "separation"
+    )
 
 
 def _filled(shape, bad, at=0):
@@ -159,8 +178,10 @@ def no_drawing(monkeypatch):
 
 @pytest.mark.parametrize("call, name", CASES.values(), ids=CASES.keys())
 def test_malformed_value_is_a_typed_error_naming_the_argument(call, name):
-    with pytest.raises(TensorPoolError, match=f"^{name} must be "):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TensorPoolError, match=f"^{name} must be "):
+            call()
 
 
 @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())

@@ -28,8 +28,10 @@ from tensorpool.pipeline import (
     hop_unit,
     matched_class_similarity_rate,
     plan,
+    support_similarity,
     synth_episode,
 )
+from tensorpool.attention import rbf_similarity
 from tensorpool.storage import read_container, write_container
 from tensorpool.tensor import CAPACITY, super_diagonal
 from tensorpool.tso import TsoParams, maxexp_scalar, sigme, tso
@@ -575,6 +577,17 @@ class TestSynthEpisode:
             range(40), SplitConfig((5, 2, 1)), TsoParams()
         )
         assert rate >= 0.95
+
+    @pytest.mark.parametrize("shots", [1, 3, 7, 8, 9, 16])
+    def test_support_similarity_is_rbf_to_the_mean_support_per_roi(self, shots):
+        # the prototype is support_hop.mean(axis=1), bit for bit; z_average's mean differs
+        # in the last bit from 8 shots on, so the readout must not switch to it
+        rng = np.random.default_rng(shots)
+        support_hop, roi_hop = rng.normal(size=(12, shots)), rng.normal(size=(12, 5))
+        sims = support_similarity(support_hop, roi_hop, 0.7)
+        assert sims.shape == (5,)
+        for b in range(5):
+            assert sims[b] == rbf_similarity(roi_hop[:, b], support_hop.mean(axis=1), 0.7)
 
     @pytest.mark.parametrize("sizes", [(1.5, 2, 8, 4), (2, 2, 8, "4"), (2, 2, None, 4)])
     def test_non_integer_sizes_rejected(self, sizes):

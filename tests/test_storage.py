@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import tensorpool
-from tensorpool.errors import FileFormatError
+from tensorpool import storage
+from tensorpool.errors import CapacityError, FileFormatError, InvalidArgumentError
 from tensorpool.storage import (
+    TNSC_MAX_BYTES,
+    TNSC_MAX_RANK,
     TNSR_MAX_BYTES,
     read_container,
     read_tensor,
@@ -34,6 +37,33 @@ def tnsc_one_section_header(name_bytes, shape):
     """Container header and one section header, without the payload."""
     blob = b"TNSC" + struct.pack("<III", 1, 1, len(name_bytes)) + name_bytes
     return blob + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+
+
+def read_device_under_a_memory_cap(reader: str, path: str) -> str:
+    """What ``reader(path)`` prints as ``FileFormatError`` in a child capped at 512 MiB.
+
+    The child has an address-space cap and a timeout: a reader that reads the device
+    whole fails there, not on the machine running the tests.
+    """
+    pytest.importorskip("resource")
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from tensorpool.errors import FileFormatError\n"
+        f"from tensorpool.storage import {reader}\n"
+        "try:\n"
+        f"    {reader}({path!r})\n"
+        "except FileFormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tensorpool.__file__))
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = dict(os.environ, **threads, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestTensorFormat:
@@ -136,27 +166,8 @@ class TestTensorFormat:
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_device_is_rejected_under_a_memory_cap(self):
-        pytest.importorskip("resource")
-        # A child process with a 512 MiB address-space cap and a timeout: a reader that
-        # reads the device whole fails there, not on the machine running the tests.
-        code = (
-            "import resource\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from tensorpool.errors import FileFormatError\n"
-            "from tensorpool.storage import read_tensor\n"
-            "try:\n"
-            "    read_tensor('/dev/zero')\n"
-            "except FileFormatError as exc:\n"
-            "    print(exc)\n"
-        )
-        src = os.path.dirname(os.path.dirname(tensorpool.__file__))
-        threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-        env = dict(os.environ, **threads, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "bad magic, expected b'TNSR' (byte offset 0)"
+        printed = read_device_under_a_memory_cap("read_tensor", "/dev/zero")
+        assert printed == "bad magic, expected b'TNSR' (byte offset 0)"
 
 
 class TestContainerFormat:
@@ -255,3 +266,73 @@ class TestContainerFormat:
         assert "truncated" in str(err.value)
         assert err.value.byte_offset == 12 + 4 + 1 + 4 + 8 * 4
 
+
+class TestContainerBound:
+    """One rule on both sides: rank at most TNSC_MAX_RANK, at most TNSC_MAX_BYTES in all."""
+
+    @pytest.mark.parametrize("shape", [(1,) * (TNSC_MAX_RANK + 1), (2**32, 0)])
+    def test_unreadable_section_is_refused_and_writes_nothing(self, tmp_path, shape):
+        path = tmp_path / "c.tnsc"
+        with pytest.raises(InvalidArgumentError, match="^section 'b' must have rank <= 8 and "):
+            write_container(path, {"a": np.ones(2), "b": np.zeros(shape)})
+        assert not path.exists()
+
+    def test_largest_rank_round_trips(self, tmp_path):
+        path = tmp_path / "c.tnsc"
+        arr = np.arange(2.0**TNSC_MAX_RANK).reshape((2,) * TNSC_MAX_RANK)
+        write_container(path, {"a": arr})
+        assert np.array_equal(read_container(path)["a"], arr)
+
+    def test_container_at_the_bound_round_trips_and_one_byte_more_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        path, sections = tmp_path / "c.tnsc", {"a": np.ones((3, 4)), "b": np.ones(5)}
+        write_container(path, sections)
+        size = path.stat().st_size
+        assert size == 12 + (8 + 1 + 8 + 96) + (8 + 1 + 4 + 40)
+        monkeypatch.setattr(storage, "TNSC_MAX_BYTES", size)
+        assert list(read_container(path)) == ["a", "b"]
+        monkeypatch.setattr(storage, "TNSC_MAX_BYTES", size - 1)
+        with pytest.raises(FileFormatError, match="^container exceeds TNSC_MAX_BYTES") as err:
+            read_container(path)
+        assert err.value.byte_offset == size - 1
+        other = tmp_path / "d.tnsc"
+        with pytest.raises(CapacityError, match="^container exceeds TNSC_MAX_BYTES"):
+            write_container(other, sections)
+        assert not other.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_above_the_bound_is_rejected_at_the_bound(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.tnsc"
+        write_container(path, {"a": np.ones(100)})
+        raw = path.read_bytes()
+        monkeypatch.setattr(storage, "TNSC_MAX_BYTES", 100)
+        read_end, write_end = os.pipe()  # a pipe reports no size: only the read bounds it
+        try:
+            os.write(write_end, raw)
+            os.close(write_end)
+            with pytest.raises(FileFormatError, match="^container exceeds") as err:
+                read_container(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert err.value.byte_offset == 100
+
+    def test_huge_file_is_rejected_unread(self, tmp_path):
+        path = tmp_path / "c.tnsc"
+        write_container(path, {"a": np.ones(2)})
+        with open(path, "r+b") as fh:
+            fh.truncate(TNSC_MAX_BYTES + (1 << 20))  # sparse: above 256 MiB, next to nothing on disk
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="^container exceeds") as err:
+                read_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.byte_offset == TNSC_MAX_BYTES
+        assert peak < 1 << 20
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_device_is_rejected_under_a_memory_cap(self):
+        printed = read_device_under_a_memory_cap("read_container", "/dev/zero")
+        assert printed == "bad magic, expected b'TNSC' (byte offset 0)"
