@@ -31,6 +31,13 @@ class FeatureMatrix:
             raise InvalidArgumentError("columns must be a d x N matrix with d >= 1 and N >= 1")
         object.__setattr__(self, "columns", cols)
 
+    @classmethod
+    def _from_screened(cls, columns: np.ndarray) -> "FeatureMatrix":
+        """Wrap a ``d x N`` (``d, N >= 1``) slice of an array ``read_array`` already read."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "columns", columns)
+        return obj
+
     @property
     def dim(self) -> int:
         return self.columns.shape[0]

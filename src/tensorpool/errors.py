@@ -88,10 +88,14 @@ def read_real(value, name: str, low: float | None = None) -> float:
     """``value`` as a ``float``, if it is a real number; with ``low``, a finite one >= ``low``."""
     if type(value) is not float and not isinstance(value, numbers.Real):  # a float needs no check
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    try:  # an integer beyond float64 does not convert (and may be too long to print)
+        value = float(value)
+    except OverflowError:
+        raise InvalidArgumentError(f"{name} must be a real number within float64") from None
     if low is not None and not (-np.inf < value < np.inf and value >= low):  # also rejects NaN
         floor = f" and >= {low:.4g}" if low > -np.inf else ""
         raise InvalidArgumentError(f"{name} must be finite{floor}, got {value}")
-    return float(value)
+    return value
 
 
 def _all_finite(a: np.ndarray) -> bool:

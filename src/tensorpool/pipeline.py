@@ -20,6 +20,7 @@ relations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,7 @@ from .heads import (
     zshot_head,
 )
 # perfbench/spans.py hooks ``hotd``, ``normalize_descriptor``, ``tso``, ``super_diagonal`` and
-# ``sigme`` here.  ``hop_unit`` calls the first two on the dense routes of its plan only, ``sigme``
-# always, and neither ``tso`` nor ``super_diagonal``.
+# ``sigme`` here.  ``hop_unit`` calls only ``hotd`` (per dense group) and ``sigme`` (per map).
 from .tso import (  # noqa: F401
     TsoParams,
     _factored_super_diagonal,
@@ -108,9 +108,17 @@ def plan(dim: int, width: int, cfg: SplitConfig, params: TsoParams) -> tuple[Gro
     """The groups ``hop_unit`` pools from a ``dim x width`` map, lowest order first.
 
     Orders with a zero ratio have no group.  Each group's channel count is
-    checked against its order's capacity.
+    checked against its order's capacity.  Built once per distinct argument set.
     """
-    groups, start, width = [], 0, read_int(width, "width")
+    width, dim = read_int(width, "width", 1), read_int(dim, "dim")
+    if not (isinstance(cfg, SplitConfig) and isinstance(params, TsoParams)):
+        raise InvalidArgumentError("cfg and params must be a SplitConfig and a TsoParams")
+    return _plan(dim, width, cfg, params)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(dim: int, width: int, cfg: SplitConfig, params: TsoParams) -> tuple[GroupPlan, ...]:
+    groups, start = [], 0
     for order, count in zip(ORDERS, cfg.channel_counts(dim)):
         if count:
             check_capacity(count, order)
@@ -167,22 +175,21 @@ class EpisodeBatch:
 def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.ndarray:
     """Multi-order pooled vector of a feature map: its ``plan``, run group by group.
 
-    Each group yields the super-diagonal of its shrunk normalized descriptor,
-    ``super_diagonal(tso(...)).values`` without the symmetry screen that
-    guards caller tensors (these descriptors are super-symmetric by
-    construction): by ``_factored_super_diagonal`` on the ``"gram"`` route,
-    else by ``hotd``, ``normalize_descriptor`` and ``_shrunk_super_diagonal``.
-    The groups are concatenated and squashed by ``sigme`` with the shared slope.
+    The map is read once; each group pools its rows as they are, into the
+    super-diagonal of its shrunk normalized descriptor (``super_diagonal(tso(...))``
+    without the symmetry screen: descriptors are super-symmetric by construction),
+    by ``_factored_super_diagonal`` on the ``"gram"`` route, else by ``hotd`` and
+    the fused ``_shrunk_super_diagonal``.  The groups are concatenated and
+    squashed by ``sigme`` with the shared slope.
     """
     features = read_array(features, "features", 2)
     diagonals = []
     for group in plan(*features.shape, cfg, params):
-        fm = FeatureMatrix(features[group.channels])
+        fm = FeatureMatrix._from_screened(features[group.channels])
         if group.route == "gram":
             diagonals.append(_factored_super_diagonal(fm, group.order, group.eta))
         else:
-            descriptor = normalize_descriptor(hotd(fm, group.order), fm)
-            diagonals.append(_shrunk_super_diagonal(descriptor, group.eta))
+            diagonals.append(_shrunk_super_diagonal(hotd(fm, group.order), group.eta, fm))
     return sigme(np.concatenate(diagonals), params.eta_prime)
 
 

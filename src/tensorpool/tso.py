@@ -266,12 +266,17 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     steps = _log3(_check_eta(t.order, eta))
     r, d = t.order, t.dim
     eye = _identity_unfolding(d, r)
-    rows, cols = eye.shape
-    m = eye - t.data.reshape(rows, cols)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            m = m @ (m.reshape(cols, rows) @ m)
+        m = _ternary_power(eye - t.data.reshape(eye.shape), steps)
     return DenseTensor._from_owned(r, d, eye - m, lambda: _overflow(r, eta))
+
+
+def _ternary_power(m: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` steps ``M <- M (M' M)`` of the odd chain, ``M'`` the ``cols x rows`` reshape."""
+    rows, cols = m.shape
+    for _ in range(steps):
+        m = m @ (m.reshape(cols, rows) @ m)
+    return m
 
 
 def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
@@ -381,15 +386,21 @@ def _route(d: int, r: int, eta: int, n: int) -> str:
     return "gram" if gram < cost + d**r * (n + 1) else route
 
 
-def _shrunk_super_diagonal(t: DenseTensor, eta: int) -> np.ndarray:
-    """``super_diagonal(tso(t, eta)).values`` without the symmetry screen.
+@np.errstate(all="ignore")  # an overflow raises a DomainError below
+def _shrunk_super_diagonal(t: DenseTensor, eta: int, f: FeatureMatrix | None = None):
+    """``super_diagonal(tso(t, eta)).values``, of ``normalize_descriptor(t, f)`` if ``f`` is given.
 
-    ``hop_unit`` passes descriptors that ``hotd`` built within capacity,
-    super-symmetric by construction.  The diagonal is read from
-    ``tso_fast_odd`` or ``tso_fast_even``, chosen by the order's parity.
+    ``hop_unit`` passes ``hotd(f, r)`` (in capacity, super-symmetric, so unscreened) at a legal
+    ``eta``.  The float operations and screens are ``normalize_descriptor``'s, then those of
+    ``tso_fast_odd`` or ``tso_fast_even``, in order: the entries match theirs bit for bit.
     """
-    shrunk = tso_fast_odd(t, eta) if t.order % 2 else tso_fast_even(t, eta)
-    return shrunk.data[:: _diagonal_step(t.dim, t.order)].copy()
+    r, d = t.order, t.dim
+    data = t.data if f is None else t.data / (EPSILON + descriptor_norm_sum(f, r))
+    eye = _identity_unfolding(d, r)
+    m = check_finite(eye - data.reshape(eye.shape),
+                     lambda: DomainError("tensor coefficients overflow float64"))
+    g = _ternary_power(m, _log3(eta)) if r % 2 else _binary_power(m, eta)
+    return 1.0 - check_finite(g, lambda: _overflow(r, eta)).ravel()[:: _diagonal_step(d, r)]
 
 
 def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:

@@ -68,6 +68,12 @@ CASES = {
     "synth_episode-separation": (lambda: synth_episode(0, 1, 2, 8, 4, "1"), "separation"),
     "maxexp_scalar": (lambda: maxexp_scalar("0.5", 2), "lam"),
     "sigme": (lambda: sigme(0.1, None), "eta_prime"),
+    # reals given as integers beyond float64, rejected before they are converted
+    "rbf_similarity-huge": (lambda: rbf_similarity([1.0], [1.0], 10**400), "sigma"),
+    "TsoParams-huge": (lambda: TsoParams(eta_prime=10**400), "eta_prime"),
+    "maxexp_scalar-eta-huge": (lambda: maxexp_scalar(0.5, 10**400), "eta"),
+    "maxexp_scalar-lam-huge": (lambda: maxexp_scalar(10**400, 2), "lam"),
+    "synth_episode-separation-huge": (lambda: synth_episode(0, 1, 2, 8, 4, 10**400), "separation"),
     # bench_tso, checked before anything is drawn (see the fixture below)
     "bench_tso-dim": (lambda: bench.bench_tso(dim=2.5, etas=(2,)), "dim"),
     "bench_tso-repeats": (lambda: bench.bench_tso(dim=4, etas=(2,), repeats=9.5), "repeats"),

@@ -1,6 +1,7 @@
 """End-to-end synthetic episodes: pooling, modulation, relation heads."""
 
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from oracles import maxexp_scalar_derivative, numerical_jacobian, sigme_derivati
 import tensorpool.pipeline as pipeline
 import tensorpool.tso as tso_module
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
-from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError
+from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError, read_array
 from tensorpool.heads import (
     HeadWeights,
     build_spatial_hop_tokens,
@@ -163,6 +164,73 @@ class TestPlan:
         with pytest.raises(CapacityError, match="order-2 limit 128"):
             plan(160, 8, SplitConfig((1, 0, 0)), TsoParams())
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([96], 16, SplitConfig(), TsoParams()),
+            (96, 0, SplitConfig(), TsoParams()),
+            (96, 16, {"ratios": (5, 2, 1)}, TsoParams()),
+            (96, 16, SplitConfig(), [7, 7, 7]),
+        ],
+        ids=["unhashable-dim", "no-columns", "unhashable-cfg", "unhashable-params"],
+    )
+    def test_malformed_arguments_end_at_the_door(self, args):
+        with pytest.raises(InvalidArgumentError):
+            plan(*args)
+
+    def test_one_plan_per_shape_is_shared(self):
+        cfg, params = SplitConfig((5, 2, 1)), TsoParams()
+        assert plan(96.0, 16, cfg, params) is plan(96, 16, SplitConfig((5, 2, 1)), TsoParams())
+
+
+def _calls(run, *functions):
+    """Calls of each function's code object while ``run()`` runs, counted by ``sys.setprofile``."""
+    counts = {f.__code__: 0 for f in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return tuple(counts.values())
+
+
+class TestReadOnceAtTheDoor:
+    """``hop_unit`` reads its map once and plans once per shape, at ``episode-hop``'s shape."""
+
+    WEIGHTS = HeadWeights.seeded(96)
+
+    def test_an_extra_roi_adds_at_most_the_door_and_sigme_reads(self):
+        counts = []
+        for rois in (16, 17):
+            episode = synth_episode(0, 3, rois, 96, 16, 2.0)
+            counts += _calls(
+                lambda: forward_episode(episode, SplitConfig(), TsoParams(), self.WEIGHTS),
+                read_array,
+            )
+        assert counts[1] - counts[0] <= 2
+
+    def test_the_plan_is_built_once_per_distinct_width(self):
+        maps = synth_episode(1, 3, 4, 96, 16, 2.0)
+        episode = EpisodeBatch(maps.support_maps, maps.query_map, ((0, 16), (16, 24), (32, 48)))
+        pipeline._plan.cache_clear()
+        built = _calls(
+            lambda: forward_episode(episode, SplitConfig(), TsoParams(), self.WEIGHTS),
+            pipeline._plan.__wrapped__,
+        )
+        assert built == (2,)  # widths 16 (supports and two RoIs) and 8
+
+    def test_group_rows_are_not_read_again(self):
+        features = np.random.default_rng(2).normal(size=(96, 16))
+        counts = _calls(lambda: hop_unit(features, SplitConfig(), TsoParams()),
+                        FeatureMatrix.__post_init__, read_array)
+        assert counts == (0, 2)  # no FeatureMatrix is read; read_array runs at the door and in sigme
+
 
 class TestHopUnit:
     def test_output_length(self):
@@ -262,9 +330,9 @@ class TestHopUnit:
             calls.append(("gram", r))
             return gram(f, r, eta)
 
-        def record_shrink(t, eta):
+        def record_shrink(t, eta, f):
             calls.append(("chain" if t.order % 2 else "square", t.order))
-            return shrink(t, eta)
+            return shrink(t, eta, f)
 
         monkeypatch.setattr(pipeline, "hotd", record_dense)
         monkeypatch.setattr(pipeline, "_factored_super_diagonal", record_gram)
@@ -311,6 +379,10 @@ class TestHopUnit:
     def test_incompatible_split(self):
         with pytest.raises(InvalidArgumentError):
             hop_unit(np.ones((8, 3)), SplitConfig((5, 2, 1)), TsoParams())
+
+    def test_map_without_columns_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="^width must be an integer >= 1"):
+            hop_unit(np.ones((8, 0)), SplitConfig((2, 1, 1)), TsoParams())
 
 
 class TestAttendQueryToSupports:

@@ -13,7 +13,7 @@ from test_pipeline import per_roi_relations, tiled_relations, worst_relation_gap
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
 from tensorpool.errors import DomainError, FileFormatError, InvalidArgumentError
 from tensorpool.heads import HeadWeights
-from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode, hop_unit
+from tensorpool.pipeline import EpisodeBatch, SplitConfig, forward_episode, hop_unit, plan
 from tensorpool.storage import read_container, read_tensor, write_container, write_tensor
 from tensorpool.tensor import (
     CAPACITY,
@@ -28,6 +28,7 @@ from tensorpool.tso import (
     TsoParams,
     _factored_super_diagonal,
     _route,
+    _shrunk_super_diagonal,
     is_power_of_3,
     sigme,
     tso,
@@ -188,6 +189,63 @@ def test_hop_unit_equals_the_public_path_per_group(data, seed):
             expected.append(tso_super_diagonal(t, params.eta_for_order(order)))
     expected = sigme(np.concatenate(expected), params.eta_prime)
     assert np.max(np.abs(hop_unit(features, cfg, params) - expected)) <= 1e-12
+
+
+@BOUNDED
+@given(data=st.data(), seed=seeds)
+def test_fused_dense_body_equals_the_public_path_bit_for_bit(data, seed):
+    # Drawn as test_hop_unit_equals_the_public_path_per_group draws (not shared:
+    # derandomized examples follow a test's source, so that test keeps its lines):
+    # eta 1 among the exponents, and a width next to a route change of one group.
+    counts = [data.draw(st.sampled_from([0]) | st.integers(2, CAPACITY[r]), label=f"d{r}")
+              for r in (2, 3, 4)]
+    if not any(counts):
+        counts[0] = 2
+    etas = st.sampled_from([1, 2, 7, 64]) | st.integers(min_value=1, max_value=100)
+    params = TsoParams(eta2=data.draw(etas, label="eta2"),
+                       eta3=3 ** data.draw(st.integers(0, 3), label="k3"),
+                       eta4=data.draw(etas, label="eta4"))
+    d, r = data.draw(st.sampled_from([(c, r) for c, r in zip(counts, (2, 3, 4)) if c]))
+    eta = params.eta_for_order(r)
+    edges = [n for n in range(2, 301) if _route(d, r, eta, n) != _route(d, r, eta, n - 1)]
+    near = st.sampled_from([e - s for e in edges for s in (0, 1)]) if edges else st.nothing()
+    width = data.draw(st.integers(1, 300) | near, label="width")
+    cfg = SplitConfig(tuple(counts))
+    features = np.random.default_rng(seed).normal(size=(sum(counts), width))
+    groups = plan(sum(counts), width, cfg, params)
+    public = []
+    for group in groups:
+        fm = FeatureMatrix(features[group.channels])
+        t = hotd(fm, group.order)
+        public.append(tso_super_diagonal(normalize_descriptor(t, fm), group.eta))
+        if group.route != "gram":
+            assert np.array_equal(_shrunk_super_diagonal(t, group.eta, fm), public[-1])
+    if all(group.route != "gram" for group in groups):
+        expected = sigme(np.concatenate(public), params.eta_prime)
+        assert np.array_equal(hop_unit(features, cfg, params), expected)
+
+
+@pytest.mark.parametrize(
+    "shape, cfg, params, scale",
+    [
+        ((32, 256), SplitConfig((5, 2, 1)), TsoParams(), 3e76),
+        ((32, 256), SplitConfig((5, 2, 1)), TsoParams(), 1e77),
+        ((4, 8), SplitConfig((0, 1, 0)), TsoParams(eta3=3**7), 1.0),
+        ((6, 5), SplitConfig((1, 0, 0)), TsoParams(eta2=10**20), 1.0),
+    ],
+    ids=["norm-sum-overflows", "descriptor-overflows", "odd-chain-overflows",
+         "even-power-overflows"],
+)
+def test_fused_dense_body_overflows_with_the_public_paths_error(shape, cfg, params, scale):
+    features = scale * np.random.default_rng(0).normal(size=shape)
+    with pytest.raises(DomainError) as public:
+        for group in plan(*shape, cfg, params):
+            assert group.route != "gram"
+            fm = FeatureMatrix(features[group.channels])
+            tso_super_diagonal(normalize_descriptor(hotd(fm, group.order), fm), group.eta)
+    with pytest.raises(DomainError) as fused:
+        hop_unit(features, cfg, params)
+    assert str(fused.value) == str(public.value)
 
 
 def _load(path, blob, reader):
