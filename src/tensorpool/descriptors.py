@@ -83,6 +83,15 @@ def poly_kernel_sum(f: FeatureMatrix, g: FeatureMatrix, r: int) -> float:
     return check_finite(total, lambda: DomainError(f"order-{r} kernel sum overflows float64"))
 
 
+def column_norms(c: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a real 2-D array: ``np.linalg.norm(c, axis=0)``.
+
+    The same float operations as NumPy's own 2-norm along one axis, so the
+    same bits, without its dispatch.
+    """
+    return np.sqrt(np.add.reduce(c * c, axis=0))
+
+
 def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
     """Mean of r-th powers of the column norms.
 
@@ -93,14 +102,21 @@ def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
     """
     r = read_int(r, "r", 1)
     with np.errstate(over="ignore"):
-        total = float((np.linalg.norm(f.columns, axis=0) ** r).sum())
-    return check_finite(total, lambda: _features_overflow(f, r)) / f.count
+        return _mean_norm_power(f, r, column_norms(f.columns) ** r)
+
+
+def _mean_norm_power(f: FeatureMatrix, r: int, powers: np.ndarray) -> float:
+    """``descriptor_norm_sum``'s rule on ``powers = column_norms(f.columns) ** r``.
+
+    The caller ignores overflow: a sum beyond float64 raises ``DomainError`` here.
+    """
+    return check_finite(float(powers.sum()), lambda: _features_overflow(f, r)) / f.count
 
 
 def _features_overflow(f: FeatureMatrix, r: int) -> DomainError:
     """The error for features whose order-``r`` descriptor leaves float64."""
     top = float(np.max(np.abs(f.columns)))
-    norm = top * float(np.max(np.linalg.norm(f.columns / top, axis=0)))
+    norm = top * float(np.max(column_norms(f.columns / top)))
     return DomainError(
         f"order-{r} descriptor overflows float64: the largest feature norm is {norm:.3g}"
     )

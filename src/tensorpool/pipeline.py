@@ -45,7 +45,7 @@ from .heads import (
 # ``sigme`` here.  ``hop_unit`` calls only ``hotd`` (per dense group) and ``sigme`` (per map).
 from .tso import (  # noqa: F401
     TsoParams,
-    _factored_super_diagonal,
+    _gram_super_diagonal,
     _route,
     _shrunk_super_diagonal,
     sigme,
@@ -178,16 +178,18 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     The map is read once; each group pools its rows as they are, into the
     super-diagonal of its shrunk normalized descriptor (``super_diagonal(tso(...))``
     without the symmetry screen: descriptors are super-symmetric by construction),
-    by ``_factored_super_diagonal`` on the ``"gram"`` route, else by ``hotd`` and
-    the fused ``_shrunk_super_diagonal``.  The groups are concatenated and
-    squashed by ``sigme`` with the shared slope.
+    by ``_gram_super_diagonal`` on the ``"gram"`` route, else by ``hotd`` and
+    the fused ``_shrunk_super_diagonal``.  ``plan`` has checked each group's
+    capacity and exponent, so the Gram body is called past its checking door,
+    ``_factored_super_diagonal``.  The groups are concatenated and squashed by
+    ``sigme`` with the shared slope.
     """
     features = read_array(features, "features", 2)
     diagonals = []
     for group in plan(*features.shape, cfg, params):
         fm = FeatureMatrix._from_screened(features[group.channels])
         if group.route == "gram":
-            diagonals.append(_factored_super_diagonal(fm, group.order, group.eta))
+            diagonals.append(_gram_super_diagonal(fm, group.order, group.eta))
         else:
             diagonals.append(_shrunk_super_diagonal(hotd(fm, group.order), group.eta, fm))
     return sigme(np.concatenate(diagonals), params.eta_prime)

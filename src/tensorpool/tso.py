@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import EPSILON, FeatureMatrix, descriptor_norm_sum
+from .descriptors import EPSILON, FeatureMatrix, _mean_norm_power, column_norms
+from .descriptors import descriptor_norm_sum
 from .errors import DomainError, InvalidArgumentError, check_finite, read_array, read_int
 from .errors import read_real
 from .tensor import DenseTensor, _diagonal_step, asymmetry, check_capacity
@@ -406,6 +407,21 @@ def _shrunk_super_diagonal(t: DenseTensor, eta: int, f: FeatureMatrix | None = N
 def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
     """Super-diagonal of ``normalize_descriptor(hotd(f, r), f)`` shrunk at ``eta``, r 3 or 4.
 
+    The door to ``_gram_super_diagonal``: it checks what the dense route
+    checks, capacity and the exponent rule (odd exponents are powers of
+    three; the error carries the nearest), and the body raises its overflow
+    errors.  ``hop_unit`` settles both checks in ``plan`` and calls the body.
+    """
+    if r not in (3, 4):
+        raise InvalidArgumentError(f"the factored route takes orders 3 and 4, got {r}")
+    check_capacity(f.dim, r)
+    return _gram_super_diagonal(f, r, _check_eta(r, eta))
+
+
+@np.errstate(all="ignore")  # an overflow raises a DomainError below
+def _gram_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
+    """``_factored_super_diagonal``'s result, for ``r`` 3 or 4 in capacity at a legal ``eta``.
+
     With ``rho_n = |phi_n|``, unit columns ``x_n = phi_n / rho_n`` (0 where
     ``rho_n = 0``) and ``w_n = rho_n**r / (N (EPSILON + mean rho**r))``, the
     normalized descriptor is ``sum_n w_n x_n**r`` and the identity is
@@ -424,36 +440,32 @@ def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
       ``U W'`` with ``W' = W X (Gamma o (W X)) W``, and the super-diagonal
       is ``1 - diag((X o X) W)``.
 
-    Checks what the dense route checks: capacity, the exponent rule (odd
-    exponents are powers of three; the error carries the nearest), features
-    whose descriptor leaves float64 (``descriptor_norm_sum``'s
-    ``DomainError``), and a ``DomainError`` when the power leaves float64.
+    ``rho`` is taken once and ``rho**r`` gives both the norm sum and the
+    weights.  Features whose descriptor leaves float64 raise
+    ``descriptor_norm_sum``'s ``DomainError``, and a power that leaves
+    float64 raises a ``DomainError`` naming ``eta``.
     """
-    if r not in (3, 4):
-        raise InvalidArgumentError(f"the factored route takes orders 3 and 4, got {r}")
-    check_capacity(f.dim, r)
-    eta = _check_eta(r, eta)
-    d = f.dim
-    norm_sum = descriptor_norm_sum(f, r)  # finite, so no column norm below overflows
-    rho = np.linalg.norm(f.columns, axis=0)
-    x = np.eye(d, d + f.count)
+    d, n = f.dim, f.count
+    rho = column_norms(f.columns)
+    powers = rho**r
+    norm_sum = _mean_norm_power(f, r, powers)  # finite, so no column norm below overflows
+    x = np.eye(d, d + n)
     np.divide(f.columns, np.where(rho > 0.0, rho, 1.0), out=x[:, d:])
     gram = x.T @ x
-    s = np.ones(d + f.count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(-(rho**r), f.count * (EPSILON + norm_sum), out=s[d:])
-        if r == 3:
-            m = x.T * s[:, None]  # W_0
-            for _ in range(_log3(eta)):
-                m = m @ ((x @ (gram * (m @ x))) @ m)
-            values = 1.0 - np.einsum("pa,pa,ap->p", x, x, m)
-        else:
-            g = gram * gram
-            gs = g * s
-            y = g[:, :d]
-            half = (eta - 1) // 2
-            if half:
-                y = _binary_power(gs, half) @ y
-            z = gs @ y if eta % 2 == 0 else y
-            values = 1.0 - np.einsum("ji,ji->i", s[:, None] * y, z)
+    s = np.ones(d + n)
+    np.divide(-powers, n * (EPSILON + norm_sum), out=s[d:])
+    if r == 3:
+        m = x.T * s[:, None]  # W_0
+        for _ in range(_log3(eta)):
+            m = m @ ((x @ (gram * (m @ x))) @ m)
+        values = 1.0 - np.einsum("pa,pa,ap->p", x, x, m)
+    else:
+        g = gram * gram
+        gs = g * s
+        y = g[:, :d]
+        half = (eta - 1) // 2
+        if half:
+            y = _binary_power(gs, half) @ y
+        z = gs @ y if eta % 2 == 0 else y
+        values = 1.0 - np.einsum("ji,ji->i", s[:, None] * y, z)
     return check_finite(values, lambda: _overflow(r, eta))

@@ -11,6 +11,7 @@ from oracles import outer_power, tensor_inner, unfold
 from tensorpool.descriptors import (
     EPSILON,
     FeatureMatrix,
+    column_norms,
     descriptor_norm_sum,
     hotd,
     normalize_descriptor,
@@ -137,6 +138,46 @@ class TestPolyKernelSum:
             poly_kernel_sum(
                 FeatureMatrix(np.ones((2, 1))), FeatureMatrix(np.ones((3, 1))), 2
             )
+
+
+class TestColumnNorms:
+    """``column_norms`` is ``np.linalg.norm(c, axis=0)`` bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(c):
+        got, expected = column_norms(c), np.linalg.norm(c, axis=0)
+        assert got.shape == expected.shape == (c.shape[1],)
+        assert np.array_equal(got, expected)
+
+    def test_contiguous_maps(self):
+        rng = np.random.default_rng(30)
+        for shape in ((1, 1), (2, 7), (12, 16), (60, 256), (96, 16)):
+            self.assert_same_bits(rng.normal(size=shape))
+
+    def test_strided_crops_of_a_wider_query_map(self):
+        query = np.random.default_rng(31).normal(size=(96, 256))
+        for a, b in ((0, 16), (16, 32), (240, 256), (3, 200)):
+            self.assert_same_bits(query[:, a:b])
+            for rows in (slice(0, 60), slice(60, 84), slice(84, 96), slice(1, None, 3)):
+                assert not query[rows, a:b].flags.c_contiguous
+                self.assert_same_bits(query[rows, a:b])
+
+    def test_zero_columns(self):
+        c = np.random.default_rng(32).normal(size=(8, 6))
+        c[:, ::2] = 0.0
+        self.assert_same_bits(c)
+        assert np.array_equal(column_norms(np.zeros((5, 3))), np.zeros(3))
+
+    def test_subnormal_entries(self):
+        c = np.array([[5e-324, 1e-310, 0.0], [2e-320, -1e-308, 1.0]])
+        self.assert_same_bits(c)
+        self.assert_same_bits(c.T.copy())
+
+    def test_entries_whose_squares_overflow(self):
+        c = np.array([[1e200, 1.0, -1e155], [1.0, 2.0, 1e155]])
+        with np.errstate(over="ignore"):
+            self.assert_same_bits(c)
+            assert np.isinf(column_norms(c)[[0, 2]]).all()
 
 
 class TestNormalizeDescriptor:

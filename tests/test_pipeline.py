@@ -13,6 +13,7 @@ import tensorpool.pipeline as pipeline
 import tensorpool.tso as tso_module
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor
 from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError, read_array
+from tensorpool.errors import read_int
 from tensorpool.heads import (
     HeadWeights,
     build_spatial_hop_tokens,
@@ -34,7 +35,7 @@ from tensorpool.pipeline import (
 )
 from tensorpool.attention import rbf_similarity
 from tensorpool.storage import read_container, write_container
-from tensorpool.tensor import CAPACITY, super_diagonal
+from tensorpool.tensor import CAPACITY, check_capacity, super_diagonal
 from tensorpool.tso import TsoParams, maxexp_scalar, sigme, tso
 
 
@@ -231,6 +232,18 @@ class TestReadOnceAtTheDoor:
                         FeatureMatrix.__post_init__, read_array)
         assert counts == (0, 2)  # no FeatureMatrix is read; read_array runs at the door and in sigme
 
+    def test_the_gram_groups_re_read_nothing_the_plan_settled(self):
+        # Groups 60/24/12: the order-2 group is dense, orders 3 and 4 take the Gram route.
+        features = np.random.default_rng(2).normal(size=(96, 16))
+        cfg, params = SplitConfig(), TsoParams()
+        assert [g.route for g in plan(96, 16, cfg, params)] == ["square", "gram", "gram"]
+        checks, etas, norms, ints = _calls(
+            lambda: hop_unit(features, cfg, params),
+            check_capacity, tso_module._check_eta, np.linalg.norm.__wrapped__, read_int,
+        )
+        assert (checks, etas, norms) == (1, 0, 0)  # check_capacity is hotd's, for the dense group
+        assert ints <= 6  # plan's 2; the dense group's hotd 3 (check_capacity's 2) and norm sum 1
+
 
 class TestHopUnit:
     def test_output_length(self):
@@ -319,7 +332,7 @@ class TestHopUnit:
         assert tuple(g.route for g in groups) == group_routes
         assert [g.order for g in groups] == [2, 3, 4]
         calls = []
-        dense_pool, gram = pipeline.hotd, pipeline._factored_super_diagonal
+        dense_pool, gram = pipeline.hotd, pipeline._gram_super_diagonal
         shrink = pipeline._shrunk_super_diagonal
 
         def record_dense(f, r):
@@ -335,7 +348,7 @@ class TestHopUnit:
             return shrink(t, eta, f)
 
         monkeypatch.setattr(pipeline, "hotd", record_dense)
-        monkeypatch.setattr(pipeline, "_factored_super_diagonal", record_gram)
+        monkeypatch.setattr(pipeline, "_gram_super_diagonal", record_gram)
         monkeypatch.setattr(pipeline, "_shrunk_super_diagonal", record_shrink)
         features = np.random.default_rng(4).normal(size=(dim, width))
         hop_unit(features, cfg, TsoParams())

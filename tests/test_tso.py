@@ -420,6 +420,16 @@ class TestTsoDispatch:
                 with pytest.raises(DomainError, match="order-4 shrinkage overflows .* at eta 7"):
                     shrink(big, 7)
 
+    def test_super_diagonal_path_screens_the_whole_power(self):
+        # The complement [[1, 1e308], [0, 1]] squares to [[1, inf], [0, 1]]: the power
+        # overflows off the diagonal only, and its super-diagonal is finite.
+        t = DenseTensor(2, 2, np.eye(2) - np.array([[1.0, 1e308], [0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shrink in (tso_fast_even, tso_module._shrunk_super_diagonal):
+                with pytest.raises(DomainError, match="^order-2 shrinkage overflows .* at eta 2:"):
+                    shrink(t, 2)
+
     def test_superdiagonal_monotone_in_eta(self):
         for order, dim, seed in ((2, 6, 17), (4, 4, 18)):
             t = normalized_descriptor(order, dim, seed=seed)
