@@ -122,6 +122,11 @@ def _features_overflow(f: FeatureMatrix, r: int) -> DomainError:
     )
 
 
+def _normalized(t: DenseTensor, f: FeatureMatrix) -> np.ndarray:
+    """``t.data / (EPSILON + descriptor_norm_sum(f, t.order))``; the caller screens overflow."""
+    return t.data / (EPSILON + _mean_norm_power(f, t.order, column_norms(f.columns) ** t.order))
+
+
 @np.errstate(over="ignore")  # an overflow raises _from_owned's DomainError
 def normalize_descriptor(t: DenseTensor, f: FeatureMatrix) -> DenseTensor:
     """Scale ``t = hotd(f, t.order)`` by ``1 / (epsilon + descriptor_norm_sum)``.
@@ -130,5 +135,4 @@ def normalize_descriptor(t: DenseTensor, f: FeatureMatrix) -> DenseTensor:
     """
     if f.dim != t.dim:
         raise InvalidArgumentError(f"dimension mismatch: descriptor {t.dim} vs features {f.dim}")
-    denom = EPSILON + descriptor_norm_sum(f, t.order)
-    return DenseTensor._from_owned(t.order, t.dim, t.data / denom)
+    return DenseTensor._from_owned(t.order, t.dim, _normalized(t, f))

@@ -241,6 +241,11 @@ def compute_relations(
         raise InvalidArgumentError("token counts must match")
     if support_tokens.dim != query_tokens.dim:
         raise InvalidArgumentError("token widths must match")
+    stacks = support_tokens.tokens.shape[:-2], query_tokens.tokens.shape[:-2]
+    try:
+        np.broadcast_shapes(*stacks)
+    except ValueError:
+        raise InvalidArgumentError(f"token stacks {stacks} do not broadcast") from None
     _check_width(weights, support_tokens.dim)
     r_spatial = support_tokens.spatial - query_tokens.spatial
     r_fo_ho = np.concatenate(

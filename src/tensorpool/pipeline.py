@@ -179,10 +179,9 @@ def hop_unit(features: np.ndarray, cfg: SplitConfig, params: TsoParams) -> np.nd
     super-diagonal of its shrunk normalized descriptor (``super_diagonal(tso(...))``
     without the symmetry screen: descriptors are super-symmetric by construction),
     by ``_gram_super_diagonal`` on the ``"gram"`` route, else by ``hotd`` and
-    the fused ``_shrunk_super_diagonal``.  ``plan`` has checked each group's
-    capacity and exponent, so the Gram body is called past its checking door,
-    ``_factored_super_diagonal``.  The groups are concatenated and squashed by
-    ``sigme`` with the shared slope.
+    the dense tail ``_shrunk_super_diagonal``.  ``plan`` has checked each
+    group's capacity and exponent, so neither body checks them again.  The
+    groups are concatenated and squashed by ``sigme`` with the shared slope.
     """
     features = read_array(features, "features", 2)
     diagonals = []

@@ -9,10 +9,11 @@ half-mode contractions.  Raising ``eta`` pulls the (normalized) input toward
 the identity, concentrating signal on the super-diagonal; on matrices the
 operator reduces to the spectral map ``lambda -> 1 - (1 - lambda)**eta``.
 Fast paths evaluate the power in O(log eta) contractions for even orders and
-as a ternary chain for odd orders with ``eta`` a power of three.
+as a ternary chain for odd orders with ``eta`` a power of three, both by
+``_power``, which the fast kernels and ``hop_unit``'s dense tail share.
 
 A descriptor built from ``N`` feature columns has rank at most ``N``, so for
-orders 3 and 4 ``_factored_super_diagonal`` runs the same power on the
+orders 3 and 4 ``_gram_super_diagonal`` runs the same power on the
 ``(d + N) x (d + N)`` Gram of the unit columns and the identity's basis
 vectors, and never forms the ``d**r`` descriptor.  ``_route`` picks, from one
 multiply-add count, between that Gram route and the dense one of the order's
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import EPSILON, FeatureMatrix, _mean_norm_power, column_norms
-from .descriptors import descriptor_norm_sum
+from .descriptors import EPSILON, FeatureMatrix, _mean_norm_power, _normalized, column_norms
 from .errors import DomainError, InvalidArgumentError, check_finite, read_array, read_int
 from .errors import read_real
 from .tensor import DenseTensor, _diagonal_step, asymmetry, check_capacity
@@ -234,9 +234,6 @@ def _overflow(r: int, eta: int) -> DomainError:
     )
 
 
-# An overflow surfaces as the DomainError below.  A decorator with all= is the
-# cheapest way to enter the mode, which matters next to one small product.
-@np.errstate(all="ignore")
 def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
     """Even-order shrinkage via exponentiation by squaring.
 
@@ -245,11 +242,7 @@ def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
     """
     if t.order % 2:
         raise InvalidArgumentError("even fast path requires an even order")
-    eta = _check_eta(t.order, eta)
-    p = _identity_unfolding(t.dim, t.order)
-    g = _binary_power(p - t.data.reshape(p.shape), eta)
-    np.subtract(p, g, out=g)  # g is owned here, even when eta == 1 (g is p - t)
-    return DenseTensor._from_owned(t.order, t.dim, g, lambda: _overflow(t.order, eta))
+    return _shrunk(t, _check_eta(t.order, eta))
 
 
 def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
@@ -264,20 +257,30 @@ def tso_fast_odd(t: DenseTensor, eta: int) -> DenseTensor:
     """
     if t.order % 2 == 0:
         raise InvalidArgumentError("odd fast path requires an odd order")
-    steps = _log3(_check_eta(t.order, eta))
-    r, d = t.order, t.dim
-    eye = _identity_unfolding(d, r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _ternary_power(eye - t.data.reshape(eye.shape), steps)
-    return DenseTensor._from_owned(r, d, eye - m, lambda: _overflow(r, eta))
+    return _shrunk(t, _check_eta(t.order, eta))
 
 
-def _ternary_power(m: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` steps ``M <- M (M' M)`` of the odd chain, ``M'`` the ``cols x rows`` reshape."""
+def _ternary_power(m: np.ndarray, eta: int) -> np.ndarray:
+    """``log3(eta)`` steps ``M <- M (M' M)`` of the odd chain, ``M'`` reshaped ``cols x rows``."""
     rows, cols = m.shape
-    for _ in range(steps):
+    for _ in range(_log3(eta)):
         m = m @ (m.reshape(cols, rows) @ m)
     return m
+
+
+def _power(eye: np.ndarray, data: np.ndarray, r: int, eta: int) -> np.ndarray:
+    """``(I - T)**eta`` on the identity's unfolding ``eye``, from ``T.data``: fresh, unscreened."""
+    power = _ternary_power if r % 2 else _binary_power
+    return power(eye - data.reshape(eye.shape), eta)  # unnamed: no second buffer stays alive
+
+
+@np.errstate(all="ignore")  # the cheapest way into the mode; an overflow raises below
+def _shrunk(t: DenseTensor, eta: int) -> DenseTensor:
+    """The fast kernels' body: ``I - (I - T)**eta`` at a legal ``eta``, screened once."""
+    eye = _identity_unfolding(t.dim, t.order)
+    g = _power(eye, t.data, t.order, eta)
+    np.subtract(eye, g, out=g)  # g is owned here, even when eta == 1 (g is eye - T)
+    return DenseTensor._from_owned(t.order, t.dim, g, lambda: _overflow(t.order, eta))
 
 
 def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
@@ -360,7 +363,7 @@ def _route(d: int, r: int, eta: int, n: int) -> str:
     orders (``log3(eta)`` steps of ``2 d**4`` at order 3) and ``"square"`` at
     even orders (``even_contraction_count(eta)`` products of the ``D x D``
     half unfolding, ``D = d**(r/2)``).  Orders 3 and 4 may take ``"gram"``
-    instead: ``_factored_super_diagonal`` forms the ``m x m`` Gram
+    instead: ``_gram_super_diagonal`` forms the ``m x m`` Gram
     (``m = d + n``, ``m**2 d``), then takes ``log3(eta)`` steps of
     ``2 m d (m + d)`` at order 3, or at order 4 squares ``m x m`` matrices up
     to the half power and applies it to ``d`` columns.  Its count is set
@@ -388,39 +391,24 @@ def _route(d: int, r: int, eta: int, n: int) -> str:
 
 
 @np.errstate(all="ignore")  # an overflow raises a DomainError below
-def _shrunk_super_diagonal(t: DenseTensor, eta: int, f: FeatureMatrix | None = None):
-    """``super_diagonal(tso(t, eta)).values``, of ``normalize_descriptor(t, f)`` if ``f`` is given.
+def _shrunk_super_diagonal(t: DenseTensor, eta: int, f: FeatureMatrix) -> np.ndarray:
+    """``super_diagonal(tso(normalize_descriptor(t, f), eta)).values``, bit for bit.
 
     ``hop_unit`` passes ``hotd(f, r)`` (in capacity, super-symmetric, so unscreened) at a legal
-    ``eta``.  The float operations and screens are ``normalize_descriptor``'s, then those of
-    ``tso_fast_odd`` or ``tso_fast_even``, in order: the entries match theirs bit for bit.
+    ``eta``: the float operations and screens are those of ``normalize_descriptor``, then ``tso``.
     """
     r, d = t.order, t.dim
-    data = t.data if f is None else t.data / (EPSILON + descriptor_norm_sum(f, r))
-    eye = _identity_unfolding(d, r)
-    m = check_finite(eye - data.reshape(eye.shape),
-                     lambda: DomainError("tensor coefficients overflow float64"))
-    g = _ternary_power(m, _log3(eta)) if r % 2 else _binary_power(m, eta)
-    return 1.0 - check_finite(g, lambda: _overflow(r, eta)).ravel()[:: _diagonal_step(d, r)]
-
-
-def _factored_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
-    """Super-diagonal of ``normalize_descriptor(hotd(f, r), f)`` shrunk at ``eta``, r 3 or 4.
-
-    The door to ``_gram_super_diagonal``: it checks what the dense route
-    checks, capacity and the exponent rule (odd exponents are powers of
-    three; the error carries the nearest), and the body raises its overflow
-    errors.  ``hop_unit`` settles both checks in ``plan`` and calls the body.
-    """
-    if r not in (3, 4):
-        raise InvalidArgumentError(f"the factored route takes orders 3 and 4, got {r}")
-    check_capacity(f.dim, r)
-    return _gram_super_diagonal(f, r, _check_eta(r, eta))
+    data = check_finite(_normalized(t, f),
+                        lambda: DomainError("tensor coefficients overflow float64"))
+    g = check_finite(_power(_identity_unfolding(d, r), data, r, eta), lambda: _overflow(r, eta))
+    return 1.0 - g.ravel()[:: _diagonal_step(d, r)]
 
 
 @np.errstate(all="ignore")  # an overflow raises a DomainError below
 def _gram_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
-    """``_factored_super_diagonal``'s result, for ``r`` 3 or 4 in capacity at a legal ``eta``.
+    """Super-diagonal of ``normalize_descriptor(hotd(f, r), f)`` shrunk at ``eta``, by its Gram.
+
+    ``plan`` has checked ``r`` (3 or 4), capacity and ``eta``: nothing here does.
 
     With ``rho_n = |phi_n|``, unit columns ``x_n = phi_n / rho_n`` (0 where
     ``rho_n = 0``) and ``w_n = rho_n**r / (N (EPSILON + mean rho**r))``, the

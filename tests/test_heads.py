@@ -365,6 +365,16 @@ class TestComputeRelations:
         with pytest.raises(InvalidArgumentError):
             compute_relations(a, b, w)
 
+    def test_stacks_that_do_not_broadcast_rejected(self):
+        w = HeadWeights.seeded(4)
+        a = TokenMatrix(np.ones((2, 4, 3)))
+        for stack in ((3,), (2, 3)):
+            b = TokenMatrix(np.ones((*stack, 4, 3)))
+            with pytest.raises(InvalidArgumentError, match=r"\(\(2,\), .*\) do not broadcast"):
+                compute_relations(a, b, w)
+        broadcast = compute_relations(a, TokenMatrix(np.ones((5, 1, 4, 3))), w)
+        assert broadcast.r_spatial.shape == (5, 2, 4, 1)
+
 
 class TestZAverage:
     def test_single_item_passthrough(self):

@@ -237,12 +237,13 @@ class TestReadOnceAtTheDoor:
         features = np.random.default_rng(2).normal(size=(96, 16))
         cfg, params = SplitConfig(), TsoParams()
         assert [g.route for g in plan(96, 16, cfg, params)] == ["square", "gram", "gram"]
+        hop_unit(features, cfg, params)  # a cold identity cache would add its own reads
         checks, etas, norms, ints = _calls(
             lambda: hop_unit(features, cfg, params),
             check_capacity, tso_module._check_eta, np.linalg.norm.__wrapped__, read_int,
         )
         assert (checks, etas, norms) == (1, 0, 0)  # check_capacity is hotd's, for the dense group
-        assert ints <= 6  # plan's 2; the dense group's hotd 3 (check_capacity's 2) and norm sum 1
+        assert ints <= 5  # plan's 2 and the dense group's hotd 3 (check_capacity's 2)
 
 
 class TestHopUnit:

@@ -1,7 +1,6 @@
 """Property tests over random shapes within capacity (hypothesis, derandomized)."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import outer_power, tensor_inner
 from test_pipeline import per_roi_relations, tiled_relations, worst_relation_gap
 
-import tensorpool.pipeline as pipeline
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
 from tensorpool.errors import DomainError, FileFormatError, InvalidArgumentError
 from tensorpool.heads import HeadWeights
@@ -28,7 +26,7 @@ from tensorpool.tso import (
     _SYM_REJECT,
     _SYM_REPAIR,
     TsoParams,
-    _factored_super_diagonal,
+    _gram_super_diagonal,
     _route,
     _shrunk_super_diagonal,
     is_power_of_3,
@@ -154,10 +152,10 @@ def test_gram_route_equals_dense_tso(order, data, count, log_scale, zero_share, 
         expected = super_diagonal(tso(t, eta)).values
     except DomainError as dense_error:
         with pytest.raises(DomainError) as error:
-            _factored_super_diagonal(fm, order, eta)
+            _gram_super_diagonal(fm, order, eta)
         assert str(error.value) == str(dense_error)
         return
-    got = _factored_super_diagonal(fm, order, eta)
+    got = _gram_super_diagonal(fm, order, eta)
     assert got.shape == (dim,) and np.isfinite(got).all()
     if eta <= 27:
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
@@ -225,39 +223,6 @@ def test_fused_dense_body_equals_the_public_path_bit_for_bit(data, seed):
     if all(group.route != "gram" for group in groups):
         expected = sigme(np.concatenate(public), params.eta_prime)
         assert np.array_equal(hop_unit(features, cfg, params), expected)
-
-
-@BOUNDED
-@given(data=st.data(), log_scale=st.floats(min_value=-6.0, max_value=6.0),
-       zero_share=st.sampled_from([0.0, 0.3, 1.0]), seed=seeds)
-def test_gram_body_equals_its_door_bit_for_bit(data, log_scale, zero_share, seed):
-    # hop_unit calls _gram_super_diagonal past _factored_super_diagonal's checks.  Before
-    # sigme, each "gram" group must be the door's result on its rows.  One order-3 or
-    # order-4 group gets a width next to one of its route changes: both sides are drawn.
-    counts = [data.draw(st.sampled_from([0]) | st.integers(2, CAPACITY[r]), label=f"d{r}")
-              for r in (2, 3, 4)]
-    if not counts[1] and not counts[2]:
-        counts[1] = 2
-    etas = st.sampled_from([1, 2, 7, 64]) | st.integers(min_value=1, max_value=100)
-    params = TsoParams(eta2=data.draw(etas, label="eta2"),
-                       eta3=3 ** data.draw(st.integers(0, 3), label="k3"),
-                       eta4=data.draw(etas, label="eta4"))
-    d, r = data.draw(st.sampled_from([(c, r) for c, r in zip(counts[1:], (3, 4)) if c]))
-    eta = params.eta_for_order(r)
-    edges = [n for n in range(2, 301) if _route(d, r, eta, n) != _route(d, r, eta, n - 1)]
-    near = st.sampled_from([e - s for e in edges for s in (0, 1)]) if edges else st.nothing()
-    width = data.draw(near | st.integers(1, 300), label="width")
-    rng = np.random.default_rng(seed)
-    features = 10.0**log_scale * rng.normal(size=(sum(counts), width))
-    features[:, rng.random(width) < zero_share] = 0.0
-    cfg = SplitConfig(tuple(counts))
-    with mock.patch.object(pipeline, "sigme", lambda p, eta_prime: p):
-        pooled = hop_unit(features, cfg, params)
-    for group in plan(sum(counts), width, cfg, params):
-        if group.route == "gram":
-            door = _factored_super_diagonal(FeatureMatrix(features[group.channels]),
-                                            group.order, group.eta)
-            assert np.array_equal(pooled[group.channels], door)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Shrinkage operators: scalar, spectral, and tensorial, plus fast paths."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from tensorpool.tso import (
     SpectrumVector,
     TsoParams,
     _binary_power,
-    _factored_super_diagonal,
+    _gram_super_diagonal,
     even_contraction_count,
     is_power_of_3,
     maxexp_f,
@@ -412,21 +413,26 @@ class TestTsoDispatch:
                 tso(DenseTensor(order, 4, arr), eta)
 
     def test_super_diagonal_path_rejects_overflow_like_tso(self):
-        # hop_unit's dense path reads the diagonal of the kernel tso dispatches to
+        # hop_unit's dense path reads the diagonal of the kernel tso dispatches to.  A unit
+        # column has norm sum 1, so normalizing divides by 1 + EPSILON only.
         big = DenseTensor(4, 4, normalized_descriptor(4, 4, seed=20).data * 1e100)
+        unit = FeatureMatrix(np.eye(4, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for shrink in (tso, tso_module._shrunk_super_diagonal):
+            for shrink in (tso, functools.partial(tso_module._shrunk_super_diagonal, f=unit)):
                 with pytest.raises(DomainError, match="order-4 shrinkage overflows .* at eta 7"):
                     shrink(big, 7)
 
     def test_super_diagonal_path_screens_the_whole_power(self):
         # The complement [[1, 1e308], [0, 1]] squares to [[1, inf], [0, 1]]: the power
-        # overflows off the diagonal only, and its super-diagonal is finite.
+        # overflows off the diagonal only, and its super-diagonal is finite.  Normalizing
+        # by a unit column's norm sum, 1 + EPSILON, keeps the doubled corner beyond float64.
         t = DenseTensor(2, 2, np.eye(2) - np.array([[1.0, 1e308], [0.0, 1.0]]))
+        unit = FeatureMatrix([[1.0], [0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for shrink in (tso_fast_even, tso_module._shrunk_super_diagonal):
+            for shrink in (tso_fast_even,
+                           functools.partial(tso_module._shrunk_super_diagonal, f=unit)):
                 with pytest.raises(DomainError, match="^order-2 shrinkage overflows .* at eta 2:"):
                     shrink(t, 2)
 
@@ -441,20 +447,6 @@ class TestTsoDispatch:
 
 
 class TestFactoredRoute:
-    def test_checks_the_dense_route_checks(self):
-        fm = FeatureMatrix(np.random.default_rng(21).normal(size=(4, 3)))
-        with pytest.raises(InvalidArgumentError) as err:
-            _factored_super_diagonal(fm, 3, 7)
-        assert err.value.nearest_eta == 9
-        with pytest.raises(InvalidArgumentError):
-            _factored_super_diagonal(fm, 4, 0)
-        with pytest.raises(InvalidArgumentError):
-            _factored_super_diagonal(fm, 2, 7)
-        with pytest.raises(CapacityError):
-            _factored_super_diagonal(FeatureMatrix(np.ones((25, 2))), 3, 9)
-        with pytest.raises(CapacityError):
-            _factored_super_diagonal(FeatureMatrix(np.ones((17, 2))), 4, 7)
-
     def test_weights_beyond_float64_raise_domain_error_without_warnings(self):
         # |phi|**3 overflows, so the descriptor's weights are not finite: the
         # error names the features, not the exponent
@@ -467,7 +459,7 @@ class TestFactoredRoute:
                     match=f"order-{order} descriptor overflows float64: "
                     r"the largest feature norm is 2e\+110",
                 ):
-                    _factored_super_diagonal(fm, order, 9)
+                    _gram_super_diagonal(fm, order, 9)
 
     def test_odd_overflow_like_the_chain(self):
         fm = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 8)))
@@ -477,9 +469,9 @@ class TestFactoredRoute:
                 tso_fast_odd(t, 3**k)
             except DomainError:
                 with pytest.raises(DomainError, match=f"order-3 .* at eta {3**k}"):
-                    _factored_super_diagonal(fm, 3, 3**k)
+                    _gram_super_diagonal(fm, 3, 3**k)
                 break
-            assert np.isfinite(_factored_super_diagonal(fm, 3, 3**k)).all()
+            assert np.isfinite(_gram_super_diagonal(fm, 3, 3**k)).all()
         else:
             raise AssertionError("the odd chain stayed finite up to 3**13")
 
