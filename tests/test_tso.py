@@ -387,6 +387,36 @@ class TestTsoOdd:
             tso_fast_odd(t, 3)
 
 
+class TestSharedPower:
+    """``_power`` is the one parity choice of ``(I - T)**eta`` that both kernels and hop_unit run."""
+
+    def test_even_orders_match_matrix_power_in_a_fresh_buffer(self):
+        # _shrunk subtracts the power from the identity in place, so the power must own its
+        # buffer at every eta, eta 1 included, and leave the cached identity and T untouched
+        for order, dim in ((2, 6), (4, 3)):
+            t = normalized_descriptor(order, dim, seed=30 + order)
+            eye = tso_module._identity_unfolding(dim, order)
+            before = t.data.copy()
+            for eta in (1, 2, 3, 6, 11, 16):
+                g = tso_module._power(eye, t.data, order, eta)
+                expected = np.linalg.matrix_power(eye - unfold(t, order // 2), eta)
+                np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-14)
+                assert g.flags.writeable
+                assert not np.shares_memory(g, eye) and not np.shares_memory(g, t.data)
+            assert np.array_equal(t.data, before)
+
+    def test_odd_order_runs_the_einsum_chain(self):
+        t = normalized_descriptor(3, 4, seed=33)
+        eye = tso_module._identity_unfolding(4, 3)
+        identity = identity_tensor(4, 3).array
+        for eta in (1, 3, 9, 27):
+            g = tso_module._power(eye, t.data, 3, eta)
+            assert g.shape == (16, 4)
+            assert not np.shares_memory(g, eye) and not np.shares_memory(g, t.data)
+            expected = identity - einsum_odd_chain(t.array, eta)
+            np.testing.assert_allclose(g.reshape(4, 4, 4), expected, rtol=1e-12, atol=1e-14)
+
+
 class TestTsoDispatch:
     def test_symmetry_guard_repairs_small_drift(self):
         t = normalized_descriptor(2, 4, seed=15)
