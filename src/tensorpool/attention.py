@@ -21,9 +21,15 @@ RBF = "rbf"
 DEFAULT_SIGMA = 0.5
 # The smallest bandwidth at which 2 / sigma**2 is finite: below it the RBF
 # exponent of two l2-normalized tokens (squared distance up to 4) overflows.
-# Every sigma is read as ``read_real(sigma, "sigma", MIN_SIGMA)``.
 MIN_SIGMA = math.nextafter(math.sqrt(2.0 / sys.float_info.max), math.inf)
+# The largest bandwidth at which the RBF denominator 2 * sigma**2 is finite.
+MAX_SIGMA = math.sqrt(sys.float_info.max / 2.0)
 _TINY_NORM = math.sqrt(sys.float_info.min)  # below it, a squared norm may have underflowed
+
+
+def read_sigma(sigma) -> float:
+    """``sigma`` read as an RBF bandwidth: a real number from ``MIN_SIGMA`` to ``MAX_SIGMA``."""
+    return read_real(sigma, "sigma", MIN_SIGMA, MAX_SIGMA)
 
 
 def _check_heads(dim: int, heads: int) -> int:
@@ -52,7 +58,7 @@ class AttentionBundle:
             raise InvalidArgumentError("K and V must have the same number of tokens")
         if q.shape[0] == 0 or q.shape[1] == 0 or k.shape[1] == 0:
             raise InvalidArgumentError("attention inputs must be non-empty")
-        object.__setattr__(self, "sigma", read_real(self.sigma, "sigma", MIN_SIGMA))
+        object.__setattr__(self, "sigma", read_sigma(self.sigma))
         object.__setattr__(self, "heads", _check_heads(q.shape[0], self.heads))
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "keys", k)
@@ -80,7 +86,7 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")
 def rbf_similarity(q, k, sigma: float) -> float:
     """Gaussian similarity of l2-normalized vectors of one non-zero length, in (0, 1]."""
-    sigma = read_real(sigma, "sigma", MIN_SIGMA)
+    sigma = read_sigma(sigma)
     q, k = read_array(q, "q").reshape(-1), read_array(k, "k").reshape(-1)
     if q.size != k.size or q.size == 0:
         raise InvalidArgumentError(f"q must be non-empty and as long as k: {q.size} and {k.size}")

@@ -20,6 +20,7 @@ from .descriptors import FeatureMatrix, hotd, normalize_descriptor
 from .errors import InvalidArgumentError, read_int, read_items
 from .tensor import DenseTensor, check_capacity
 from .tso import (
+    MAX_NAIVE_ETA,
     _check_eta,
     even_contraction_count,
     odd_contraction_count,
@@ -50,7 +51,6 @@ class BenchRecord:
 
 _TARGET_BATCH_NS = 2_000_000  # stretch each timed sample to ~2 ms
 MAX_REPEATS = 1000  # samples per grid point: about 2 s each at most
-MAX_EVEN_ETA = 4096  # a naive even call is eta - 1 products: about 2 s at order-4 capacity
 
 
 def _batch_size(fn) -> int:
@@ -98,9 +98,9 @@ def bench_tso(
         raise InvalidArgumentError(f"repeats must be at most {MAX_REPEATS}, got {repeats}")
     check_capacity(dim, order)
     etas = [_check_eta(order, e) for e in read_items(etas, "etas")]
-    if order % 2 == 0 and max(etas) > MAX_EVEN_ETA:
+    if order % 2 == 0 and max(etas) > MAX_NAIVE_ETA:
         raise InvalidArgumentError(
-            f"even-order eta must be at most {MAX_EVEN_ETA}, got {max(etas)}"
+            f"even-order eta must be at most {MAX_NAIVE_ETA}, got {max(etas)}"
         )
     t = random_normalized_descriptor(order, dim, seed=seed)
     fast = tso_fast_even if order % 2 == 0 else tso_fast_odd

@@ -6,7 +6,8 @@ the argument.  ``read_int`` (``read_ints`` for a sequence) reads an integral val
 of any real type as ``int``: ``2.0`` reads as 2, while ``2.5``, ``"2"``, ``None``
 and NaN are rejected.  ``read_real`` reads a real number as ``float``, ``read_items``
 a non-empty container as a tuple, and ``read_array`` a float64 array, of a given rank
-if asked; a ragged array, or one with a NaN or an infinity (``_all_finite``), is rejected.
+if asked; a ragged array, one of complex, string or object dtype, or one with a NaN or
+an infinity (``_all_finite``), is rejected.
 A value the package computes is screened by ``check_finite``, which raises the error named.
 """
 
@@ -84,17 +85,21 @@ def read_items(values, name: str) -> tuple:
     return items
 
 
-def read_real(value, name: str, low: float | None = None) -> float:
-    """``value`` as a ``float``, if it is a real number; with ``low``, a finite one >= ``low``."""
+def read_real(value, name: str, low: float | None = None, high: float = np.inf) -> float:
+    """``value`` as a ``float``, if it is a real number.
+
+    With ``low``, only a finite one from ``low`` to ``high`` is read.
+    """
     if type(value) is not float and not isinstance(value, numbers.Real):  # a float needs no check
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
     try:  # an integer beyond float64 does not convert (and may be too long to print)
         value = float(value)
     except OverflowError:
         raise InvalidArgumentError(f"{name} must be a real number within float64") from None
-    if low is not None and not (-np.inf < value < np.inf and value >= low):  # also rejects NaN
+    if low is not None and not (-np.inf < value < np.inf and low <= value <= high):  # and NaN
         floor = f" and >= {low:.4g}" if low > -np.inf else ""
-        raise InvalidArgumentError(f"{name} must be finite{floor}, got {value}")
+        ceiling = f" and <= {high:.4g}" if high < np.inf else ""
+        raise InvalidArgumentError(f"{name} must be finite{floor}{ceiling}, got {value}")
     return value
 
 
@@ -119,11 +124,18 @@ def check_finite(value, error):
 
 
 def read_array(value, name: str, ndim: int | None = None, copy: bool = False) -> np.ndarray:
-    """``value`` as a finite float64 array (``ndim``-D if given); fresh, C-ordered if ``copy``."""
-    try:
-        arr = np.array(value, np.float64, order="C") if copy else np.asarray(value, np.float64)
+    """``value`` as a finite float64 array (``ndim``-D if given); fresh, C-ordered if ``copy``.
+
+    Only boolean, integer and real floating dtypes convert: a complex value would
+    lose its imaginary part, and a string or an object is no number.
+    """
+    try:  # an array is converted once, below
+        arr = value if isinstance(value, np.ndarray) else np.asarray(value)
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"{name} must be a rectangular array of real numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"{name} must be an array of real numbers, got {arr.dtype}")
+    arr = np.array(arr, np.float64, order="C") if copy else np.asarray(arr, np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise InvalidArgumentError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
     if not _all_finite(arr):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, MIN_SIGMA, multi_head
+from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, multi_head, read_sigma
 from .attention import _check_heads, _heads
 from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
-from .errors import read_int, read_real
+from .errors import read_int
 from .tensor import MAX_EPISODE_DIM
 
 # Each weight's (rows, cols) in units of d, in the order ``HeadWeights.seeded`` draws them.
@@ -215,7 +215,7 @@ def spatial_hop_head(
     ``multi_head`` makes, so each matrix gets the bits it would get alone.
     """
     t = tokens.tokens
-    sigma, heads = read_real(sigma, "sigma", MIN_SIGMA), _check_heads(tokens.dim, heads)
+    sigma, heads = read_sigma(sigma), _check_heads(tokens.dim, heads)
     counts = np.ones(t.shape[-1])
     counts[:-2] = tokens.multiplicity
     mixed = _heads(t, t, t * counts, heads, sigma, RBF)  # (..., S + 2, d)

@@ -12,12 +12,15 @@ Fast paths evaluate the power in O(log eta) contractions for even orders and
 as a ternary chain for odd orders with ``eta`` a power of three, both by
 ``_power``, which the fast kernels and ``hop_unit``'s dense tail share.
 
-A descriptor built from ``N`` feature columns has rank at most ``N``, so for
-orders 3 and 4 ``_gram_super_diagonal`` runs the same power on the
+A descriptor built from ``N`` feature columns has rank at most ``N``, so
+``_gram_super_diagonal`` never forms the ``d**r`` descriptor.  At order 2 it
+pushes the power through the ``d x N`` scaled features ``A``:
+``(I - A A^T)**eta = I - A S A^T`` with ``S = sum_{j < eta} (I - A^T A)**j``,
+an ``N x N`` geometric sum.  At orders 3 and 4 it runs the same power on the
 ``(d + N) x (d + N)`` Gram of the unit columns and the identity's basis
-vectors, and never forms the ``d**r`` descriptor.  ``_route`` picks, from one
-multiply-add count, between that Gram route and the dense one of the order's
-parity: ``tso_fast_even``'s squaring or ``tso_fast_odd``'s chain.
+vectors.  ``_route`` picks, from one multiply-add count, between that Gram
+route and the dense one of the order's parity: ``tso_fast_even``'s squaring
+or ``tso_fast_odd``'s chain.
 
 Every kernel takes the identity, the super-diagonal's address and the result
 check from ``tensor.py``, so each raises ``CapacityError`` beyond ``CAPACITY``.
@@ -26,18 +29,20 @@ check from ``tensor.py``, so each raises ``CapacityError`` beyond ``CAPACITY``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, _mean_norm_power, _normalized, column_norms
-from .errors import DomainError, InvalidArgumentError, check_finite, read_array, read_int
-from .errors import read_real
+from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
+from .errors import read_int, read_real
 from .tensor import DenseTensor, _diagonal_step, asymmetry, check_capacity
 from .tensor import identity_tensor, symmetrize
 
 _SYM_REPAIR = 1e-10  # asymmetry above this is repaired by symmetrizing
 _SYM_REJECT = 1e-6  # asymmetry above this is an error
+MAX_NAIVE_ETA = 4096  # a naive even call is eta - 1 products: about 2 s at order-4 capacity
 
 
 @dataclass(frozen=True)
@@ -287,12 +292,15 @@ def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
     """Reference shrinkage path, written independently of the fast paths.
 
     Even orders run ``eta - 1`` sequential contractions of the complement
-    with itself.  Order 3, the only odd order within capacity, runs the
-    ternary chain as explicit einsum index strings; no other exponents are
-    defined for it.
+    with itself, so an even ``eta`` above ``MAX_NAIVE_ETA`` raises
+    ``CapacityError`` before the first.  Order 3, the only odd order within
+    capacity, runs the ternary chain as explicit einsum index strings; no
+    other exponents are defined for it.
     """
     if t.order % 2 == 0:
         eta = _check_eta(t.order, eta)
+        if eta > MAX_NAIVE_ETA:
+            raise CapacityError(f"the naive even-order eta must be at most {MAX_NAIVE_ETA}")
         p = _identity_unfolding(t.dim, t.order)
         side = p.shape[0]
         a = p - t.data.reshape(side, side)
@@ -362,8 +370,11 @@ def _route(d: int, r: int, eta: int, n: int) -> str:
     built descriptor with the kernel ``tso`` dispatches to: ``"chain"`` at odd
     orders (``log3(eta)`` steps of ``2 d**4`` at order 3) and ``"square"`` at
     even orders (``even_contraction_count(eta)`` products of the ``D x D``
-    half unfolding, ``D = d**(r/2)``).  Orders 3 and 4 may take ``"gram"``
-    instead: ``_gram_super_diagonal`` forms the ``m x m`` Gram
+    half unfolding, ``D = d**(r/2)``).  Every order may take ``"gram"``
+    instead.  At order 2 ``_gram_super_diagonal`` forms ``A^T A`` (``n**2 d``),
+    the geometric sum ``S`` in ``even_contraction_count(eta)`` products of
+    ``2n x 2n`` blocks, and ``A S`` (``d n**2``), so it wins only where ``n``
+    is well below ``d``.  At orders 3 and 4 it forms the ``m x m`` Gram
     (``m = d + n``, ``m**2 d``), then takes ``log3(eta)`` steps of
     ``2 m d (m + d)`` at order 3, or at order 4 squares ``m x m`` matrices up
     to the half power and applies it to ``d`` columns.  Its count is set
@@ -375,18 +386,19 @@ def _route(d: int, r: int, eta: int, n: int) -> str:
         route, cost = "chain", 2 * steps * d ** (r + r // 2)
     else:
         route, cost = "square", even_contraction_count(eta) * d ** (3 * (r // 2))
-    if r not in (3, 4):
-        return route
-    m = d + n
-    gram = m * m * d
-    if r == 3:
-        gram += 2 * steps * m * d * (m + d)
+    if r == 2:
+        gram = 2 * n * n * d + even_contraction_count(eta) * (2 * n) ** 3
     else:
-        half = (eta - 1) // 2
-        if half:
-            gram += even_contraction_count(half) * m**3 + m * m * d
-        if eta % 2 == 0:
-            gram += m * m * d
+        m = d + n
+        gram = m * m * d
+        if r == 3:
+            gram += 2 * steps * m * d * (m + d)
+        else:
+            half = (eta - 1) // 2
+            if half:
+                gram += even_contraction_count(half) * m**3 + m * m * d
+            if eta % 2 == 0:
+                gram += m * m * d
     return "gram" if gram < cost + d**r * (n + 1) else route
 
 
@@ -408,12 +420,20 @@ def _shrunk_super_diagonal(t: DenseTensor, eta: int, f: FeatureMatrix) -> np.nda
 def _gram_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
     """Super-diagonal of ``normalize_descriptor(hotd(f, r), f)`` shrunk at ``eta``, by its Gram.
 
-    ``plan`` has checked ``r`` (3 or 4), capacity and ``eta``: nothing here does.
+    ``plan`` has checked ``r``, capacity and ``eta``: nothing here does.
 
-    With ``rho_n = |phi_n|``, unit columns ``x_n = phi_n / rho_n`` (0 where
-    ``rho_n = 0``) and ``w_n = rho_n**r / (N (EPSILON + mean rho**r))``, the
-    normalized descriptor is ``sum_n w_n x_n**r`` and the identity is
-    ``sum_p e_p**r``.  With ``X = [I_d, x_1 .. x_N]`` and ``Gamma = X^T X``:
+    At order 2 the normalized descriptor is ``A A^T`` with
+    ``A = Phi / sqrt(N (EPSILON + mean rho**2))``.  Since
+    ``(I - A A^T) A = A C`` with ``C = I - A^T A``, the power is
+    ``(I - A A^T)**eta = I - A S A^T`` with ``S = sum_{j < eta} C**j``, the
+    top-right block of ``[[C, I], [0, I]]**eta``, and the super-diagonal is
+    ``diag(A S A^T)``: no ``1 - (1 - x)`` cancellation, no ``d x d`` product.
+
+    At orders 3 and 4, with ``rho_n = |phi_n|``, unit columns
+    ``x_n = phi_n / rho_n`` (0 where ``rho_n = 0``) and
+    ``w_n = rho_n**r / (N (EPSILON + mean rho**r))``, the normalized
+    descriptor is ``sum_n w_n x_n**r`` and the identity is ``sum_p e_p**r``.
+    With ``X = [I_d, x_1 .. x_N]`` and ``Gamma = X^T X``:
 
     * order 4: the complement's half unfolding is ``U S U^T`` with
       ``U = KR(X, 2)`` and ``S = diag(1_d, -w)``, and ``G = U^T U`` is
@@ -428,8 +448,8 @@ def _gram_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
       ``U W'`` with ``W' = W X (Gamma o (W X)) W``, and the super-diagonal
       is ``1 - diag((X o X) W)``.
 
-    ``rho`` is taken once and ``rho**r`` gives both the norm sum and the
-    weights.  Features whose descriptor leaves float64 raise
+    ``rho`` is taken once and ``rho**r`` gives the norm sum and, at orders 3
+    and 4, the weights.  Features whose descriptor leaves float64 raise
     ``descriptor_norm_sum``'s ``DomainError``, and a power that leaves
     float64 raises a ``DomainError`` naming ``eta``.
     """
@@ -437,6 +457,12 @@ def _gram_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
     rho = column_norms(f.columns)
     powers = rho**r
     norm_sum = _mean_norm_power(f, r, powers)  # finite, so no column norm below overflows
+    if r == 2:
+        a = f.columns / math.sqrt(n * (EPSILON + norm_sum))
+        block = np.eye(2 * n) + np.eye(2 * n, k=n)  # [[I, I], [0, I]]
+        block[:n, :n] -= a.T @ a
+        s = _binary_power(block, eta)[:n, n:]
+        return check_finite(np.einsum("ij,ij->i", a @ s, a), lambda: _overflow(r, eta))
     x = np.eye(d, d + n)
     np.divide(f.columns, np.where(rho > 0.0, rho, 1.0), out=x[:, d:])
     gram = x.T @ x

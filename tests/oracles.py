@@ -2,16 +2,18 @@
 
 Nothing here calls a package computation: each oracle is written from its
 definition (an explicit outer power, ``np.tensordot``, a reshape, a central
-difference, a closed-form slope), so a fault in a fast path cannot hide in
-its own check.  Only the tensor container, the capacity bounds, the
-typed errors and a shrinkage problem's constants (``s``, ``t``, ``delta``)
-come from the package.
+difference, a closed-form slope, a 50-digit spectrum), so a fault in a fast
+path cannot hide in its own check.  Only the tensor container, the capacity bounds, the
+typed errors, the normalization's ``EPSILON`` and a shrinkage problem's
+constants (``s``, ``t``, ``delta``) come from the package.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
+from tensorpool.descriptors import EPSILON
 from tensorpool.errors import DomainError, InvalidArgumentError
 from tensorpool.tensor import DenseTensor, check_capacity
 
@@ -141,3 +143,32 @@ def objective_gradient(prob, lam_prime) -> np.ndarray:
     return source / (prob.t * target) - (
         prob.delta / ((prob.eta - 1.0) * prob.t)
     ) * target ** (prob.alpha - 1.0)
+
+
+def shrunk_super_diagonal_mp(columns, eta: int, digits: int = 50) -> np.ndarray:
+    """Super-diagonal of ``I - (I - T)**eta`` for the order-2 descriptor of ``columns``.
+
+    ``T = Phi Phi^T / (N (EPSILON + mean rho**2))`` is formed in ``digits``-digit
+    arithmetic from the float64 features (exact as inputs) and shrunk through
+    its spectrum: with ``A = Phi / sqrt(N (EPSILON + mean rho**2))`` and the
+    eigenpairs ``(lam_k, v_k)`` of ``A^T A``, the entry ``i`` is
+    ``sum_k (A v_k)_i**2 sum_{j < eta} (1 - lam_k)**j``.  Directions outside
+    ``A``'s range are left fixed by ``I - T`` and add nothing.  No float64
+    route computes an eigendecomposition, so nothing is shared with them.
+    """
+    cols = np.asarray(columns, dtype=np.float64)
+    d, n = cols.shape
+    with mpmath.workdps(digits):
+        phi = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in cols])
+        sq = mpmath.fsum(phi[i, j] ** 2 for i in range(d) for j in range(n))
+        a = phi / mpmath.sqrt(n * mpmath.mpf(EPSILON) + sq)
+        lam, vecs = mpmath.eigsy(a.T * a)
+        av = a * vecs
+        out = []
+        for i in range(d):
+            total = mpmath.mpf(0)
+            for k in range(n):
+                ratio = 1 - lam[k]
+                total += av[i, k] ** 2 * mpmath.fsum(ratio**j for j in range(eta))
+            out.append(float(total))
+    return np.array(out)

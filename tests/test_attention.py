@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tensorpool.attention import (
+    MAX_SIGMA,
     MIN_SIGMA,
     RBF,
     SOFTMAX,
@@ -18,6 +19,8 @@ from tensorpool.attention import (
     rbf_similarity,
 )
 from tensorpool.errors import InvalidArgumentError, NormalizationError
+from tensorpool.heads import TokenMatrix, spatial_hop_head
+from tensorpool.pipeline import attend_query_to_supports, support_similarity
 
 
 def naive_softmax_attention(q, k, v):
@@ -155,11 +158,38 @@ class TestRbfSimilarity:
 
 
 class TestBandwidthBound:
-    """Below MIN_SIGMA, 2 / sigma**2 overflows and every RBF weight would be 0 or NaN."""
+    """Below MIN_SIGMA, 2 / sigma**2 overflows and every RBF weight would be 0 or NaN;
+    above MAX_SIGMA, the denominator 2 * sigma**2 itself overflows."""
 
     def test_bound_is_where_the_exponent_scale_stops_being_finite(self):
         assert math.isfinite(2.0 / MIN_SIGMA**2)
         assert not math.isfinite(2.0 / math.nextafter(MIN_SIGMA, 0.0) ** 2)
+        assert math.isfinite(2.0 * MAX_SIGMA**2)
+        assert not math.isfinite(2.0 * math.nextafter(MAX_SIGMA, math.inf) ** 2)
+
+    @pytest.mark.parametrize("sigma", [1e308, 1e200, math.nextafter(MAX_SIGMA, math.inf)])
+    def test_overflowing_bandwidth_rejected_at_every_door(self, sigma):
+        # Each door ended in a bare OverflowError from 2.0 * sigma**2 (or, just
+        # above the bound, in an infinite denominator).
+        m = np.eye(2)
+        doors = [
+            lambda: rbf_similarity([1.0, 0.0], [0.0, 1.0], sigma),
+            lambda: support_similarity(np.ones((2, 1)), np.ones((2, 1)), sigma),
+            lambda: attend_query_to_supports(np.ones((2, 1)), np.ones((2, 3)), sigma=sigma),
+            lambda: AttentionBundle(m, m, m, sigma=sigma),
+            lambda: spatial_hop_head(TokenMatrix(np.eye(3)), sigma=sigma),
+        ]
+        for door in doors:
+            with pytest.raises(InvalidArgumentError, match="sigma must be finite .* <= 9.481e"):
+                door()
+
+    def test_largest_bandwidth_runs_without_warnings(self):
+        m = np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rbf_similarity([1.0, 0.0], [0.0, 1.0], MAX_SIGMA) == 1.0
+            out = multi_head(AttentionBundle(m, m, m, sigma=MAX_SIGMA), RBF)
+        np.testing.assert_array_equal(out, np.ones((2, 2)))  # every RBF weight is 1
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-155, math.nextafter(MIN_SIGMA, 0.0)])
     def test_underflowing_bandwidth_rejected_everywhere(self, sigma):

@@ -1,5 +1,6 @@
 """End-to-end synthetic episodes: pooling, modulation, relation heads."""
 
+import os
 import re
 import sys
 import warnings
@@ -233,17 +234,53 @@ class TestReadOnceAtTheDoor:
         assert counts == (0, 2)  # no FeatureMatrix is read; read_array runs at the door and in sigme
 
     def test_the_gram_groups_re_read_nothing_the_plan_settled(self):
-        # Groups 60/24/12: the order-2 group is dense, orders 3 and 4 take the Gram route.
+        # Groups 60/24/12: every order takes the Gram route, so no hotd runs.
         features = np.random.default_rng(2).normal(size=(96, 16))
         cfg, params = SplitConfig(), TsoParams()
-        assert [g.route for g in plan(96, 16, cfg, params)] == ["square", "gram", "gram"]
+        assert [g.route for g in plan(96, 16, cfg, params)] == ["gram", "gram", "gram"]
         hop_unit(features, cfg, params)  # a cold identity cache would add its own reads
         checks, etas, norms, ints = _calls(
             lambda: hop_unit(features, cfg, params),
             check_capacity, tso_module._check_eta, np.linalg.norm.__wrapped__, read_int,
         )
-        assert (checks, etas, norms) == (1, 0, 0)  # check_capacity is hotd's, for the dense group
-        assert ints <= 5  # plan's 2 and the dense group's hotd 3 (check_capacity's 2)
+        assert (checks, etas, norms) == (0, 0, 0)
+        assert ints <= 2  # plan's 2
+
+
+class TestNonRealArrays:
+    """Complex, string and object arrays are refused at the door, never cast to float64."""
+
+    X = np.random.default_rng(5).normal(size=(8, 6))
+    DOORS = {
+        "hop_unit": lambda x: hop_unit(x, SplitConfig((2, 1, 1)), TsoParams()),
+        "FeatureMatrix": FeatureMatrix,
+        "EpisodeBatch": lambda x: EpisodeBatch((x,), x, ((0, 2),)),
+        "support_similarity": lambda x: support_similarity(x, x),
+        "write_container": lambda x: write_container(os.devnull, {"a": x}),
+    }
+
+    @pytest.mark.parametrize("door", DOORS.values(), ids=DOORS.keys())
+    @pytest.mark.parametrize("kind", ["complex", "complex-list", "str", "bytes", "object"])
+    def test_rejected_with_the_argument_named(self, door, kind):
+        x = {
+            "complex": self.X + 5j,  # hop_unit(x + 5j) returned hop_unit(x)
+            "complex-list": (self.X + 0j).tolist(),
+            "str": self.X.astype(str),
+            "bytes": self.X.astype(bytes),
+            "object": self.X.astype(object),
+        }[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="must be .*array of real numbers"):
+                door(x)
+
+    def test_real_arrays_still_read_and_float64_ones_are_not_converted(self):
+        assert read_array(self.X, "x") is self.X
+        ints = np.arange(6).reshape(2, 3)
+        for value in (ints, ints > 2, ints.astype(np.float32), ints.tolist(), 3):
+            assert np.array_equal(read_array(value, "x"), np.asarray(value, np.float64))
+        with pytest.raises(InvalidArgumentError, match="x must be an array of real numbers"):
+            read_array([10**400], "x")  # an int beyond float64 ended in a bare OverflowError
 
 
 class TestHopUnit:
@@ -288,24 +325,25 @@ class TestHopUnit:
         out = hop_unit(masked, cfg, params)
         np.testing.assert_array_equal(out[:4], full[:4])
 
-    def test_skips_the_symmetry_screen_with_the_public_result(self, monkeypatch):
-        # Groups 60/24/12: order 2 takes the dense chain and equals the
-        # screened public path bit for bit.  Orders 3 and 4 take the Gram
-        # route, which rounds differently by design; they agree within
+    @pytest.mark.parametrize("width", [16, 256])
+    def test_skips_the_symmetry_screen_with_the_public_result(self, monkeypatch, width):
+        # Groups 60/24/12.  A dense group equals the screened public path bit
+        # for bit (order 2 at width 256); a Gram group (every order at width
+        # 16) rounds differently by design and agrees within
         # test_per_group_oracle's 1e-12.
         rng = np.random.default_rng(3)
-        features = rng.normal(size=(96, 16))
+        features = rng.normal(size=(96, width))
         cfg, params = SplitConfig((5, 2, 1)), TsoParams()
-        counts = cfg.channel_counts(96)
-        diagonals = []
-        for segment, order in zip(np.split(features, np.cumsum(counts)[:-1]), (2, 3, 4)):
-            fm = FeatureMatrix(segment)
-            desc = normalize_descriptor(hotd(fm, order), fm)
-            diagonals.append(super_diagonal(tso(desc, params.eta_for_order(order))).values)
-        expected = sigme(np.concatenate(diagonals), params.eta_prime)
         got = hop_unit(features, cfg, params)
-        assert np.array_equal(got[:60], expected[:60])
-        np.testing.assert_allclose(got[60:], expected[60:], rtol=0, atol=1e-12)
+        for group in plan(96, width, cfg, params):
+            fm = FeatureMatrix(features[group.channels])
+            desc = normalize_descriptor(hotd(fm, group.order), fm)
+            diagonal = super_diagonal(tso(desc, group.eta)).values
+            expected = sigme(diagonal, params.eta_prime)
+            if group.route == "gram":
+                np.testing.assert_allclose(got[group.channels], expected, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(got[group.channels], expected)
 
         def screen(t):
             raise AssertionError("hop_unit screened a descriptor it built")
@@ -317,7 +355,7 @@ class TestHopUnit:
         "dim, width, cfg, group_routes",
         [
             # episode-hop: d 60/24/12
-            (96, 16, SplitConfig((5, 2, 1)), ("square", "gram", "gram")),
+            (96, 16, SplitConfig((5, 2, 1)), ("gram", "gram", "gram")),
             # episode-wide: d 20/8/4
             (32, 256, SplitConfig((5, 2, 1)), ("square", "chain", "square")),
             # the benchmark's test spec: d 10/4/2
@@ -359,6 +397,17 @@ class TestHopUnit:
                 ("dense", g.order), (g.route, g.order)
             ]
         assert calls == expected
+
+    def test_order_2_takes_the_gram_route_only_below_its_dimension(self):
+        # perfbench's TINY spec (16 x 8) and episode-wide (32 x 256) keep their
+        # dense routes, and no order-2 group of N >= d columns takes the Gram route.
+        for dim, width in ((16, 8), (32, 256)):
+            groups = plan(dim, width, SplitConfig(), TsoParams())
+            assert [g.route for g in groups] == ["square", "chain", "square"]
+        for eta in (1, 7, 64, 100):
+            for d in range(1, CAPACITY[2] + 1):
+                gram = [n for n in range(1, 301) if tso_module._route(d, 2, eta, n) == "gram"]
+                assert gram == list(range(1, len(gram) + 1)) and len(gram) < d
 
     def test_order_two_alone_is_sigme_of_its_super_diagonal(self):
         features = np.random.default_rng(7).normal(size=(32, 20))

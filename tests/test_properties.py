@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import outer_power, tensor_inner
+from oracles import outer_power, shrunk_super_diagonal_mp, tensor_inner
 from test_pipeline import per_roi_relations, tiled_relations, worst_relation_gap
 
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
@@ -128,7 +128,7 @@ def test_kernel_sum_linearizes_descriptor_inner_product(order, data, counts, see
     assert abs(kernel - inner) <= 1e-10 * max(1.0, abs(kernel))
 
 
-@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("order", [2, 3, 4])
 @BOUNDED
 @given(data=st.data(), count=st.integers(min_value=1, max_value=40),
        log_scale=st.floats(min_value=-6.0, max_value=6.0),
@@ -136,7 +136,8 @@ def test_kernel_sum_linearizes_descriptor_inner_product(order, data, counts, see
 def test_gram_route_equals_dense_tso(order, data, count, log_scale, zero_share, seed):
     # Odd exponents 3**0 to 3**3 compare values; up to 3**13 the chain grows
     # until it leaves float64, and both routes must make the same decision.
-    # Even exponents 1 to 100 take every half power of the squaring chain.
+    # Even exponents 1 to 100 take every half power of the squaring chain
+    # (order 4) or every power of the geometric-sum block (order 2).
     dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[order]), label="dim")
     if order == 3:
         eta = 3 ** data.draw(st.integers(min_value=0, max_value=13), label="k")
@@ -159,6 +160,34 @@ def test_gram_route_equals_dense_tso(order, data, count, log_scale, zero_share, 
     assert got.shape == (dim,) and np.isfinite(got).all()
     if eta <= 27:
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+# Forward error against shrunk_super_diagonal_mp, in units of eta * eps.  The
+# largest over 2,100 seeded draws (d <= 128, N <= 40, eta <= 100, scales 1e-6
+# to 1e6, zero columns) was 1.5 on the Gram route (eta 1, d 1, N 6) and 3.5
+# on the dense route (d 128, N 1, eta 67).  Each bound is twice that.
+ORDER_2_ERROR_BOUNDS = {"gram": 3.0, "dense": 7.0}
+
+
+@BOUNDED
+@given(data=st.data(), count=st.integers(min_value=1, max_value=16),
+       log_scale=st.floats(min_value=-6.0, max_value=6.0),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]), seed=seeds)
+def test_order_2_routes_within_their_bound_of_the_high_precision_oracle(
+    data, count, log_scale, zero_share, seed
+):
+    dim = data.draw(st.integers(min_value=1, max_value=CAPACITY[2]), label="dim")
+    eta = data.draw(st.sampled_from([1, 2, 7, 64, 100]) | st.integers(1, 100), label="eta")
+    rng = np.random.default_rng(seed)
+    columns = 10.0**log_scale * rng.normal(size=(dim, count))
+    columns[:, rng.random(count) < zero_share] = 0.0
+    fm = FeatureMatrix(columns)
+    truth = shrunk_super_diagonal_mp(columns, eta)
+    routes = {"gram": _gram_super_diagonal(fm, 2, eta),
+              "dense": _shrunk_super_diagonal(hotd(fm, 2), eta, fm)}
+    for route, got in routes.items():
+        error = np.max(np.abs(got - truth)) / (eta * np.finfo(float).eps)
+        assert error <= ORDER_2_ERROR_BOUNDS[route], route
 
 
 @BOUNDED

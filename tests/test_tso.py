@@ -24,6 +24,7 @@ from tensorpool.tensor import (
     symmetrize,
 )
 from tensorpool.tso import (
+    MAX_NAIVE_ETA,
     SpectrumVector,
     TsoParams,
     _binary_power,
@@ -225,6 +226,16 @@ class TestTsoEven:
         fast = tso_fast_even(t, 1024).data
         naive = tso_naive(t, 1024).data
         assert np.max(np.abs(fast - naive)) <= 1e-10
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_naive_even_eta_is_bounded_before_any_contraction(self, order):
+        # The even branch runs eta - 1 contractions: 2**70 ran until killed.
+        t = normalized_descriptor(order, 2, seed=6)
+        naive = tso_naive(t, MAX_NAIVE_ETA).data
+        assert np.max(np.abs(tso_fast_even(t, MAX_NAIVE_ETA).data - naive)) <= 1e-10
+        for eta in (MAX_NAIVE_ETA + 1, 2**70, 10**5000):
+            with pytest.raises(CapacityError, match=f"at most {MAX_NAIVE_ETA}$"):
+                tso_naive(t, eta)
 
     def test_reduces_to_maxexp_f(self):
         t = normalized_descriptor(2, 6, seed=7)
