@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, NormalizationError, check_finite
-from .errors import read_array, read_int, read_real
+from .errors import read_array, read_int, read_real, shown
 
 SOFTMAX = "softmax"
 RBF = "rbf"
@@ -36,7 +36,7 @@ def _check_heads(dim: int, heads: int) -> int:
     """``heads`` read as an int, if it splits ``dim`` channels into equal groups."""
     heads = read_int(heads, "head count")
     if heads < 1 or dim % heads != 0:
-        raise InvalidArgumentError(f"head count {heads} must divide the {dim} channels")
+        raise InvalidArgumentError(f"head count {shown(heads)} must divide the {dim} channels")
     return heads
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
-from .errors import InvalidArgumentError, read_int, read_items
+from .errors import InvalidArgumentError, read_int, read_items, shown
 from .tensor import DenseTensor, check_capacity
 from .tso import (
     MAX_NAIVE_ETA,
@@ -95,7 +95,7 @@ def bench_tso(
     order, dim = read_int(order, "order", 2), read_int(dim, "dim")
     repeats, seed = read_int(repeats, "repeats", 9), read_int(seed, "seed", 0)
     if repeats > MAX_REPEATS:
-        raise InvalidArgumentError(f"repeats must be at most {MAX_REPEATS}, got {repeats}")
+        raise InvalidArgumentError(f"repeats must be at most {MAX_REPEATS}, got {shown(repeats)}")
     check_capacity(dim, order)
     etas = [_check_eta(order, e) for e in read_items(etas, "etas")]
     if order % 2 == 0 and max(etas) > MAX_NAIVE_ETA:

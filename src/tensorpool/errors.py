@@ -9,6 +9,8 @@ a non-empty container as a tuple, and ``read_array`` a float64 array, of a given
 if asked; a ragged array, one of complex, string or object dtype, or one with a NaN or
 an infinity (``_all_finite``), is rejected.
 A value the package computes is screened by ``check_finite``, which raises the error named.
+An error text shows a caller's value by ``shown``, so an integer too long to print cannot
+turn a typed error into a bare ``ValueError``.
 """
 
 import math
@@ -55,6 +57,22 @@ class FileFormatError(TensorPoolError, ValueError):
         self.byte_offset = byte_offset
 
 
+def shown(value) -> str:
+    """``repr(value)`` bounded for an error text: an integer past about 100 digits shows its length.
+
+    Python refuses to print an integer of more than 4,300 digits, so a text that
+    printed one in full would raise a bare ``ValueError`` instead of the typed error.
+    """
+    if isinstance(value, int) and value.bit_length() > 330:
+        digits = math.floor((value.bit_length() - 1) * math.log10(2)) + 1  # 2**(bits - 1)'s
+        digits += abs(value) >= 10**digits  # value has at most one digit more
+        return f"{'-' if value < 0 else ''}<an integer of {digits} digits>"
+    try:
+        return repr(value)
+    except ValueError:  # a container holding such an integer
+        return f"<a {type(value).__name__} too long to print>"
+
+
 def read_int(value, name: str, low: int | None = None) -> int:
     """``value`` as an ``int``, if it has an integral value and is at least ``low`` (if given)."""
     v = value
@@ -64,7 +82,7 @@ def read_int(value, name: str, low: int | None = None) -> int:
         v = int(v)
     if type(v) is not int or low is not None and v < low:
         bound = "" if low is None else f" >= {low}"
-        raise InvalidArgumentError(f"{name} must be an integer{bound}, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be an integer{bound}, got {shown(value)}")
     return v
 
 
@@ -74,14 +92,14 @@ def read_ints(values, name: str) -> tuple[int, ...]:
     try:
         return tuple(read_int(v, name) for v in values)
     except InvalidArgumentError:
-        raise InvalidArgumentError(f"{name} must be integers; got {values!r}") from None
+        raise InvalidArgumentError(f"{name} must be integers; got {shown(values)}") from None
 
 
 def read_items(values, name: str) -> tuple:
     """``values`` as a tuple, if it is a container holding at least one item."""
     items = tuple(values) if np.iterable(values) else ()
     if not items:
-        raise InvalidArgumentError(f"{name} must be a non-empty sequence, got {values!r}")
+        raise InvalidArgumentError(f"{name} must be a non-empty sequence, got {shown(values)}")
     return items
 
 

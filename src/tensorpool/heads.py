@@ -20,7 +20,7 @@ import numpy as np
 from .attention import RBF, AttentionBundle, DEFAULT_SIGMA, multi_head, read_sigma
 from .attention import _check_heads, _heads
 from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
-from .errors import read_int
+from .errors import read_int, shown
 from .tensor import MAX_EPISODE_DIM
 
 # Each weight's (rows, cols) in units of d, in the order ``HeadWeights.seeded`` draws them.
@@ -71,7 +71,7 @@ class HeadWeights:
         """Deterministic weights, uniform in [-1/sqrt(d), 1/sqrt(d)], for d up to an episode's."""
         dim = read_int(dim, "dim", 1)
         if dim > MAX_EPISODE_DIM:  # checked before anything is drawn
-            raise CapacityError(f"dim {dim} exceeds the episode limit {MAX_EPISODE_DIM}")
+            raise CapacityError(f"dim {shown(dim)} exceeds the episode limit {MAX_EPISODE_DIM}")
         rng = np.random.default_rng(read_int(seed, "seed", 0))
         bound = 1.0 / np.sqrt(dim)
         return cls(**{name: rng.uniform(-bound, bound, size=(rows * dim, cols * dim))

@@ -28,7 +28,7 @@ import numpy as np
 from .attention import DEFAULT_SIGMA, RBF, AttentionBundle, multi_head, rbf_similarity
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
 from .errors import CapacityError, InvalidArgumentError, read_array, read_int, read_ints
-from .errors import read_items, read_real
+from .errors import read_items, read_real, shown
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -86,7 +86,7 @@ class SplitConfig:
         counts[next(i for i, r in enumerate(self.ratios) if r)] += dim - sum(counts)
         if any(c < 2 for c, r in zip(counts, self.ratios) if r):
             raise InvalidArgumentError(
-                f"split {self.ratios} of {dim} channels leaves a group below 2"
+                f"split {shown(self.ratios)} of {shown(dim)} channels leaves a group below 2"
             )
         return tuple(counts)
 

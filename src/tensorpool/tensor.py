@@ -16,12 +16,11 @@ and freezes it.  A caller's ``data`` is screened once too, by ``read_array``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
-from .errors import read_int
+from .errors import read_int, shown
 
 # Desk-scale size bounds: large enough for meaningful experiments, small
 # enough that brute-force oracles run in seconds.
@@ -34,12 +33,12 @@ def check_capacity(dim: int, order: int) -> None:
     """Reject (dim, order) outside the supported envelope: ``1 <= dim <= CAPACITY[order]``."""
     order, dim = read_int(order, "order", 1), read_int(dim, "dim")
     if order > MAX_ORDER:
-        raise CapacityError(f"order {order} exceeds the supported maximum {MAX_ORDER}")
+        raise CapacityError(f"order {shown(order)} exceeds the supported maximum {MAX_ORDER}")
     if dim < 1:
-        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
+        raise InvalidArgumentError(f"dim must be >= 1, got {shown(dim)}")
     limit = CAPACITY[order]
     if dim > limit:
-        raise CapacityError(f"dim {dim} exceeds the order-{order} limit {limit}")
+        raise CapacityError(f"dim {shown(dim)} exceeds the order-{order} limit {limit}")
 
 
 def _diagonal_step(d: int, k: int) -> int:
@@ -59,8 +58,11 @@ class DenseTensor:
     def __init__(self, order: int, dim: int, data):
         order, dim = read_int(order, "order", 1), read_int(dim, "dim", 1)
         flat = read_array(data, "data", copy=True).reshape(-1)
-        if flat.size != dim**order:
-            raise InvalidArgumentError(f"data length {flat.size} != dim**order = {dim**order}")
+        # past log2 of the length, dim**order (dim >= 2) is too long even to compute
+        if flat.size != (dim**order if dim == 1 or order < flat.size.bit_length() else -1):
+            raise InvalidArgumentError(
+                f"data length {flat.size} != dim**order for dim {shown(dim)}, order {shown(order)}"
+            )
         self._seal(order, dim, flat)
 
     def __setattr__(self, name, value):
@@ -136,13 +138,21 @@ def super_diagonal(t: DenseTensor) -> SuperDiagonal:
 
 @np.errstate(over="ignore")  # an overflow raises _from_owned's DomainError
 def symmetrize(t: DenseTensor) -> DenseTensor:
-    """Average over all index permutations of ``t``."""
-    arr = t.array
-    acc = np.zeros_like(arr)
-    perms = list(permutations(range(t.order)))
-    for p in perms:
-        acc += arr.transpose(p)
-    return DenseTensor._from_owned(t.order, t.dim, acc / len(perms))
+    """Average over all index permutations of ``t``.
+
+    Built up one mode at a time from coset representatives: once ``acc`` is
+    the average over the permutations of its first ``k`` modes, averaging it
+    with its ``k`` swaps ``(i, k)``, ``i < k``, averages over the first
+    ``k + 1``.  That is ``r(r-1)/2`` transposed additions, 6 at order 4, not
+    ``r! - 1``.
+    """
+    acc = t.array
+    for k in range(1, t.order):
+        total = acc + acc.swapaxes(0, k)
+        for i in range(1, k):
+            total += acc.swapaxes(i, k)
+        acc = total / (k + 1)
+    return DenseTensor._from_owned(t.order, t.dim, acc if t.order > 1 else acc.copy())
 
 
 def asymmetry(t: DenseTensor) -> float:

@@ -10,7 +10,9 @@ the identity, concentrating signal on the super-diagonal; on matrices the
 operator reduces to the spectral map ``lambda -> 1 - (1 - lambda)**eta``.
 Fast paths evaluate the power in O(log eta) contractions for even orders and
 as a ternary chain for odd orders with ``eta`` a power of three, both by
-``_power``, which the fast kernels and ``hop_unit``'s dense tail share.
+``_power``, which the fast kernels and ``hop_unit``'s dense tail share.  At
+order 4 the squaring runs on the ``d(d+1)/2`` pair-symmetric coordinates of
+the super-symmetric input, not on its ``d**2 x d**2`` half unfolding.
 
 A descriptor built from ``N`` feature columns has rank at most ``N``, so
 ``_gram_super_diagonal`` never forms the ``d**r`` descriptor.  At order 2 it
@@ -31,12 +33,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, _mean_norm_power, _normalized, column_norms
 from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
-from .errors import read_int, read_real
+from .errors import read_int, read_real, shown
 from .tensor import DenseTensor, _diagonal_step, asymmetry, check_capacity
 from .tensor import identity_tensor, symmetrize
 
@@ -118,7 +121,7 @@ class TsoParams:
         """Effective exponent for ``order``, applying odd-order rounding."""
         eta = {2: self.eta2, 3: self.eta3, 4: self.eta4}.get(order)
         if eta is None:
-            raise InvalidArgumentError(f"no exponent configured for order {order}")
+            raise InvalidArgumentError(f"no exponent configured for order {shown(order)}")
         return eta if order % 2 == 0 else nearest_power_of_3(eta)
 
     def substitutions(self) -> list[tuple[int, int, int]]:
@@ -212,6 +215,44 @@ def _identity_unfolding(d: int, r: int) -> np.ndarray:
     return identity_tensor(d, r).data.reshape(d ** ((r + 1) // 2), d ** (r // 2))
 
 
+class _PairCoordinates(NamedTuple):
+    """Order-4 tensors at dimension ``d`` on their ``K = d(d+1)/2`` pairs ``a = (i <= j)``.
+
+    The ``d`` diagonal pairs ``(p, p)`` come first.  The half unfolding of a
+    pair-symmetric ``M`` maps pair-symmetric vectors to pair-symmetric ones and
+    annihilates antisymmetric ones, so with ``C[a, b] = w_b M[(i, j), (k, l)]``
+    (``w_b`` 2 for ``k < l``, 1 for ``k = l``) every power is read back as
+    ``M**eta[(i, j), (k, l)] = C**eta[a, b] / w_b``.
+    """
+
+    gather: np.ndarray  # K x K flat indices of M[(i, j), (k, l)] in the d**4 buffer
+    weight: np.ndarray  # w_b, one per column pair
+    eye: np.ndarray  # the identity's unfolding on these coordinates
+    expand: np.ndarray  # d**4 flat indices of entry (a, b) in the K x K buffer
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_coordinates(d: int) -> _PairCoordinates:
+    """The read-only ``_PairCoordinates`` at ``d``, cached like ``_identity_unfolding``."""
+    check_capacity(d, 4)
+    k = d * (d + 1) // 2
+    upper = np.triu_indices(d, 1)
+    first, second = (np.concatenate([np.arange(d), index]) for index in upper)
+    flat = first * d + second  # each pair's (i, j) row of the half unfolding
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(k)
+    pair = pair.ravel()
+    coordinates = _PairCoordinates(
+        gather=flat[:, None] * d * d + flat,
+        weight=np.where(first < second, 2.0, 1.0),
+        eye=np.diag(np.repeat([1.0, 0.0], [d, k - d])),
+        expand=(pair[:, None] * k + pair).ravel(),
+    )
+    for array in coordinates:
+        array.setflags(write=False)
+    return coordinates
+
+
 def _check_eta(order: int, eta) -> int:
     """``eta`` read as an int, if it is a legal exponent for ``order``.
 
@@ -223,7 +264,7 @@ def _check_eta(order: int, eta) -> int:
     eta = read_int(eta, "eta")
     if not is_power_of_3(eta):
         raise InvalidArgumentError(
-            f"odd-order eta must be a power of 3, got {eta}",
+            f"odd-order eta must be a power of 3, got {shown(eta)}",
             nearest_eta=nearest_power_of_3(max(eta, 1)),
         )
     return eta
@@ -235,7 +276,7 @@ def _overflow(r: int, eta: int) -> DomainError:
     descriptor drifts like ``eta * eps`` and overflows at huge ``eta``.
     """
     return DomainError(
-        f"order-{r} shrinkage overflows float64 at eta {eta}: the power is not finite"
+        f"order-{r} shrinkage overflows float64 at eta {shown(eta)}: the power is not finite"
     )
 
 
@@ -243,7 +284,13 @@ def tso_fast_even(t: DenseTensor, eta: int) -> DenseTensor:
     """Even-order shrinkage via exponentiation by squaring.
 
     Identical to the naive repeated contraction but needs only
-    ``floor(log2(eta)) + popcount(eta) - 1`` contractions.
+    ``floor(log2(eta)) + popcount(eta) - 1`` contractions.  At order 4 they
+    are ``K x K`` products, ``K = d(d+1)/2``: ``T`` is read on its
+    pair-symmetric coordinates (``_pair_coordinates``), one entry for each
+    ``T[i, j, k, l]`` with ``i <= j`` and ``k <= l``, so ``T`` must be
+    super-symmetric.  ``tso``'s guard ensures that for its inputs, and
+    ``hotd`` builds it; drift left in ``T`` moves the result by at most about
+    ``eta`` times that drift.
     """
     if t.order % 2:
         raise InvalidArgumentError("even fast path requires an even order")
@@ -273,8 +320,18 @@ def _ternary_power(m: np.ndarray, eta: int) -> np.ndarray:
     return m
 
 
-def _power(eye: np.ndarray, data: np.ndarray, r: int, eta: int) -> np.ndarray:
-    """``(I - T)**eta`` on the identity's unfolding ``eye``, from ``T.data``: fresh, unscreened."""
+def _power(data: np.ndarray, d: int, r: int, eta: int) -> np.ndarray:
+    """``(I - T)**eta`` from ``T.data``: fresh, unscreened.
+
+    At order 4 it is ``C**eta`` on ``_pair_coordinates(d)``, ``K x K``;
+    otherwise the power of the identity's unfolding minus ``T``'s.
+    """
+    if r == 4:
+        pairs = _pair_coordinates(d)
+        c = data[pairs.gather]  # not take(): it copies a read-only index on every call
+        c *= pairs.weight
+        return _binary_power(np.subtract(pairs.eye, c, out=c), eta)
+    eye = _identity_unfolding(d, r)
     power = _ternary_power if r % 2 else _binary_power
     return power(eye - data.reshape(eye.shape), eta)  # unnamed: no second buffer stays alive
 
@@ -282,10 +339,15 @@ def _power(eye: np.ndarray, data: np.ndarray, r: int, eta: int) -> np.ndarray:
 @np.errstate(all="ignore")  # the cheapest way into the mode; an overflow raises below
 def _shrunk(t: DenseTensor, eta: int) -> DenseTensor:
     """The fast kernels' body: ``I - (I - T)**eta`` at a legal ``eta``, screened once."""
-    eye = _identity_unfolding(t.dim, t.order)
-    g = _power(eye, t.data, t.order, eta)
-    np.subtract(eye, g, out=g)  # g is owned here, even when eta == 1 (g is eye - T)
-    return DenseTensor._from_owned(t.order, t.dim, g, lambda: _overflow(t.order, eta))
+    r, d = t.order, t.dim
+    g = _power(t.data, d, r, eta)  # owned here, even when eta == 1 (g is I - T)
+    if r == 4:
+        pairs = _pair_coordinates(d)
+        g /= pairs.weight  # exact: w is 1 or 2
+        g = np.subtract(pairs.eye, g, out=g).ravel()[pairs.expand]
+    else:
+        np.subtract(_identity_unfolding(d, r), g, out=g)
+    return DenseTensor._from_owned(r, d, g, lambda: _overflow(r, eta))
 
 
 def tso_naive(t: DenseTensor, eta: int) -> DenseTensor:
@@ -369,9 +431,10 @@ def _route(d: int, r: int, eta: int, n: int) -> str:
     The route with the fewest multiply-adds wins.  The dense routes shrink a
     built descriptor with the kernel ``tso`` dispatches to: ``"chain"`` at odd
     orders (``log3(eta)`` steps of ``2 d**4`` at order 3) and ``"square"`` at
-    even orders (``even_contraction_count(eta)`` products of the ``D x D``
-    half unfolding, ``D = d**(r/2)``).  Every order may take ``"gram"``
-    instead.  At order 2 ``_gram_super_diagonal`` forms ``A^T A`` (``n**2 d``),
+    even orders (``even_contraction_count(eta)`` products of ``D x D``
+    matrices: ``D = d`` at order 2, and at order 4 the half unfolding on its
+    ``D = d(d+1)/2`` pair-symmetric coordinates).  Every order may take
+    ``"gram"`` instead.  At order 2 ``_gram_super_diagonal`` forms ``A^T A`` (``n**2 d``),
     the geometric sum ``S`` in ``even_contraction_count(eta)`` products of
     ``2n x 2n`` blocks, and ``A S`` (``d n**2``), so it wins only where ``n``
     is well below ``d``.  At orders 3 and 4 it forms the ``m x m`` Gram
@@ -385,7 +448,8 @@ def _route(d: int, r: int, eta: int, n: int) -> str:
         steps = _log3(eta)
         route, cost = "chain", 2 * steps * d ** (r + r // 2)
     else:
-        route, cost = "square", even_contraction_count(eta) * d ** (3 * (r // 2))
+        side = d if r == 2 else d * (d + 1) // 2
+        route, cost = "square", even_contraction_count(eta) * side**3
     if r == 2:
         gram = 2 * n * n * d + even_contraction_count(eta) * (2 * n) ** 3
     else:
@@ -412,8 +476,9 @@ def _shrunk_super_diagonal(t: DenseTensor, eta: int, f: FeatureMatrix) -> np.nda
     r, d = t.order, t.dim
     data = check_finite(_normalized(t, f),
                         lambda: DomainError("tensor coefficients overflow float64"))
-    g = check_finite(_power(_identity_unfolding(d, r), data, r, eta), lambda: _overflow(r, eta))
-    return 1.0 - g.ravel()[:: _diagonal_step(d, r)]
+    g = check_finite(_power(data, d, r, eta), lambda: _overflow(r, eta))
+    # the pair coordinates list the diagonal pairs (p, p), where w = 1, first
+    return 1.0 - (g.diagonal()[:d] if r == 4 else g.ravel()[:: _diagonal_step(d, r)])
 
 
 @np.errstate(all="ignore")  # an overflow raises a DomainError below

@@ -1,14 +1,18 @@
 """Reference implementations that the tests compare the package against.
 
 Nothing here calls a package computation: each oracle is written from its
-definition (an explicit outer power, ``np.tensordot``, a reshape, a central
-difference, a closed-form slope, a 50-digit spectrum), so a fault in a fast
-path cannot hide in its own check.  Only the tensor container, the capacity bounds, the
-typed errors, the normalization's ``EPSILON`` and a shrinkage problem's
-constants (``s``, ``t``, ``delta``) come from the package.
+definition (an explicit outer power, ``np.tensordot``, a reshape, an average
+over every permutation, a central difference, a closed-form slope, a 50-digit
+spectrum), so a fault in a fast path cannot hide in its own check.  Only the
+tensor container, the capacity bounds, the typed errors, the normalization's
+``EPSILON`` and a shrinkage problem's constants (``s``, ``t``, ``delta``) come
+from the package.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
+from math import factorial
 
 import mpmath
 import numpy as np
@@ -97,6 +101,14 @@ def fancy_identity(d: int, r: int) -> np.ndarray:
 def fancy_super_diagonal(arr: np.ndarray) -> np.ndarray:
     """``arr[i, i, ..., i]`` for every ``i``, read through the same fancy index."""
     return arr[(np.arange(arr.shape[0]),) * arr.ndim]
+
+
+def permutation_average(arr: np.ndarray) -> np.ndarray:
+    """The mean of ``arr.transpose(p)`` over all ``r!`` axis permutations ``p``, summed in turn."""
+    total = np.zeros_like(arr)
+    for p in permutations(range(arr.ndim)):
+        total += arr.transpose(p)
+    return total / factorial(arr.ndim)
 
 
 def numerical_jacobian(op, x, step: float = 1e-6) -> np.ndarray:

@@ -19,8 +19,9 @@ import tensorpool
 from tensorpool import bench, shrinkage
 from tensorpool.attention import RBF, AttentionBundle, attention, rbf_similarity
 from tensorpool.bench import random_normalized_descriptor
-from tensorpool.descriptors import FeatureMatrix, normalize_descriptor, poly_kernel_sum
+from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
 from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError, TensorPoolError
+from tensorpool.errors import read_int, read_ints, shown
 from tensorpool.heads import HeadWeights, PooledFeatures, TokenMatrix, build_spatial_hop_tokens
 from tensorpool.heads import compute_relations, spatial_hop_head, z_average, zshot_head
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, attend_query_to_supports, hop_unit
@@ -414,3 +415,46 @@ def test_caller_values_are_read_only_in_errors_py():
         assert scans == FINITENESS_SCANS.get(path.name, 0), f"{path.name} scans for finiteness"
         lines = _try_wrapped_array_readers(ast.parse(text))
         assert not lines, f"{path.name} reads arrays itself at lines {lines}"
+
+
+TOO_LONG = 10**5000  # past the 4,300 digits Python prints: an error text must not print it in full
+FEATURES_4X8 = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 8)))
+NORMALIZED_ORDER_3 = normalize_descriptor(hotd(FEATURES_4X8, 3), FEATURES_4X8)
+TOO_LONG_INTEGERS = {
+    "read_int": (lambda: read_int(-TOO_LONG, "eta", 1), InvalidArgumentError),
+    "TsoParams": (lambda: TsoParams(eta2=-TOO_LONG), InvalidArgumentError),
+    "tso-overflow": (lambda: tso(NORMALIZED_ORDER_3, 3**9100), DomainError),
+    "tso-odd-eta": (lambda: tso(NORMALIZED_ORDER_3, 3**9100 + 1), InvalidArgumentError),
+    "eta_for_order": (lambda: TsoParams().eta_for_order(TOO_LONG), InvalidArgumentError),
+    "check_capacity-order": (lambda: check_capacity(2, TOO_LONG), CapacityError),
+    "check_capacity-dim": (lambda: check_capacity(TOO_LONG, 2), CapacityError),
+    "check_capacity-negative": (lambda: check_capacity(-TOO_LONG, 2), InvalidArgumentError),
+    "DenseTensor-dim": (lambda: DenseTensor(2, TOO_LONG, np.zeros(4)), InvalidArgumentError),
+    "DenseTensor-order": (lambda: DenseTensor(TOO_LONG, 2, np.zeros(4)), InvalidArgumentError),
+    "read_ints": (lambda: read_ints([1, 2.5, TOO_LONG], "sizes"), InvalidArgumentError),
+    "head count": (lambda: AttentionBundle(M, M, M, heads=TOO_LONG), InvalidArgumentError),
+    "HeadWeights": (lambda: HeadWeights.seeded(TOO_LONG), CapacityError),
+    "bench_tso": (lambda: bench.bench_tso(2, 4, etas=(2,), repeats=TOO_LONG), InvalidArgumentError),
+    "read_items": (lambda: bench.bench_tso(2, 4, etas=TOO_LONG), InvalidArgumentError),
+    "channel_counts": (lambda: SplitConfig((TOO_LONG, 1, 1)).channel_counts(96),
+                       InvalidArgumentError),
+}
+
+
+@pytest.mark.parametrize("call, error", TOO_LONG_INTEGERS.values(), ids=TOO_LONG_INTEGERS)
+def test_an_integer_too_long_to_print_ends_in_its_typed_error(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as caught:
+            call()
+    assert "integer of" in str(caught.value) or "too long to print" in str(caught.value)
+    assert len(str(caught.value)) < 200
+
+
+def test_shown_prints_an_integer_in_full_up_to_about_100_digits():
+    for value in (0, -7, 2**70, 10**99, np.int64(5), 2.5, "eta"):
+        assert shown(value) == repr(value)
+    assert shown(10**100) == "<an integer of 101 digits>"
+    assert shown(-(10**100) + 1) == "-<an integer of 100 digits>"
+    assert shown(TOO_LONG) == "<an integer of 5001 digits>"
+    assert shown((1, TOO_LONG)) == "<a tuple too long to print>"

@@ -409,6 +409,20 @@ class TestHopUnit:
                 gram = [n for n in range(1, 301) if tso_module._route(d, 2, eta, n) == "gram"]
                 assert gram == list(range(1, len(gram) + 1)) and len(gram) < d
 
+    def test_plans_of_the_benchmark_shapes(self):
+        # Pinned at the default split and exponents: episode-hop (96 x 16), episode-wide
+        # (32 x 256) and perfbench's test spec (16 x 8), whose hotd calls are counted there.
+        expected = {
+            (96, 16): [(2, 0, 60, "gram"), (3, 60, 84, "gram"), (4, 84, 96, "gram")],
+            (32, 256): [(2, 0, 20, "square"), (3, 20, 28, "chain"), (4, 28, 32, "square")],
+            (16, 8): [(2, 0, 10, "square"), (3, 10, 14, "chain"), (4, 14, 16, "square")],
+        }
+        for shape, groups in expected.items():
+            got = [(g.order, g.channels.start, g.channels.stop, g.route)
+                   for g in plan(*shape, SplitConfig(), TsoParams())]
+            assert got == groups
+            assert [g.eta for g in plan(*shape, SplitConfig(), TsoParams())] == [7, 9, 7]
+
     def test_order_two_alone_is_sigme_of_its_super_diagonal(self):
         features = np.random.default_rng(7).normal(size=(32, 20))
         params = TsoParams()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import contract, fancy_identity, fancy_super_diagonal, outer_power, tensor_inner, unfold
+from oracles import permutation_average
 
 from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError
 from tensorpool.tensor import (
@@ -256,3 +257,17 @@ class TestSymmetrize:
         assert asymmetry(t) > 1e-4
         sym = symmetrize(t)
         assert asymmetry(sym) <= 1e-15
+
+    @pytest.mark.parametrize("order, dim", [(1, 5), (2, 128), (3, 24), (4, 16), (4, 1)])
+    def test_equals_the_average_over_every_permutation(self, order, dim):
+        # symmetrize adds r(r-1)/2 swaps mode by mode; the oracle adds all r! permutations
+        rng = np.random.default_rng(order * dim)
+        base = sum(outer_power(rng.normal(size=dim), order).data for _ in range(3))
+        for noise in (1e-9, 1.0):  # a drifted descriptor, then a tensor with no symmetry
+            t = DenseTensor(order, dim, base + noise * rng.normal(size=dim**order))
+            expected = permutation_average(t.array)
+            out = symmetrize(t)
+            assert np.max(np.abs(out.array - expected)) <= 8 * np.finfo(float).eps * np.max(
+                np.abs(t.data))
+            assert not np.shares_memory(out.data, t.data)
+            assert asymmetry(t) == np.max(np.abs(t.array - out.array))

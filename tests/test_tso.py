@@ -1,6 +1,7 @@
 """Shrinkage operators: scalar, spectral, and tensorial, plus fast paths."""
 
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -282,11 +283,12 @@ class TestCapacityAtEveryEntryPoint:
             self.call(name, order, self.SIDES[order])
 
     def test_identity_cache_does_not_grow_on_rejections(self):
-        cached = tso_module._identity_unfolding.cache_info().currsize
+        caches = (tso_module._identity_unfolding, tso_module._pair_coordinates)
+        cached = [cache.cache_info().currsize for cache in caches]
         for name, order in self.CASES:
             with pytest.raises(CapacityError):
                 self.call(name, order, self.SIDES[order])
-        assert tso_module._identity_unfolding.cache_info().currsize == cached
+        assert [cache.cache_info().currsize for cache in caches] == cached
 
 
 class ProductCounter:
@@ -402,26 +404,35 @@ class TestSharedPower:
     """``_power`` is the one parity choice of ``(I - T)**eta`` that both kernels and hop_unit run."""
 
     def test_even_orders_match_matrix_power_in_a_fresh_buffer(self):
-        # _shrunk subtracts the power from the identity in place, so the power must own its
-        # buffer at every eta, eta 1 included, and leave the cached identity and T untouched
-        for order, dim in ((2, 6), (4, 3)):
+        # _shrunk works on the power in place, so it must own its buffer at every eta, eta 1
+        # included, and leave the cached constants and T untouched.  At order 4 the power is
+        # read on pair coordinates: the diagonal pairs (p, p), then (i < j) row by row, each
+        # column pair (k < l) weighted 2 because it stands for (k, l) and (l, k).
+        for order, dim in ((2, 6), (4, 1), (4, 2), (4, 3), (4, 16)):
             t = normalized_descriptor(order, dim, seed=30 + order)
-            eye = tso_module._identity_unfolding(dim, order)
-            before = t.data.copy()
+            eye = unfold(identity_tensor(dim, order), order // 2)
+            pairs = [(p, p) for p in range(dim)] + list(itertools.combinations(range(dim), 2))
+            rows = [i * dim + j for i, j in pairs] if order == 4 else list(range(dim))
+            weight = np.array([1.0 if i == j else 2.0 for i, j in pairs]) if order == 4 else 1.0
+            constants = [tso_module._identity_unfolding(dim, order)]
+            if order == 4:
+                constants += list(tso_module._pair_coordinates(dim))
+            before = [c.copy() for c in constants + [t.data]]
             for eta in (1, 2, 3, 6, 11, 16):
-                g = tso_module._power(eye, t.data, order, eta)
-                expected = np.linalg.matrix_power(eye - unfold(t, order // 2), eta)
+                g = tso_module._power(t.data, dim, order, eta)
+                full = np.linalg.matrix_power(eye - unfold(t, order // 2), eta)
+                expected = full[np.ix_(rows, rows)] * weight
                 np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-14)
                 assert g.flags.writeable
-                assert not np.shares_memory(g, eye) and not np.shares_memory(g, t.data)
-            assert np.array_equal(t.data, before)
+                assert not any(np.shares_memory(g, c) for c in constants + [t.data])
+            assert all(np.array_equal(c, b) for c, b in zip(constants + [t.data], before))
 
     def test_odd_order_runs_the_einsum_chain(self):
         t = normalized_descriptor(3, 4, seed=33)
         eye = tso_module._identity_unfolding(4, 3)
         identity = identity_tensor(4, 3).array
         for eta in (1, 3, 9, 27):
-            g = tso_module._power(eye, t.data, 3, eta)
+            g = tso_module._power(t.data, 4, 3, eta)
             assert g.shape == (16, 4)
             assert not np.shares_memory(g, eye) and not np.shares_memory(g, t.data)
             expected = identity - einsum_odd_chain(t.array, eta)
@@ -445,6 +456,21 @@ class TestTsoDispatch:
             np.testing.assert_allclose(
                 tso(drifted, eta).data, tso(symmetrize(drifted), eta).data, atol=1e-14
             )
+
+    def test_order_4_drift_below_the_repair_threshold_stays_within_its_bound(self, monkeypatch):
+        # tso_fast_even reads an order-4 T on pair coordinates, so it sees only one of each
+        # pair of mirrored entries; drift the guard lets through unrepaired moves the result
+        # by no more than eta times that drift.
+        t = normalized_descriptor(4, 5, seed=19)
+        scale = max(1.0, np.max(np.abs(t.data)))
+        arr = t.array.copy()
+        arr[0, 1, 2, 3] += 0.99e-10 * scale
+        drifted = DenseTensor(4, 5, arr)
+        assert 0.9e-10 * scale < asymmetry(drifted) <= 1e-10 * scale
+        monkeypatch.setattr(tso_module, "symmetrize", None)  # repairing would call it
+        for eta in (1, 2, 7, 64):
+            gap = np.max(np.abs(tso(drifted, eta).data - tso_naive(drifted, eta).data))
+            assert gap <= eta * 1e-10 * scale
 
     def test_symmetry_guard_rejects_large_drift(self):
         for order, eta in ((2, 4), (3, 3), (4, 4)):
