@@ -115,21 +115,6 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float, kind: str
     return check_finite(mixed, lambda: DomainError("attention overflows float64"))
 
 
-def attention(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
-    """Single-head attention: ``alpha(gamma(Q, K)) @ V.T``, one row per query.
-
-    The softmax kind mixes values with rows summing to one; the RBF kind
-    uses unnormalized Gaussian similarities of l2-normalized tokens, so its
-    rows do not sum to one.  It is ``multi_head`` restricted to one-head
-    bundles: a bundle built for several heads goes to ``multi_head`` itself.
-    """
-    if bundle.heads != 1:
-        raise InvalidArgumentError(
-            f"attention runs one head, the bundle has {bundle.heads}: use multi_head"
-        )
-    return multi_head(bundle, kind)
-
-
 def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, sigma: float, kind: str):
     """``_attend`` on validated ``(..., d, N)`` stacks split into ``heads`` channel groups.
 
@@ -144,10 +129,10 @@ def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, sigma: float
 
 
 def multi_head(bundle: AttentionBundle, kind: str = SOFTMAX) -> np.ndarray:
-    """Run attention per channel group and concatenate the outputs.
+    """Attention ``alpha(gamma(Q, K)) @ V.T`` per channel group, one row per query.
 
-    With one head this is exactly ``attention``; each head sees its own
-    ``d / T`` channels of Q, K, and V, and all heads run in one ``_heads``
-    call on the bundle, validated once, on construction.
+    Softmax rows sum to one; RBF rows are unnormalized Gaussian similarities of
+    l2-normalized tokens.  Each head sees its own ``d / T`` channels of Q, K and V,
+    and all heads run in one ``_heads`` call on the bundle, validated on construction.
     """
     return _heads(bundle.queries, bundle.keys, bundle.values, bundle.heads, bundle.sigma, kind)

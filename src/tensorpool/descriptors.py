@@ -92,22 +92,11 @@ def column_norms(c: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(c * c, axis=0))
 
 
-def descriptor_norm_sum(f: FeatureMatrix, r: int) -> float:
-    """Mean of r-th powers of the column norms.
-
-    For even ``r`` this equals the trace of the descriptor's half unfolding,
-    so dividing by it (plus epsilon) trace-normalizes the descriptor.  The
-    same formula is used for odd orders, where no unfolding trace exists.
-    A sum beyond float64 raises ``DomainError``, on every route that pools ``f``.
-    """
-    r = read_int(r, "r", 1)
-    with np.errstate(over="ignore"):
-        return _mean_norm_power(f, r, column_norms(f.columns) ** r)
-
-
 def _mean_norm_power(f: FeatureMatrix, r: int, powers: np.ndarray) -> float:
-    """``descriptor_norm_sum``'s rule on ``powers = column_norms(f.columns) ** r``.
+    """Mean r-th power of the column norms, from ``powers = column_norms(f.columns) ** r``.
 
+    For even ``r`` this equals the trace of the descriptor's half unfolding, so dividing
+    by it (plus epsilon) trace-normalizes the descriptor; odd orders use the same formula.
     The caller ignores overflow: a sum beyond float64 raises ``DomainError`` here.
     """
     return check_finite(float(powers.sum()), lambda: _features_overflow(f, r)) / f.count
@@ -123,13 +112,13 @@ def _features_overflow(f: FeatureMatrix, r: int) -> DomainError:
 
 
 def _normalized(t: DenseTensor, f: FeatureMatrix) -> np.ndarray:
-    """``t.data / (EPSILON + descriptor_norm_sum(f, t.order))``; the caller screens overflow."""
+    """``t.data / (EPSILON + mean rho**r)`` at ``r = t.order``; the caller screens overflow."""
     return t.data / (EPSILON + _mean_norm_power(f, t.order, column_norms(f.columns) ** t.order))
 
 
 @np.errstate(over="ignore")  # an overflow raises _from_owned's DomainError
 def normalize_descriptor(t: DenseTensor, f: FeatureMatrix) -> DenseTensor:
-    """Scale ``t = hotd(f, t.order)`` by ``1 / (epsilon + descriptor_norm_sum)``.
+    """Scale ``t = hotd(f, t.order)`` by ``1 / (epsilon + _mean_norm_power)``.
 
     The order is read from ``t``, and ``f`` must have ``t``'s dimension.
     """

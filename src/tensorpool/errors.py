@@ -9,10 +9,11 @@ a non-empty container as a tuple, and ``read_array`` a float64 array, of a given
 if asked; a ragged array, one of complex, string or object dtype, or one with a NaN or
 an infinity (``_all_finite``), is rejected.
 A value the package computes is screened by ``check_finite``, which raises the error named.
-An error text shows a caller's value by ``shown``, so an integer too long to print cannot
-turn a typed error into a bare ``ValueError``.
+An error text shows a caller's value by ``shown``, and a config's ``repr`` its fields by
+``shown_repr``, so an integer too long to print cannot turn either into a bare ``ValueError``.
 """
 
+import dataclasses
 import math
 import numbers
 
@@ -71,6 +72,14 @@ def shown(value) -> str:
         return repr(value)
     except ValueError:  # a container holding such an integer
         return f"<a {type(value).__name__} too long to print>"
+
+
+def shown_repr(obj) -> str:
+    """A dataclass's ``repr``, each field (a tuple field item by item) shown by ``shown``."""
+    def show(v):  # a tuple's own repr would print its items in full
+        return f"({', '.join(map(shown, v))})" if type(v) is tuple else shown(v)
+    items = (f"{f.name}={show(getattr(obj, f.name))}" for f in dataclasses.fields(obj))
+    return f"{type(obj).__name__}({', '.join(items)})"
 
 
 def read_int(value, name: str, low: int | None = None) -> int:

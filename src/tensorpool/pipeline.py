@@ -28,7 +28,7 @@ import numpy as np
 from .attention import DEFAULT_SIGMA, RBF, AttentionBundle, multi_head, rbf_similarity
 from .descriptors import FeatureMatrix, hotd, normalize_descriptor
 from .errors import CapacityError, InvalidArgumentError, read_array, read_int, read_ints
-from .errors import read_items, read_real, shown
+from .errors import read_items, read_real, shown, shown_repr
 from .heads import (
     HeadWeights,
     PooledFeatures,
@@ -62,6 +62,7 @@ class SplitConfig:
     """Channel-split ratios for the order-2, 3, 4 descriptor groups; a 0 drops that order."""
 
     ratios: tuple[int, int, int] = (5, 2, 1)
+    __repr__ = shown_repr  # a ratio may be too long for the default repr
 
     def __post_init__(self):
         ratios = read_ints(self.ratios, "ratios")
@@ -102,6 +103,7 @@ class GroupPlan:
     channels: slice = field(hash=False)  # a slice cannot be hashed before Python 3.12
     eta: int
     route: str
+    __repr__ = shown_repr
 
 
 def plan(dim: int, width: int, cfg: SplitConfig, params: TsoParams) -> tuple[GroupPlan, ...]:

@@ -225,7 +225,6 @@ class IdentityTargetReport:
     trials: int
     etas: list[int]
     max_deviation_per_eta: list[float]
-    orthogonality_residual: float
     monotone: bool
     limit_deviation: float
 
@@ -236,7 +235,7 @@ def verify_identity_target(dim: int, trials: int, seed: int = 0) -> IdentityTarg
     For random full-rank trace-normalized inputs, the deviation
     ``max |maxexp_f(m, eta) - I|`` must fall monotonically as ``eta``
     doubles (strictly while above the floating-point floor) and reach 1e-6
-    by ``eta = 2**20``.  Eigenvector orthogonality is checked on the way.
+    by ``eta = 2**20``.
     """
     dim, trials = read_int(dim, "dim", 2), read_int(trials, "trials", 1)
     check_capacity(dim, 2)  # maxexp_f's bound, before anything is allocated
@@ -244,16 +243,10 @@ def verify_identity_target(dim: int, trials: int, seed: int = 0) -> IdentityTarg
     etas = [2**k for k in range(1, 21)]
     eye = np.eye(dim)
     worst = np.zeros(len(etas))
-    ortho = 0.0
     monotone = True
     for _ in range(trials):
         m = random_trace_normalized_psd(rng, dim)
-        _, vecs = np.linalg.eigh(m)
-        ortho = max(ortho, float(np.max(np.abs(vecs @ vecs.T - eye))))
-        deviations = []
-        for eta in etas:
-            out = maxexp_f(m, eta)
-            deviations.append(float(np.max(np.abs(out - eye))))
+        deviations = [float(np.max(np.abs(maxexp_f(m, eta) - eye))) for eta in etas]
         for prev, cur in zip(deviations, deviations[1:]):
             if prev > _STRICT_FLOOR:
                 monotone = monotone and cur < prev
@@ -265,7 +258,6 @@ def verify_identity_target(dim: int, trials: int, seed: int = 0) -> IdentityTarg
         trials=trials,
         etas=etas,
         max_deviation_per_eta=list(worst),
-        orthogonality_residual=ortho,
         monotone=monotone,
         limit_deviation=float(worst[-1]),
     )

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import shrinkage
-from .attention import RBF, SOFTMAX, AttentionBundle, _attend, attention, multi_head
+from .attention import RBF, SOFTMAX, AttentionBundle, _attend, multi_head
 from .descriptors import FeatureMatrix, hotd, poly_kernel_sum
 from .errors import InvalidArgumentError, _all_finite, read_int
 from .heads import (
@@ -167,9 +167,9 @@ def suite_attention(seed: int = 0) -> list[dict]:
     # per query; the extra key equals query 0, so its RBF weight must be 1
     keys = np.column_stack([bundle.keys, bundle.queries[:, 0]])
     probe = AttentionBundle(bundle.queries, keys, np.eye(d, nk + 1))
-    rows = attention(probe, SOFTMAX)[:, : nk + 1]
+    rows = multi_head(probe, SOFTMAX)[:, : nk + 1]
     weights_resid = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
-    sims = attention(probe, RBF)[:, : nk + 1]
+    sims = multi_head(probe, RBF)[:, : nk + 1]
     rbf_excess = float(max(np.max(sims) - 1.0, -np.min(sims), 0.0))
 
     perm = rng.permutation(nk)
@@ -177,17 +177,17 @@ def suite_attention(seed: int = 0) -> list[dict]:
         bundle.queries, bundle.keys[:, perm], bundle.values[:, perm]
     )
     worst_perm = max(
-        float(np.max(np.abs(attention(bundle, kind) - attention(permuted, kind))))
+        float(np.max(np.abs(multi_head(bundle, kind) - multi_head(permuted, kind))))
         for kind in (SOFTMAX, RBF)
     )
 
     q, k, v = bundle.queries, bundle.keys, bundle.values
     worst_t1 = float(np.max(np.abs(multi_head(bundle, RBF) - _attend(q, k, v, 0.5, RBF))))
     worst_heads = 0.0
-    for step in (d // 2, d // 4):  # 2 and 4 heads, each against attention on its rows
+    for step in (d // 2, d // 4):  # 2 and 4 heads, each against one head on its rows
         out = multi_head(AttentionBundle(q, k, v, heads=d // step), RBF)
         for rows in (slice(h, h + step) for h in range(0, d, step)):
-            alone = attention(AttentionBundle(q[rows], k[rows], v[rows]), RBF)
+            alone = multi_head(AttentionBundle(q[rows], k[rows], v[rows]), RBF)
             worst_heads = max(worst_heads, float(np.max(np.abs(out[:, rows] - alone))))
     return [
         _check("softmax_rows_sum_to_one", weights_resid, 1e-12),

@@ -39,7 +39,7 @@ import numpy as np
 
 from .descriptors import EPSILON, FeatureMatrix, _mean_norm_power, _normalized, column_norms
 from .errors import CapacityError, DomainError, InvalidArgumentError, check_finite, read_array
-from .errors import read_int, read_real, shown
+from .errors import read_int, read_real, shown, shown_repr
 from .tensor import DenseTensor, _diagonal_step, asymmetry, check_capacity
 from .tensor import identity_tensor, symmetrize
 
@@ -111,6 +111,7 @@ class TsoParams:
     eta3: int = 7
     eta4: int = 7
     eta_prime: float = 200.0
+    __repr__ = shown_repr  # an exponent may be too long for the default repr
 
     def __post_init__(self):
         for name in ("eta2", "eta3", "eta4"):
@@ -471,12 +472,11 @@ def _shrunk_super_diagonal(t: DenseTensor, eta: int, f: FeatureMatrix) -> np.nda
     """``super_diagonal(tso(normalize_descriptor(t, f), eta)).values``, bit for bit.
 
     ``hop_unit`` passes ``hotd(f, r)`` (in capacity, super-symmetric, so unscreened) at a legal
-    ``eta``: the float operations and screens are those of ``normalize_descriptor``, then ``tso``.
+    ``eta``: the float operations are those of ``normalize_descriptor``, then ``tso``.  Only the
+    power is screened: no ``hotd`` entry exceeds ``mean rho**r``, so none normalized exceeds 1.
     """
     r, d = t.order, t.dim
-    data = check_finite(_normalized(t, f),
-                        lambda: DomainError("tensor coefficients overflow float64"))
-    g = check_finite(_power(data, d, r, eta), lambda: _overflow(r, eta))
+    g = check_finite(_power(_normalized(t, f), d, r, eta), lambda: _overflow(r, eta))
     # the pair coordinates list the diagonal pairs (p, p), where w = 1, first
     return 1.0 - (g.diagonal()[:d] if r == 4 else g.ravel()[:: _diagonal_step(d, r)])
 
@@ -515,7 +515,7 @@ def _gram_super_diagonal(f: FeatureMatrix, r: int, eta: int) -> np.ndarray:
 
     ``rho`` is taken once and ``rho**r`` gives the norm sum and, at orders 3
     and 4, the weights.  Features whose descriptor leaves float64 raise
-    ``descriptor_norm_sum``'s ``DomainError``, and a power that leaves
+    ``_mean_norm_power``'s ``DomainError``, and a power that leaves
     float64 raises a ``DomainError`` naming ``eta``.
     """
     d, n = f.dim, f.count

@@ -3,10 +3,10 @@
 Nothing here calls a package computation: each oracle is written from its
 definition (an explicit outer power, ``np.tensordot``, a reshape, an average
 over every permutation, a central difference, a closed-form slope, a 50-digit
-spectrum), so a fault in a fast path cannot hide in its own check.  Only the
-tensor container, the capacity bounds, the typed errors, the normalization's
-``EPSILON`` and a shrinkage problem's constants (``s``, ``t``, ``delta``) come
-from the package.
+spectrum or power), so a fault in a fast path cannot hide in its own check.
+Only the tensor container, the capacity bounds, the typed errors, the
+normalization's ``EPSILON`` and a shrinkage problem's constants (``s``,
+``t``, ``delta``) come from the package.
 """
 
 from __future__ import annotations
@@ -157,30 +157,79 @@ def objective_gradient(prob, lam_prime) -> np.ndarray:
     ) * target ** (prob.alpha - 1.0)
 
 
-def shrunk_super_diagonal_mp(columns, eta: int, digits: int = 50) -> np.ndarray:
-    """Super-diagonal of ``I - (I - T)**eta`` for the order-2 descriptor of ``columns``.
+def _mp_product(a, b):
+    """``a @ b`` for matrices held as lists of rows of ``mpf``."""
+    cols = list(zip(*b))
+    return [[mpmath.fdot(row, col) for col in cols] for row in a]
 
-    ``T = Phi Phi^T / (N (EPSILON + mean rho**2))`` is formed in ``digits``-digit
-    arithmetic from the float64 features (exact as inputs) and shrunk through
-    its spectrum: with ``A = Phi / sqrt(N (EPSILON + mean rho**2))`` and the
-    eigenpairs ``(lam_k, v_k)`` of ``A^T A``, the entry ``i`` is
+
+def shrunk_super_diagonal_mp(columns, eta: int, order: int = 2, digits: int = 50) -> np.ndarray:
+    """Super-diagonal of ``I - (I - T)**eta`` for the order-``order`` descriptor of ``columns``.
+
+    Everything is formed in ``digits``-digit arithmetic from the float64
+    features (exact as inputs).  At order 2, ``T = Phi Phi^T / (N (EPSILON +
+    mean rho**2))`` is shrunk through its spectrum: with
+    ``A = Phi / sqrt(N (EPSILON + mean rho**2))`` and the eigenpairs
+    ``(lam_k, v_k)`` of ``A^T A``, the entry ``i`` is
     ``sum_k (A v_k)_i**2 sum_{j < eta} (1 - lam_k)**j``.  Directions outside
     ``A``'s range are left fixed by ``I - T`` and add nothing.  No float64
     route computes an eigendecomposition, so nothing is shared with them.
+
+    At orders 3 and 4 the descriptor ``(1/N) sum_n phi_n**r`` is built entry
+    by entry and divided by ``EPSILON + mean rho**r``; the complement
+    ``I - T`` is held as its ``d**ceil(r/2) x d**floor(r/2)`` unfolding ``M``
+    and raised by repeated squaring at order 4, and at order 3 by
+    ``log3(eta)`` steps ``M <- M (M' M)`` with ``M'`` the same entries read
+    as ``d x d**2``.  The entry ``p`` is ``1 - M[(p, p), (p, p)]`` (order 4)
+    or ``1 - M[(p, p), p]`` (order 3).
     """
     cols = np.asarray(columns, dtype=np.float64)
     d, n = cols.shape
     with mpmath.workdps(digits):
-        phi = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in cols])
-        sq = mpmath.fsum(phi[i, j] ** 2 for i in range(d) for j in range(n))
-        a = phi / mpmath.sqrt(n * mpmath.mpf(EPSILON) + sq)
-        lam, vecs = mpmath.eigsy(a.T * a)
-        av = a * vecs
-        out = []
-        for i in range(d):
-            total = mpmath.mpf(0)
-            for k in range(n):
-                ratio = 1 - lam[k]
-                total += av[i, k] ** 2 * mpmath.fsum(ratio**j for j in range(eta))
-            out.append(float(total))
+        if order == 2:
+            return _order_2_mp(cols, eta)
+        phi = [[mpmath.mpf(float(v)) for v in row] for row in cols]
+        squares = [mpmath.fsum(phi[i][k] ** 2 for i in range(d)) for k in range(n)]
+        norm_sum = mpmath.fsum(sq ** (mpmath.mpf(order) / 2) for sq in squares) / n
+        scale = 1 / (n * (mpmath.mpf(EPSILON) + norm_sum))
+        rows = [(i, j) for i in range(d) for j in range(d)]  # (i, j); columns (k, l) or k
+        lead = [[phi[i][k] * phi[j][k] for k in range(n)] for i, j in rows]
+        trail = lead if order == 4 else phi
+        ends = rows if order == 4 else [(k, k) for k in range(d)]  # I[i, j, k(, l)] = 1 at (p, p)
+        m = [[int(i == j and ends[b] == (i, i)) - scale * mpmath.fdot(lead[a], trail[b])
+              for b in range(len(ends))] for a, (i, j) in enumerate(rows)]
+        if order == 4:
+            power, base, k = None, m, eta
+            while k:
+                if k & 1:
+                    power = base if power is None else _mp_product(power, base)
+                k >>= 1
+                if k:
+                    base = _mp_product(base, base)
+            return np.array([float(1 - power[p * d + p][p * d + p]) for p in range(d)])
+        steps = 0
+        while 3 ** (steps + 1) <= eta:
+            steps += 1
+        for _ in range(steps):
+            flat = [v for row in m for v in row]
+            reshaped = [flat[i * d * d : (i + 1) * d * d] for i in range(d)]
+            m = _mp_product(m, _mp_product(reshaped, m))
+        return np.array([float(1 - m[p * d + p][p]) for p in range(d)])
+
+
+def _order_2_mp(cols: np.ndarray, eta: int) -> np.ndarray:
+    """``shrunk_super_diagonal_mp`` at order 2, through the spectrum of ``A^T A``."""
+    d, n = cols.shape
+    phi = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in cols])
+    sq = mpmath.fsum(phi[i, j] ** 2 for i in range(d) for j in range(n))
+    a = phi / mpmath.sqrt(n * mpmath.mpf(EPSILON) + sq)
+    lam, vecs = mpmath.eigsy(a.T * a)
+    av = a * vecs
+    out = []
+    for i in range(d):
+        total = mpmath.mpf(0)
+        for k in range(n):
+            ratio = 1 - lam[k]
+            total += av[i, k] ** 2 * mpmath.fsum(ratio**j for j in range(eta))
+        out.append(float(total))
     return np.array(out)

@@ -11,7 +11,7 @@ import numpy as np
 
 from oracles import maxexp_scalar_derivative, numerical_jacobian, sigme_derivative, tensor_inner
 
-from tensorpool.attention import RBF, SOFTMAX, AttentionBundle, attention, multi_head, rbf_similarity
+from tensorpool.attention import RBF, SOFTMAX, AttentionBundle, _attend, multi_head, rbf_similarity
 from tensorpool.bench import bench_tso, summarize
 from tensorpool.descriptors import FeatureMatrix, hotd, poly_kernel_sum
 from tensorpool.heads import HeadWeights
@@ -216,7 +216,7 @@ def test_criterion_08_attention_correctness():
 
     bundle = AttentionBundle(q, k, v, sigma=0.5, heads=1)
     t1_gap = max(
-        float(np.max(np.abs(multi_head(bundle, kind) - attention(bundle, kind))))
+        float(np.max(np.abs(multi_head(bundle, kind) - _attend(q, k, v, 0.5, kind))))
         for kind in (SOFTMAX, RBF)
     )
 
@@ -225,8 +225,8 @@ def test_criterion_08_attention_correctness():
         float(
             np.max(
                 np.abs(
-                    attention(AttentionBundle(q, k, v, sigma=0.5), kind)
-                    - attention(
+                    multi_head(AttentionBundle(q, k, v, sigma=0.5), kind)
+                    - multi_head(
                         AttentionBundle(q, k[:, perm], v[:, perm], sigma=0.5), kind
                     )
                 )

@@ -14,7 +14,6 @@ from tensorpool.attention import (
     AttentionBundle,
     _attend,
     _heads,
-    attention,
     multi_head,
     rbf_similarity,
 )
@@ -55,7 +54,7 @@ class TestAttention:
         rng = np.random.default_rng(0)
         k = rng.normal(size=(4, 1))
         bundle = AttentionBundle(rng.normal(size=(4, 3)), k, k)
-        out = attention(bundle, SOFTMAX)
+        out = multi_head(bundle, SOFTMAX)
         for row in out:
             np.testing.assert_allclose(row, k[:, 0], atol=1e-14)
 
@@ -74,33 +73,45 @@ class TestAttention:
     def test_matches_naive_softmax_oracle(self):
         rng = np.random.default_rng(2)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        out = attention(AttentionBundle(q, k, v), SOFTMAX)
+        out = multi_head(AttentionBundle(q, k, v), SOFTMAX)
         np.testing.assert_allclose(out, naive_softmax_attention(q, k, v), atol=1e-12)
 
     def test_matches_naive_rbf_oracle(self):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(4, 3))
         k, v = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        out = attention(AttentionBundle(q, k, v, sigma=0.7), RBF)
+        out = multi_head(AttentionBundle(q, k, v, sigma=0.7), RBF)
         np.testing.assert_allclose(out, naive_rbf_attention(q, k, v, 0.7), atol=1e-12)
 
     def test_softmax_rows_sum_to_one_via_constant_values(self):
         rng = np.random.default_rng(4)
         q, k = rng.normal(size=(4, 6)), rng.normal(size=(4, 5))
         ones = np.ones((4, 5))
-        out = attention(AttentionBundle(q, k, ones), SOFTMAX)
+        out = multi_head(AttentionBundle(q, k, ones), SOFTMAX)
         np.testing.assert_allclose(out, np.ones_like(out), atol=1e-12)
 
     def test_rbf_rows_do_not_sum_to_one(self):
         rng = np.random.default_rng(5)
         q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
         ones = np.ones((4, 5))
-        out = attention(AttentionBundle(q, k, ones, sigma=0.5), RBF)
+        out = multi_head(AttentionBundle(q, k, ones, sigma=0.5), RBF)
         assert not np.allclose(out[:, 0], 1.0)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InvalidArgumentError):
             AttentionBundle(np.zeros((4, 0)), np.zeros((4, 2)), np.zeros((4, 2)))
+
+    def test_mismatched_channels_or_token_counts_rejected(self):
+        m = np.ones((2, 2))
+        with pytest.raises(InvalidArgumentError, match="^Q, K, V must share the channel dim"):
+            AttentionBundle(m, np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.raises(InvalidArgumentError, match="^K and V must have the same number of"):
+            AttentionBundle(m, m, np.ones((2, 3)))
+
+    def test_rbf_query_with_a_zero_column_rejected(self):
+        q = np.array([[0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(NormalizationError, match="^cannot l2-normalize a zero column$"):
+            multi_head(AttentionBundle(q, np.eye(2), np.eye(2)), RBF)
 
     def test_non_finite_sigma_rejected(self):
         m = np.ones((2, 2))
@@ -111,15 +122,15 @@ class TestAttention:
     def test_unknown_kind(self):
         bundle = AttentionBundle(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
         with pytest.raises(InvalidArgumentError):
-            attention(bundle, "linear")
+            multi_head(bundle, "linear")
 
     def test_key_value_joint_permutation_invariance(self):
         rng = np.random.default_rng(6)
         q, k, v = rng.normal(size=(4, 3)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
         perm = rng.permutation(6)
         for kind in (SOFTMAX, RBF):
-            a = attention(AttentionBundle(q, k, v), kind)
-            b = attention(AttentionBundle(q, k[:, perm], v[:, perm]), kind)
+            a = multi_head(AttentionBundle(q, k, v), kind)
+            b = multi_head(AttentionBundle(q, k[:, perm], v[:, perm]), kind)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -214,12 +225,11 @@ class TestMultiHead:
         q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
         bundle = AttentionBundle(q, k, v, sigma=0.5, heads=1)
         for kind in (SOFTMAX, RBF):
-            # attention() runs multi_head: hold the one-head split against the unsplit kernel
+            # hold the one-head split against the unsplit kernel
             assert np.array_equal(multi_head(bundle, kind), _attend(q, k, v, 0.5, kind))
-            assert np.array_equal(attention(bundle, kind), _attend(q, k, v, 0.5, kind))
 
     def test_two_heads_match_per_half_attention(self):
-        # Two and four heads, both kinds: each head is attention on its own rows, bit for bit.
+        # Two and four heads, both kinds: each head is the unsplit kernel on its rows, bit for bit.
         rng = np.random.default_rng(9)
         q, k, v = (rng.normal(size=(12, 4)) for _ in range(3))
         for heads in (2, 4):
@@ -228,7 +238,7 @@ class TestMultiHead:
                 out = multi_head(AttentionBundle(q, k, v, sigma=0.5, heads=heads), kind)
                 for h in range(heads):
                     rows = slice(step * h, step * (h + 1))
-                    alone = attention(AttentionBundle(q[rows], k[rows], v[rows], sigma=0.5), kind)
+                    alone = _attend(q[rows], k[rows], v[rows], 0.5, kind)
                     assert np.array_equal(out[:, rows], alone)
 
     def test_four_heads_shape_and_finite(self):
@@ -238,15 +248,6 @@ class TestMultiHead:
         out = multi_head(AttentionBundle(q, k, v, sigma=0.5, heads=4), RBF)
         assert out.shape == (5, 8)
         assert np.all(np.isfinite(out))
-
-    def test_single_head_attention_rejects_multi_head_bundle(self):
-        # Running one head over all channels would silently differ from multi_head.
-        rng = np.random.default_rng(12)
-        q, k, v = (rng.normal(size=(8, 3)) for _ in range(3))
-        bundle = AttentionBundle(q, k, v, sigma=0.5, heads=4)
-        for kind in (SOFTMAX, RBF):
-            with pytest.raises(InvalidArgumentError, match="multi_head"):
-                attention(bundle, kind)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -261,7 +262,7 @@ class TestMultiHead:
         out = _attend(q, k, v, 0.7, kind)
         assert out.shape == (2, 3, 5, d)
         for i in np.ndindex(2, 3):
-            alone = attention(AttentionBundle(q[i], k[i], v[i], sigma=0.7), kind)
+            alone = multi_head(AttentionBundle(q[i], k[i], v[i], sigma=0.7), kind)
             assert np.array_equal(out[i], alone)
         for heads in (h for h in (1, 3, 4) if d % h == 0):
             out = _heads(q, k, v, heads, 0.7, kind)

@@ -16,6 +16,7 @@ from tensorpool.tensor import DenseTensor
     [
         (["run-suite", "all", "--seed", "-1"], 2, "argument --seed"),
         (["demo-episode", "--seed", "-1"], 2, "argument --seed"),
+        (["demo-episode", "--seed", "abc"], 2, "argument --seed"),
         (["bench", "--seed", "-1", "--eta", "2,4"], 2, "argument --seed"),
         (["bench", "--dim", "0", "--eta", "2,4"], 1, "error: dim must be >= 1"),
         (["bench", "--dim", "-3", "--eta", "2,4"], 1, "error: dim must be >= 1"),
@@ -35,7 +36,8 @@ from tensorpool.tensor import DenseTensor
         (["demo-episode", "--eta", str(10**23)], 1,
          f"error: order-2 shrinkage overflows float64 at eta {10**23}"),
     ],
-    ids=["run-suite-seed", "demo-episode-seed", "bench-seed", "bench-dim-0", "bench-dim-negative",
+    ids=["run-suite-seed", "demo-episode-seed", "demo-episode-seed-not-an-integer", "bench-seed",
+         "bench-dim-0", "bench-dim-negative",
          "demo-episode-dim-beyond-capacity", "bench-dim-beyond-capacity",
          "demo-episode-grid-beyond-ceiling", "demo-episode-rois-beyond-ceiling",
          "bench-eta-beyond-ceiling", "demo-episode-eta-overflows"],

@@ -12,7 +12,6 @@ from tensorpool.descriptors import (
     EPSILON,
     FeatureMatrix,
     column_norms,
-    descriptor_norm_sum,
     hotd,
     normalize_descriptor,
     poly_kernel_sum,
@@ -209,7 +208,8 @@ class TestNormalizeDescriptor:
         for r in (2, 3, 4):
             t = hotd(fm, r)
             out = normalize_descriptor(t, fm)
-            assert np.array_equal(out.data, t.data / (EPSILON + descriptor_norm_sum(fm, r)))
+            norm_sum = np.mean(np.linalg.norm(fm.columns, axis=0) ** r)
+            assert np.array_equal(out.data, t.data / (EPSILON + norm_sum))
 
     def test_features_of_another_dimension_rejected(self):
         rng = np.random.default_rng(20)
@@ -222,7 +222,10 @@ class TestNormalizeDescriptor:
         fm = FeatureMatrix(rng.normal(size=(4, 5)))
         for r in (2, 4):
             trace = np.trace(unfold(hotd(fm, r), r // 2))
-            assert descriptor_norm_sum(fm, r) == pytest.approx(trace, rel=1e-12)
+            norm_sum = np.mean(np.linalg.norm(fm.columns, axis=0) ** r)
+            assert norm_sum == pytest.approx(trace, rel=1e-12)
+            out = np.trace(unfold(normalize_descriptor(hotd(fm, r), fm), r // 2))
+            assert out == pytest.approx(trace / (EPSILON + trace), rel=1e-12)
 
 
 class TestFeatureOverflow:
@@ -244,8 +247,9 @@ class TestFeatureOverflow:
             t = hotd(fm, 4)
             with pytest.raises(DomainError, match="^order-4 descriptor overflows float64"):
                 normalize_descriptor(t, fm)
+            flat = FeatureMatrix(np.full((2, 3), 1e77))
             with pytest.raises(DomainError, match="largest feature norm is 1.41e\\+77$"):
-                descriptor_norm_sum(FeatureMatrix(np.full((2, 3), 1e77)), 4)
+                normalize_descriptor(hotd(flat, 4), flat)
 
 
 class TestInvariances:

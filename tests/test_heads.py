@@ -149,6 +149,22 @@ class TestZshotHead:
             zshot_head(shuffled, query, w), base, atol=1e-12
         )
 
+    def test_width_mismatch_rejected(self):
+        support = PooledFeatures(np.ones((4, 1)), np.ones((2, 1)))
+        query = PooledFeatures(np.ones((6, 1)), np.ones((3, 1)))
+        with pytest.raises(InvalidArgumentError, match="^support and query embeddings disagree"):
+            zshot_head(support, query, HeadWeights.seeded(2))
+
+
+class TestPooledFeatures:
+    def test_items_must_align(self):
+        with pytest.raises(InvalidArgumentError, match="^mean_features and hop must align per"):
+            PooledFeatures(np.ones((4, 2)), np.ones((2, 3)))
+
+    def test_mean_features_must_be_twice_as_wide(self):
+        with pytest.raises(InvalidArgumentError, match="^mean_features width must be twice hop"):
+            PooledFeatures(np.ones((3, 2)), np.ones((2, 2)))
+
 
 class TestBuildTokens:
     def test_single_column(self):
@@ -364,6 +380,11 @@ class TestComputeRelations:
         b = TokenMatrix(np.ones((2, 6)))
         with pytest.raises(InvalidArgumentError):
             compute_relations(a, b, w)
+
+    def test_token_width_mismatch(self):
+        a, b = TokenMatrix(np.ones((2, 3))), TokenMatrix(np.ones((3, 3)))
+        with pytest.raises(InvalidArgumentError, match="^token widths must match$"):
+            compute_relations(a, b, HeadWeights.seeded(2))
 
     def test_stacks_that_do_not_broadcast_rejected(self):
         w = HeadWeights.seeded(4)

